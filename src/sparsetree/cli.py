@@ -112,7 +112,6 @@ def cmd_train(args) -> int:
         use_equiv_bound=not args.no_equiv_bound,
         time_limit_s=args.time_limit_s,
         max_records=args.max_records,
-        workers=args.workers,
     )
     t0 = time.monotonic()
     result = optimize(bin_data, cfg)
@@ -166,7 +165,6 @@ def cmd_benchmark(args) -> int:
         use_lb_guess=not args.no_lb_guess,
         compare_no_guess=not args.no_compare,
         time_limit_s=args.time_limit_s,
-        workers=args.workers,
     )
     report = evaluation.run_benchmark(raw, cfg)
     with open(args.out_json, "w") as fh:
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit-s", type=float, default=None)
     p.add_argument("--max-records", type=int, default=None,
                    help="abort when the subproblem cache exceeds this size")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the report JSON (breaks rerun byte-identity)")
     p.add_argument("--out", required=True, help="output prefix for .tree.json/.report.json")
@@ -245,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-compare", action="store_true",
                    help="skip the paired solve without lb guessing")
     p.add_argument("--time-limit-s", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--out-json", required=True)
     p.add_argument("--out-csv", default=None)

@@ -227,7 +227,6 @@ class BenchmarkConfig:
     use_lb_guess: bool = True
     compare_no_guess: bool = True
     time_limit_s: Optional[float] = None
-    workers: int = 1
 
     def as_dict(self) -> dict:
         return {
@@ -242,7 +241,6 @@ class BenchmarkConfig:
             "use_lb_guess": self.use_lb_guess,
             "compare_no_guess": self.compare_no_guess,
             "time_limit_s": self.time_limit_s,
-            "workers": self.workers,
         }
 
 
@@ -311,7 +309,6 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig) 
         depth_limit=cfg.depth_limit,
         reference=ref,
         time_limit_s=cfg.time_limit_s,
-        workers=cfg.workers,
     ))
     out.counters = result.counters.as_dict()
     if cfg.compare_no_guess:
@@ -320,7 +317,6 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig) 
             depth_limit=cfg.depth_limit,
             reference=None,
             time_limit_s=cfg.time_limit_s,
-            workers=cfg.workers,
         ))
         out.counters_no_guess = plain.counters.as_dict()
     out.train_accuracy = 1.0 - result.loss_count / train.n_samples

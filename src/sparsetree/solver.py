@@ -14,6 +14,28 @@ expansion.  The returned tree is extracted afterwards as a pass over the
 recorded actions minimizing (objective, leaves, depth, structure)
 lexicographically per subproblem, which also picks up any child improvements
 made after a guessed bound closed the parent.
+
+Bounds flow from children to parents incrementally.  Each child links back to
+the (parent, split index) pairs that use it.  The moment a record's bounds
+change, the index of every split that uses it goes on that parent's dirty
+list; a changed record then wakes its parents breadth-first, and each woken
+parent refreshes only its dirty splits.  (The two-leaf incumbents a record
+finds while it is expanded are marked but wake no one; parents fold them in
+at their next wake.)  Child upper bounds only fall, so a
+parent's upper bound is a running min.  For the lower bound a parent keeps
+the min lower sum over its splits (and its leaf) with the split holding it,
+and rescans only when that split's sum rose.  Because splits are marked when
+the child changes, not when the parent is woken, every refresh equals a full
+rescan of the parent's splits, so search order and counters do not depend on
+this bookkeeping.
+
+Without a lower-bound guess, child lower bounds never fall.  A split whose
+lower sum is above its parent's upper bound can then never set either of the
+parent's bounds again; the parent's next lower-bound rescan drops it for good
+(it stays in the recorded actions for extraction).  With a guess this does not
+hold: a child closed by the guess drops its lower bound to its incumbent,
+which can bring the split's lower sum back under the parent's upper bound, so
+the prune is off.
 """
 
 from __future__ import annotations
@@ -21,8 +43,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -101,13 +122,10 @@ class SolverConfig:
     use_equiv_bound: bool = True
     time_limit_s: Optional[float] = None
     max_records: Optional[int] = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.depth_limit is not None and self.depth_limit < 1:
             raise ValueError("depth_limit must be >= 1 when bounded")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 @dataclass
@@ -124,10 +142,6 @@ class SolveResult:
     depth_limit: Optional[int]
     lb_guess_active: bool
     refused_lb_guess: bool
-
-
-def explored_count(result: SolveResult) -> Counters:
-    return result.counters
 
 
 # ---------------------------------------------------------------- bound helpers
@@ -166,7 +180,8 @@ _LEAF = -1
 class _Rec:
     __slots__ = (
         "bits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
-        "lower", "upper", "best", "splits", "parents", "expanded", "solved", "by_guess",
+        "lower", "upper", "splits", "parents", "expanded", "solved", "by_guess",
+        "dirty", "live", "lo_min", "lo_arg",
     )
 
     def __init__(self, bits, depth, n, pos, leaf_units, true_floor, guess_floor):
@@ -179,12 +194,16 @@ class _Rec:
         self.guess_floor = guess_floor
         self.lower = true_floor if guess_floor is None else max(true_floor, guess_floor)
         self.upper = leaf_units
-        self.best = _LEAF
-        self.splits = []          # (col, keyL, keyR, exactL, exactR); key None = forced leaf child
-        self.parents = {}         # key -> None, insertion ordered
+        self.splits = []          # (col, left, right, exactL, exactR); child None = forced leaf
+        self.parents = {}         # parent _Rec -> split index or list of them, insertion ordered
         self.expanded = False
         self.solved = False
         self.by_guess = False
+        # set from expansion until solved:
+        self.dirty = None         # indices of splits whose children changed since the last refresh
+        self.live = None          # splits in the lower-bound scan
+        self.lo_min = None        # min lower sum over the leaf and the live splits
+        self.lo_arg = None        # the split holding lo_min; None = the leaf
 
 
 class _Search:
@@ -209,6 +228,9 @@ class _Search:
             self.refused = True
         self.inc_bits = ref.incorrect_bits if ref is not None else None
         self.guessing = self.inc_bits is not None
+        # without a guess, child lower sums never fall, so a split whose
+        # lower sum exceeds its parent's upper bound is dead for good
+        self.prune_dead = not self.guessing
 
         self.eq = equivalence_classes(bin_data) if cfg.use_equiv_bound else None
 
@@ -224,7 +246,6 @@ class _Search:
             seen.add(key)
             self.cols.append(j)
         self.colbits = bin_data.columns
-        self._pool = None
 
     # ---------------- record lifecycle
 
@@ -237,18 +258,15 @@ class _Search:
             guess_floor = self.pen + self.q * (bits & self.inc_bits).bit_count()
         return true_floor, guess_floor
 
-    def _leaf_units(self, bits, n, pos):
-        return self.q * min(pos, n - pos) + self.pen
-
     def _create(self, bits, depth):
         key = (bits, depth)
         rec = self.recs.get(key)
         if rec is not None:
             self.counters.cache_hits += 1
-            return key, rec
+            return rec
         n = bits.bit_count()
         pos = (bits & self.pos_bits).bit_count()
-        leaf_units = self._leaf_units(bits, n, pos)
+        leaf_units = self.q * min(pos, n - pos) + self.pen
         true_floor, guess_floor = self._floors(bits)
         rec = _Rec(bits, depth, n, pos, leaf_units, true_floor, guess_floor)
         self.counters.created += 1
@@ -267,112 +285,159 @@ class _Search:
         self.recs[key] = rec
         if not rec.solved:
             self.seq += 1
-            heapq.heappush(self.heap, (rec.lower, self.seq, key))
-        return key, rec
+            heapq.heappush(self.heap, (rec.lower, self.seq, rec))
+        return rec
+
+    @staticmethod
+    def _link(child, parent, i):
+        """Record that split i of parent has child as one side."""
+        if child.solved:
+            return  # a solved record never changes again
+        links = child.parents
+        had = links.get(parent)
+        if had is None:
+            links[parent] = i
+        elif type(had) is int:
+            links[parent] = [had, i]
+        else:
+            had.append(i)
 
     # ---------------- expansion
 
-    def _scan_chunk(self, bits, chunk):
-        out = []
-        for j in chunk:
-            c = self.colbits[j]
-            bl = bits & c
-            out.append((j, bl))
-        return out
-
-    def _scan(self, bits):
-        if self.cfg.workers > 1 and self._pool is not None and len(self.cols) > 1:
-            w = min(self.cfg.workers, len(self.cols))
-            size = (len(self.cols) + w - 1) // w
-            chunks = [self.cols[i: i + size] for i in range(0, len(self.cols), size)]
-            parts = self._pool.map(lambda ch: self._scan_chunk(bits, ch), chunks)
-            out = []
-            for p in parts:
-                out.extend(p)
-            return out
-        return self._scan_chunk(bits, self.cols)
-
-    def _expand(self, key, rec):
+    def _expand(self, rec):
         rec.expanded = True
         self.counters.expanded += 1
         bits, n, pos = rec.bits, rec.n, rec.pos
+        q, pen, pos_bits, inc_bits = self.q, self.pen, self.pos_bits, self.inc_bits
+        colbits, create, link = self.colbits, self._create, self._link
         child_depth = rec.depth - 1 if self.bounded else None
-        for j, bl in self._scan(bits):
+        leaf_children = child_depth == 0
+        splits = rec.splits
+        upper = rec.upper
+        for j in self.cols:
+            bl = bits & colbits[j]
             nl = bl.bit_count()
             if nl == 0 or nl == n:
                 continue
             br = bits ^ bl
             nr = n - nl
-            posl = (bl & self.pos_bits).bit_count()
+            posl = (bl & pos_bits).bit_count()
             posr = pos - posl
-            vl = self._leaf_units(bl, nl, posl)
-            vr = self._leaf_units(br, nr, posr)
-            forced_l = (child_depth == 0) or (nl == 1)
-            forced_r = (child_depth == 0) or (nr == 1)
+            negl = nl - posl
+            negr = nr - posr
+            vl = q * (posl if posl < negl else negl) + pen
+            vr = q * (posr if posr < negr else negr) + pen
+            forced_l = leaf_children or nl == 1
+            forced_r = leaf_children or nr == 1
             # cheap child floors for the prune check; records add the
             # equivalence-points term when created
-            low_l = vl if forced_l else self.pen
-            low_r = vr if forced_r else self.pen
-            if self.guessing:
-                if not forced_l:
-                    low_l = max(low_l, self.pen + self.q * (bl & self.inc_bits).bit_count())
-                if not forced_r:
-                    low_r = max(low_r, self.pen + self.q * (br & self.inc_bits).bit_count())
-            if low_l + low_r >= rec.upper:
+            if forced_l:
+                low_l = vl
+            elif inc_bits is not None:
+                low_l = pen + q * (bl & inc_bits).bit_count()
+            else:
+                low_l = pen
+            if forced_r:
+                low_r = vr
+            elif inc_bits is not None:
+                low_r = pen + q * (br & inc_bits).bit_count()
+            else:
+                low_r = pen
+            if low_l + low_r >= upper:
                 continue
-            kl = kr = None
+            i = len(splits)
+            cl = cr = None
             if not forced_l:
-                kl, cl = self._create(bl, child_depth)
-                cl.parents.setdefault(key)
+                cl = create(bl, child_depth)
+                link(cl, rec, i)
             if not forced_r:
-                kr, cr = self._create(br, child_depth)
-                cr.parents.setdefault(key)
-            rec.splits.append((j, kl, kr, vl, vr))
+                cr = create(br, child_depth)
+                link(cr, rec, i)
+            splits.append((j, cl, cr, vl, vr))
             # splitting j into two majority leaves is an incumbent
-            if vl + vr < rec.upper:
-                rec.upper = vl + vr
-        if self._recompute(rec):
-            self._propagate(key)
+            if vl + vr < upper:
+                upper = vl + vr
+        if upper < rec.upper:
+            # parents see this at their next refresh, but it does not wake them
+            rec.upper = upper
+            self._mark_parents(rec)
+        # a first refresh with every split dirty is the full scan
+        rec.dirty = list(range(len(splits)))
+        rec.live = splits
+        rec.lo_min, rec.lo_arg = rec.leaf_units, None
+        if self._settle(rec, *self._refresh(rec)):
+            self._propagate(rec)
 
     # ---------------- bound maintenance
 
-    def _action_bounds(self, s):
-        j, kl, kr, vl, vr = s
-        if kl is not None:
-            c = self.recs[kl]
-            ul, ll = c.upper, c.lower
-        else:
-            ul = ll = vl
-        if kr is not None:
-            c = self.recs[kr]
-            ur, lr = c.upper, c.lower
-        else:
-            ur = lr = vr
-        return ul + ur, ll + lr
+    def _scan_lower(self, rec, upper):
+        """Min lower sum over the leaf and the live splits, and its split.
 
-    def _recompute(self, rec) -> bool:
-        if rec.solved:
-            return False
-        best_u = rec.leaf_units
-        best = _LEAF
-        min_l = rec.leaf_units
-        for s in rec.splits:
-            u, l = self._action_bounds(s)
-            if u < best_u:
-                best_u = u
-                best = s[0]
-            if l < min_l:
-                min_l = l
+        Without a guess, splits whose lower sum exceeds `upper` leave the
+        live list."""
+        lo_min, lo_arg = rec.leaf_units, None
+        keep = [] if self.prune_dead else None
+        for s in rec.live:
+            _, cl, cr, ll, lr = s
+            if cl is not None:
+                ll = cl.lower
+            if cr is not None:
+                lr = cr.lower
+            l = ll + lr
+            if l < lo_min:
+                lo_min, lo_arg = l, s
+            if keep is not None and l <= upper:
+                keep.append(s)
+        if keep is not None:
+            rec.live = keep
+        return lo_min, lo_arg
+
+    def _refresh(self, rec):
+        """Fold the dirty splits into rec's bounds: (upper, min lower sum).
+
+        Equal to a full rescan of rec's splits.  Child uppers only fall, so
+        the upper is a running min; the min lower sum is rescanned only when
+        the split that held it rose."""
+        splits = rec.splits
+        upper, lo_min, lo_arg = rec.upper, rec.lo_min, rec.lo_arg
+        rescan = False
+        for i in rec.dirty:
+            s = splits[i]
+            _, cl, cr, ul, ur = s
+            ll, lr = ul, ur
+            if cl is not None:
+                ul, ll = cl.upper, cl.lower
+            if cr is not None:
+                ur, lr = cr.upper, cr.lower
+            if ul + ur < upper:
+                upper = ul + ur
+            l = ll + lr
+            if s is lo_arg:
+                if l > lo_min:
+                    rescan = True
+                else:
+                    lo_min = l
+            elif l < lo_min:
+                lo_min, lo_arg = l, s
+        rec.dirty.clear()
+        if rescan:
+            lo_min, lo_arg = self._scan_lower(rec, upper)
+        rec.lo_min, rec.lo_arg = lo_min, lo_arg
+        return upper, lo_min
+
+    def _settle(self, rec, upper, lo_min) -> bool:
+        """Take refreshed bounds; True when rec changed and its parents must be
+        woken."""
         changed = False
-        if best_u < rec.upper:
-            rec.upper = best_u
+        if upper < rec.upper:
+            rec.upper = upper
             changed = True
-        rec.best = best
-        if min_l > rec.lower:
-            rec.lower = min_l
+        if lo_min > rec.lower:
+            rec.lower = lo_min
             changed = True
         if rec.upper <= rec.lower:
             rec.solved = True
+            rec.dirty = rec.live = rec.lo_arg = None
             changed = True
             if (
                 rec.guess_floor is not None
@@ -383,42 +448,42 @@ class _Search:
                 self.counters.closed_by_guess += 1
             if rec.lower > rec.upper:
                 rec.lower = rec.upper
+        if changed:
+            self._mark_parents(rec)
         return changed
 
-    def _propagate(self, key):
-        work = deque([key])
+    @staticmethod
+    def _mark_parents(rec):
+        for p, i in rec.parents.items():
+            if p.solved:
+                continue
+            if type(i) is int:
+                p.dirty.append(i)
+            else:
+                p.dirty.extend(i)
+
+    def _propagate(self, rec):
+        work = deque([rec])
         while work:
-            k = work.popleft()
-            for pk in self.recs[k].parents:
-                p = self.recs[pk]
-                if p.solved or not p.expanded:
-                    continue
-                if self._recompute(p):
-                    work.append(pk)
+            for p in work.popleft().parents:
+                if not p.solved and self._settle(p, *self._refresh(p)):
+                    work.append(p)
 
     # ---------------- main loop
 
     def run(self):
-        self._pool = ThreadPoolExecutor(max_workers=self.cfg.workers) if self.cfg.workers > 1 else None
-        try:
-            t0 = time.monotonic()
-            root_depth = self.cfg.depth_limit if self.bounded else None
-            root_key, root = self._create(self.root_bits, root_depth)
-            timed_out = False
-            while not root.solved and self.heap:
-                if self.cfg.time_limit_s is not None and time.monotonic() - t0 > self.cfg.time_limit_s:
-                    timed_out = True
-                    break
-                _, _, key = heapq.heappop(self.heap)
-                rec = self.recs[key]
-                if rec.solved or rec.expanded:
-                    continue
-                self._expand(key, rec)
-            return root_key, root, timed_out
-        finally:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        t0 = time.monotonic()
+        root = self._create(self.root_bits, self.cfg.depth_limit)
+        timed_out = False
+        while not root.solved and self.heap:
+            if self.cfg.time_limit_s is not None and time.monotonic() - t0 > self.cfg.time_limit_s:
+                timed_out = True
+                break
+            rec = heapq.heappop(self.heap)[2]
+            if rec.solved or rec.expanded:
+                continue
+            self._expand(rec)
+        return root, timed_out
 
     # ---------------- extraction
 
@@ -428,32 +493,31 @@ class _Search:
         units = self.q * min(pos, n - pos) + self.pen
         return Leaf(1 if pos > n - pos else 0), units, 1, 0, (_LEAF,)
 
-    def extract(self, key, memo):
+    def extract(self, rec, memo):
         """Best tree over the recorded action DAG: minimize (units, leaves,
         depth, structure) per subproblem.  Children of closed records may
         have kept improving, so this can land below the record's incumbent;
         never above it."""
-        got = memo.get(key)
+        got = memo.get(rec)
         if got is not None:
             return got
-        rec = self.recs[key]
         best = self._leaf_node(rec.bits)
-        for j, kl, kr, _vl, _vr in rec.splits:
+        for j, cl, cr, _vl, _vr in rec.splits:
             bl = rec.bits & self.colbits[j]
-            cl = self.extract(kl, memo) if kl is not None else self._leaf_node(bl)
-            cr = self.extract(kr, memo) if kr is not None else self._leaf_node(rec.bits ^ bl)
+            left = self.extract(cl, memo) if cl is not None else self._leaf_node(bl)
+            right = self.extract(cr, memo) if cr is not None else self._leaf_node(rec.bits ^ bl)
             f, t = self.bin.column_meta[j]
             cand = (
-                Split(self.bin.feature_names[f], t, cl[0], cr[0]),
-                cl[1] + cr[1],
-                cl[2] + cr[2],
-                1 + max(cl[3], cr[3]),
-                (j, cl[4], cr[4]),
+                Split(self.bin.feature_names[f], t, left[0], right[0]),
+                left[1] + right[1],
+                left[2] + right[2],
+                1 + max(left[3], right[3]),
+                (j, left[4], right[4]),
             )
             if cand[1:] < best[1:]:
                 best = cand
         assert best[1] <= rec.upper, "extraction can only match or beat the incumbent"
-        memo[key] = best
+        memo[rec] = best
         return best
 
 
@@ -472,8 +536,8 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
     if root_bits == 0:
         raise ValueError("empty root support")
     search = _Search(bin_data, cfg, root_bits)
-    root_key, root, timed_out = search.run()
-    tree, units, leaves, depth, _ = search.extract(root_key, {})
+    root, timed_out = search.run()
+    tree, units, leaves, depth, _ = search.extract(root, {})
     reg = cfg.regularizer
     loss_units = units - reg.leaf_penalty_units * leaves
     assert loss_units % reg.denom == 0

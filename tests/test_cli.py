@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,9 +239,12 @@ def test_usage_error_exits_2():
 def test_console_script_smoke(tmp_path):
     exe = shutil.which("sparsetree")
     cmd = [exe] if exe else [sys.executable, "-m", "sparsetree.cli"]
+    # the child imports the package under test, installed or not
+    src = str(Path(sparsetree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         cmd + ["depth-bound", "--n-estimators", "10", "--weak-vc", "8"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["suggested_depth"] == 11

@@ -8,7 +8,7 @@ from sparsetree import guessing, solver, trees
 from sparsetree.dataset import SupportSet
 from sparsetree.solver import Regularizer, SolverConfig, SolverMemoryError
 
-from conftest import masked_min_units, random_binary
+from conftest import masked_min_units, random_binary, random_raw
 
 
 def _xor_binary():
@@ -330,8 +330,6 @@ def test_validation_rejections():
         solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(1, 3))
     with pytest.raises(ValueError, match="depth_limit"):
         SolverConfig(reg2, depth_limit=0)
-    with pytest.raises(ValueError, match="workers"):
-        SolverConfig(reg2, workers=0)
 
 
 def test_equiv_bound_is_an_optimization_only():
@@ -346,19 +344,17 @@ def test_equiv_bound_is_an_optimization_only():
         assert on.objective_units == off.objective_units
 
 
-def test_reruns_and_workers_are_identical():
+def test_reruns_are_identical():
     rng = np.random.default_rng(8)
     bin_data = random_binary(rng, max_n=30, max_cols=7)
     reg = Regularizer.from_text("1/50", bin_data.n_samples)
 
-    def solve(workers):
-        return solver.optimize(
-            bin_data, SolverConfig(reg, depth_limit=3, workers=workers)
-        )
+    def solve():
+        return solver.optimize(bin_data, SolverConfig(reg, depth_limit=3))
 
-    a, b, par = solve(1), solve(1), solve(2)
-    assert trees.to_json(a.tree) == trees.to_json(b.tree) == trees.to_json(par.tree)
-    assert solver.run_report(a) == solver.run_report(b) == solver.run_report(par)
+    a, b = solve(), solve()
+    assert trees.to_json(a.tree) == trees.to_json(b.tree)
+    assert solver.run_report(a) == solver.run_report(b)
 
 
 def test_run_report_shape():
@@ -374,3 +370,106 @@ def test_run_report_shape():
     assert rep["depth_limit"] == 2
     assert rep["lb_guess"] == {"active": False, "refused_single_class": False}
     assert set(rep["counters"]) == {"created", "expanded", "closed_by_guess", "cache_hits"}
+
+
+# ---------------------------------------------------------------- search order and incremental bounds
+
+def _pinned_instances():
+    """Seeded solves of four kinds: exact, guessed, unbounded, root support."""
+    dense = sparsetree.full_binarize(random_raw(np.random.default_rng(10), 200, 4, levels=3))
+    reg = Regularizer.from_text("1/100", dense.n_samples)
+    # this draw has guess-closed children that lower a split's lower sum,
+    # and children whose upper bound falls without waking their parents
+    coarse = sparsetree.full_binarize(random_raw(np.random.default_rng(37), 150, 4, levels=1))
+    ref = _noisy_reference(coarse, np.random.default_rng(38))
+    small = sparsetree.full_binarize(random_raw(np.random.default_rng(12), 60, 3, levels=1))
+    odd = SupportSet(sum(1 << i for i in range(1, dense.n_samples, 2)), dense.n_samples)
+    return {
+        "exact": (dense, SolverConfig(reg, depth_limit=3), None),
+        "guessed": (
+            coarse,
+            SolverConfig(Regularizer.from_text("1/64", coarse.n_samples), depth_limit=3, reference=ref),
+            None,
+        ),
+        "unbounded": (
+            small, SolverConfig(Regularizer.from_text("1/50", small.n_samples)), None
+        ),
+        "root_support": (dense, SolverConfig(reg, depth_limit=3), odd),
+    }
+
+
+def test_search_counters_are_pinned():
+    # exact objective and counters of seeded solves: any change in search
+    # order shows up here
+    want = {
+        "exact": (4100, {"created": 3763, "expanded": 3567, "closed_by_guess": 0, "cache_hits": 5466}),
+        "guessed": (2114, {"created": 410, "expanded": 306, "closed_by_guess": 80, "cache_hits": 238}),
+        "unbounded": (860, {"created": 1288, "expanded": 1034, "closed_by_guess": 0, "cache_hits": 9511}),
+        "root_support": (2500, {"created": 2882, "expanded": 2616, "closed_by_guess": 0, "cache_hits": 4488}),
+    }
+    for name, (bin_data, cfg, root) in _pinned_instances().items():
+        units, counters = want[name]
+        res = solver.optimize(bin_data, cfg, root_support=root)
+        assert (res.objective_units, res.counters.as_dict()) == (units, counters), name
+
+
+def _split_sums(split):
+    """(upper sum, lower sum) of one recorded split from its children now."""
+    _col, left, right, ul, ur = split
+    ll, lr = ul, ur
+    if left is not None:
+        ul, ll = left.upper, left.lower
+    if right is not None:
+        ur, lr = right.upper, right.lower
+    return ul + ur, ll + lr
+
+
+def _check_bounds_against_full_rescan(search):
+    """Every expanded, unsolved record's bounds against its splits now.
+
+    Runs between expansions, when every woken parent has been refreshed.
+    A child whose upper bound fell while it was expanded leaves its split
+    marked on the parent without waking it, so those marks are folded in
+    here as the next wake would fold them.  Returns how many splits have
+    left a lower-bound scan."""
+    pruned = 0
+    for rec in search.recs.values():
+        if not rec.expanded or rec.solved:
+            continue
+        sums = [_split_sums(s) for s in rec.splits]
+        full_upper = min([rec.leaf_units] + [u for u, _ in sums])
+        full_lower = min([rec.leaf_units] + [l for _, l in sums])
+        pending = [sums[i][0] for i in rec.dirty]
+        assert min([rec.upper] + pending) == full_upper
+        if not pending:
+            assert rec.lo_min == full_lower
+        assert rec.lower >= full_lower
+        live = {id(s) for s in rec.live}
+        for s, (_, low) in zip(rec.splits, sums):
+            if id(s) not in live:
+                assert search.prune_dead
+                assert low > rec.upper
+                pruned += 1
+    return pruned
+
+
+def test_incremental_bounds_match_a_full_rescan():
+    for name, (bin_data, cfg, root) in _pinned_instances().items():
+        bits = bin_data.full_mask if root is None else root.bits
+        search = solver._Search(bin_data, cfg, bits)
+        expand = search._expand
+        seen = {"expanded": 0, "pruned": 0}
+
+        def expand_and_check(rec):
+            expand(rec)
+            seen["expanded"] += 1
+            if seen["expanded"] % 5 == 0:
+                seen["pruned"] += _check_bounds_against_full_rescan(search)
+
+        search._expand = expand_and_check
+        root_rec, timed_out = search.run()
+        assert root_rec.solved and not timed_out, name
+        _check_bounds_against_full_rescan(search)
+        assert seen["expanded"] >= 300, name
+        if search.prune_dead:
+            assert seen["pruned"] > 0, name
