@@ -334,17 +334,17 @@ class EquivalenceClasses:
     """Partition of samples by identical binarized feature vector.
 
     minority_label[u] / minority_count[u] describe the rarer label inside
-    group u on the full dataset.  Internals keep a compact id per sample for
-    the impure groups only (pure groups contribute nothing to minority sums
-    on any support).
+    group u on the full dataset.  Internals keep the sample bitmask of each
+    impure group (`_impure_masks`; a group pure on the full data is pure
+    inside any support, so it never adds to a minority count) and the
+    label-1 bitmask of the dataset (`_pos_mask`).
     """
 
     groups: tuple[tuple[int, ...], ...]
     minority_label: tuple[int, ...]
     minority_count: tuple[int, ...]
-    _impure_ids: np.ndarray = field(repr=False, compare=False, default=None)
-    _n_impure: int = field(repr=False, compare=False, default=0)
-    _labels: np.ndarray = field(repr=False, compare=False, default=None)
+    _impure_masks: tuple[int, ...] = field(repr=False, compare=False, default=())
+    _pos_mask: int = field(repr=False, compare=False, default=0)
 
     @property
     def n_groups(self) -> int:
@@ -361,9 +361,10 @@ def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
         inverse = np.zeros(bin_data.n_samples, dtype=int)
     n_groups = int(inverse.max()) + 1 if bin_data.n_samples else 0
     groups, minority_label, minority_count = [], [], []
-    impure = []
+    impure_masks = []
     for g in range(n_groups):
-        members = np.flatnonzero(inverse == g)
+        in_group = inverse == g
+        members = np.flatnonzero(in_group)
         pos = int(y[members].sum())
         neg = len(members) - pos
         groups.append(tuple(int(i) for i in members))
@@ -371,17 +372,31 @@ def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
         minority_label.append(1 if pos <= neg else 0)
         minority_count.append(min(pos, neg))
         if 0 < pos < len(members):
-            impure.append(g)
-    remap = {g: k for k, g in enumerate(impure)}
-    ids = np.array([remap.get(int(g), len(impure)) for g in inverse], dtype=np.int64)
+            impure_masks.append(bools_to_bits(in_group))
     return EquivalenceClasses(
         groups=tuple(groups),
         minority_label=tuple(minority_label),
         minority_count=tuple(minority_count),
-        _impure_ids=ids,
-        _n_impure=len(impure),
-        _labels=y.astype(np.int64),
+        _impure_masks=tuple(impure_masks),
+        _pos_mask=bin_data.pos_mask,
     )
+
+
+def minority_bits(eq: EquivalenceClasses, support) -> int:
+    """Bitmask of the rarer-label members of each group inside the support.
+
+    Accepts a SupportSet or a raw bitmask int.  On a tie inside a group the
+    label-1 members are taken; either side has the same count.
+    """
+    bits = support.bits if isinstance(support, SupportSet) else int(support)
+    pos_mask = eq._pos_mask
+    out = 0
+    for group in eq._impure_masks:
+        inside = bits & group
+        pos = inside & pos_mask
+        neg = inside ^ pos
+        out |= pos if pos.bit_count() <= neg.bit_count() else neg
+    return out
 
 
 def minority_total(eq: EquivalenceClasses, support) -> int:
@@ -390,12 +405,4 @@ def minority_total(eq: EquivalenceClasses, support) -> int:
     Accepts a SupportSet or a raw bitmask int.  This is the exact count whose
     scaled value is the equivalence-points lower bound.
     """
-    bits = support.bits if isinstance(support, SupportSet) else int(support)
-    if eq._n_impure == 0 or bits == 0:
-        return 0
-    mask = bits_to_bools(bits, len(eq._impure_ids))
-    ids = eq._impure_ids[mask]
-    labs = eq._labels[mask]
-    cnt = np.bincount(ids, minlength=eq._n_impure + 1)[: eq._n_impure]
-    pos = np.bincount(ids, weights=labs, minlength=eq._n_impure + 1)[: eq._n_impure]
-    return int(np.minimum(pos, cnt - pos).sum())
+    return minority_bits(eq, support).bit_count()

@@ -8,6 +8,13 @@ floor, equivalence-points bound) optionally raised by the reference-model
 guess; a record is solved once its incumbent meets its lower bound, so a
 guessed bound may close a subproblem before it is provably optimal.
 
+The equivalence-points bound (GOSDT) counts, per group of samples with
+identical column values, the rarer label inside the support.  Every support
+the search creates is the root cut by indicator columns, which are constant on
+each group, so it holds a group's members inside the root either all or none.
+The bound is thus one popcount of the support against a minority mask of the
+root, built once per solve.
+
 Exploration pops the smallest current lower bound first, FIFO on ties.
 Children whose bound sum cannot beat the parent incumbent are pruned at
 expansion.  The returned tree is extracted afterwards as a pass over the
@@ -41,13 +48,21 @@ the prune is off.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dataset import BinaryDataset, EquivalenceClasses, SupportSet, equivalence_classes, minority_total
+from .dataset import (
+    BinaryDataset,
+    EquivalenceClasses,
+    SupportSet,
+    equivalence_classes,
+    minority_bits,
+    minority_total,
+)
 from .guessing import ReferenceLabels
 from .trees import Leaf, Node, Split
 
@@ -126,6 +141,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.depth_limit is not None and self.depth_limit < 1:
             raise ValueError("depth_limit must be >= 1 when bounded")
+        if self.max_records is not None and self.max_records < 1:
+            raise ValueError("max_records must be >= 1 when set")
+        if self.time_limit_s is not None and not (
+            math.isfinite(self.time_limit_s) and self.time_limit_s >= 0
+        ):
+            raise ValueError("time_limit_s must be finite and >= 0 when set")
 
 
 @dataclass
@@ -232,7 +253,10 @@ class _Search:
         # lower sum exceeds its parent's upper bound is dead for good
         self.prune_dead = not self.guessing
 
-        self.eq = equivalence_classes(bin_data) if cfg.use_equiv_bound else None
+        # rarer-label members of each equivalence class inside the root; see _floors
+        self.minority = (
+            minority_bits(equivalence_classes(bin_data), root_bits) if cfg.use_equiv_bound else 0
+        )
 
         # drop duplicate columns (same or complementary partition); earlier
         # indices win every tie anyway, later copies only cost scan time
@@ -250,9 +274,11 @@ class _Search:
     # ---------------- record lifecycle
 
     def _floors(self, bits):
-        true_floor = self.pen
-        if self.eq is not None:
-            true_floor += self.q * minority_total(self.eq, bits)
+        # Every support here is the root cut by indicator columns, and columns
+        # are constant on an equivalence class, so a support holds all of a
+        # class's members inside the root or none.  Its minority count is
+        # therefore the popcount of the root's minority mask inside it.
+        true_floor = self.pen + self.q * (bits & self.minority).bit_count()
         guess_floor = None
         if self.guessing:
             guess_floor = self.pen + self.q * (bits & self.inc_bits).bit_count()

@@ -9,6 +9,7 @@ from sparsetree.dataset import (
     bools_to_bits,
     equivalence_classes,
     full_binarize,
+    minority_bits,
     minority_total,
     read_binary_csv,
     write_binary_csv,
@@ -244,6 +245,15 @@ def test_minority_total_respects_support():
     assert minority_total(eq, SupportSet.from_indices([2, 3], 4)) == 0
 
 
+def _per_group_recount(eq, y, bits):
+    total = 0
+    for grp in eq.groups:
+        inside = [i for i in grp if bits >> i & 1]
+        pos = sum(int(y[i]) for i in inside)
+        total += min(pos, len(inside) - pos)
+    return total
+
+
 def test_minority_total_matches_per_group_recount():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -253,12 +263,30 @@ def test_minority_total_matches_per_group_recount():
         eq = equivalence_classes(b)
         sub = rng.integers(0, 2, size=16).astype(bool)
         s = bools_to_bits(sub)
-        expect = 0
+        assert minority_total(eq, s) == _per_group_recount(eq, y, s)
+
+
+def test_minority_bits_counts_and_restricts_to_whole_classes():
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        x = rng.integers(0, 2, size=(40, 3))
+        y = rng.integers(0, 2, size=40)
+        b = _binary_from_rows(x, y)
+        eq = equivalence_classes(b)
+        root = bools_to_bits(rng.integers(0, 2, size=40).astype(bool))
+        mask = minority_bits(eq, root)
+        assert mask.bit_count() == _per_group_recount(eq, y, root)
+        assert mask & ~root == 0
+        # a support cut from the root along whole classes needs no recount:
+        # its minority members are the root's, restricted to it
+        sub = 0
         for grp in eq.groups:
-            inside = [i for i in grp if sub[i]]
-            pos = sum(int(y[i]) for i in inside)
-            expect += min(pos, len(inside) - pos)
-        assert minority_total(eq, s) == expect
+            if rng.random() < 0.5:
+                for i in grp:
+                    sub |= 1 << i
+        sub &= root
+        assert minority_bits(eq, sub) == mask & sub
+        assert (mask & sub).bit_count() == _per_group_recount(eq, y, sub)
 
 
 def test_minority_total_lower_bounds_every_tree():

@@ -330,6 +330,15 @@ def test_validation_rejections():
         solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(1, 3))
     with pytest.raises(ValueError, match="depth_limit"):
         SolverConfig(reg2, depth_limit=0)
+    for records in (0, -1):
+        with pytest.raises(ValueError, match="max_records"):
+            SolverConfig(reg2, max_records=records)
+    for seconds in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="time_limit_s"):
+            SolverConfig(reg2, time_limit_s=seconds)
+    # the unset defaults and the edges stay allowed
+    SolverConfig(reg2, max_records=None, time_limit_s=None)
+    SolverConfig(reg2, max_records=1, time_limit_s=0.0)
 
 
 def test_equiv_bound_is_an_optimization_only():
@@ -473,3 +482,47 @@ def test_incremental_bounds_match_a_full_rescan():
         assert seen["expanded"] >= 300, name
         if search.prune_dead:
             assert seen["pruned"] > 0, name
+
+
+def _floor_instances():
+    """The pinned exact, guessed and unbounded solves, a root support that
+    halves every equivalence class, and a solve without the
+    equivalence-points bound."""
+    cases = _pinned_instances()
+    del cases["root_support"]  # its support happens to hold no impure class
+    coarse, guessed_cfg, _ = cases["guessed"]
+    reg = guessed_cfg.regularizer
+    halves = 0
+    for group in sparsetree.equivalence_classes(coarse).groups:
+        for i in group[::2]:
+            halves |= 1 << i
+    cases["halved_classes"] = (
+        coarse, SolverConfig(reg, depth_limit=3), SupportSet(halves, coarse.n_samples)
+    )
+    cases["no_equiv_bound"] = (
+        coarse, SolverConfig(reg, depth_limit=3, use_equiv_bound=False), None
+    )
+    return cases
+
+
+def test_floor_matches_a_per_group_recount():
+    for name, (bin_data, cfg, root) in _floor_instances().items():
+        bits = bin_data.full_mask if root is None else root.bits
+        search = solver._Search(bin_data, cfg, bits)
+        root_rec, _ = search.run()
+        assert root_rec.solved, name
+        groups = sparsetree.equivalence_classes(bin_data).groups
+        labels = bin_data.labels
+        pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
+        paid = 0
+        for rec in search.recs.values():
+            recount = 0
+            if cfg.use_equiv_bound:
+                for group in groups:
+                    inside = [i for i in group if rec.bits >> i & 1]
+                    pos = sum(int(labels[i]) for i in inside)
+                    recount += min(pos, len(inside) - pos)
+            assert rec.true_floor == pen + q * recount, name
+            paid += recount > 0
+        # the bound is nonzero on some record unless it is switched off
+        assert (paid > 0) == cfg.use_equiv_bound, name
