@@ -6,6 +6,16 @@ y - sigmoid(margin), leaf values take a Newton step (sum residual over sum
 hessian) clamped to +-4, and the margin accumulates learning_rate * tree(x).
 Class 1 iff margin > 0; a zero margin predicts 0.
 
+Each fit picks a split kernel per feature from its data.  A feature with
+exactly two distinct values (every indicator column, any 0/1 feature) has one
+cut, at the midpoint of the two; its left gradient sum at a node is a
+bincount of the node's gradients over the members holding the low value, with
+no sort.  Every other feature walks the node's members in stable value order
+and takes a prefix sum at each cut between distinct neighbours.  For a
+two-valued feature both kernels add the same gradients in the same order
+(index order within the low value), so the gains agree bit for bit and the
+fitted trees do not depend on which kernel ran.
+
 Fitting is fully deterministic: exact greedy search needs no randomness, the
 seed is recorded for provenance only.
 """
@@ -78,40 +88,70 @@ class ThresholdSet:
 
 # ---------------------------------------------------------------- weak trees
 
-def _grow(x, g, sorted_orders, member, depth, max_depth, y):
+def _sorted_split(xj, g, order, g_tot, base):
+    """Best cut of one feature at a node: (gain, threshold), or (None, None)
+    when the node's members share one value.
+
+    order lists the node's members in stable value order, so the prefix sums
+    add gradients in index order within each value."""
+    n_tot = len(order)
+    vals = xj[order]
+    gs = np.cumsum(g[order])
+    ns = np.arange(1, n_tot + 1, dtype=np.float64)
+    cut = np.flatnonzero(vals[:-1] < vals[1:])  # split between distinct neighbors
+    if len(cut) == 0:
+        return None, None
+    gl = gs[cut]
+    nl = ns[cut]
+    gr = g_tot - gl
+    nr = n_tot - nl
+    gains = gl * gl / nl + gr * gr / nr - base
+    k = int(np.argmax(gains))
+    return float(gains[k]), float((vals[cut[k]] + vals[cut[k] + 1]) / 2.0)
+
+
+def _two_valued_gain(low, g_node, g_tot, base):
+    """Gain of a two-valued feature's one cut at a node, or None when the node
+    holds one value only.
+
+    low marks the node's members at the low value, g_node their gradients,
+    both in index order.  bincount adds the marked gradients one at a time in
+    index order, which is the stable-sorted prefix sum _sorted_split takes at
+    that cut, so the gain is the same float."""
+    n_tot = len(low)
+    nl = np.count_nonzero(low)
+    if nl == 0 or nl == n_tot:
+        return None
+    gl = np.bincount(low, weights=g_node, minlength=2)[1]
+    gr = g_tot - gl
+    nr = n_tot - nl
+    return float(gl * gl / nl + gr * gr / nr - base)
+
+
+def _grow(x, g, plan, member, depth, max_depth, y):
     idx = np.flatnonzero(member)
     node = RegressionNode(samples=len(idx), positives=int(y[idx].sum()))
     if depth >= max_depth or len(idx) < 2:
         return node
-    g_tot = float(g[idx].sum())
+    g_node = g[idx]
+    g_tot = float(g_node.sum())
     n_tot = len(idx)
     base = g_tot * g_tot / n_tot
     best_gain, best_feat, best_thr = _MIN_GAIN, -1, 0.0
-    for j in range(x.shape[1]):
-        order = sorted_orders[j][member[sorted_orders[j]]]
-        vals = x[order, j]
-        gs = np.cumsum(g[order])
-        ns = np.arange(1, n_tot + 1, dtype=np.float64)
-        cut = np.flatnonzero(vals[:-1] < vals[1:])  # split between distinct neighbors
-        if len(cut) == 0:
-            continue
-        gl = gs[cut]
-        nl = ns[cut]
-        gr = g_tot - gl
-        nr = n_tot - nl
-        gains = gl * gl / nl + gr * gr / nr - base
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best_feat = j
-            best_thr = float((vals[cut[k]] + vals[cut[k] + 1]) / 2.0)
+    for j, (order, low, thr) in enumerate(plan):
+        if order is None:
+            gain = _two_valued_gain(low[idx], g_node, g_tot, base)
+        else:
+            gain, thr = _sorted_split(x[:, j], g, order[member[order]], g_tot, base)
+        if gain is not None and gain > best_gain:
+            best_gain, best_feat, best_thr = gain, j, thr
     if best_feat < 0:
         return node
     node.feature = best_feat
     node.threshold = best_thr
     go_left = member & (x[:, best_feat] <= best_thr)
-    node.left = _grow(x, g, sorted_orders, go_left, depth + 1, max_depth, y)
-    node.right = _grow(x, g, sorted_orders, member & ~go_left, depth + 1, max_depth, y)
+    node.left = _grow(x, g, plan, go_left, depth + 1, max_depth, y)
+    node.right = _grow(x, g, plan, member & ~go_left, depth + 1, max_depth, y)
     return node
 
 
@@ -143,6 +183,22 @@ def _tree_predict(node, x):
 
 # ---------------------------------------------------------------- ensemble
 
+def _split_plan(x):
+    """Per feature, the split kernel's inputs: (None, low mask, cut threshold)
+    for a feature with exactly two distinct values, (stable order, None, None)
+    for any other."""
+    plan = []
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        lo, hi = col.min(), col.max()
+        low = col == lo
+        if lo < hi and np.all(col[~low] == hi):
+            plan.append((None, low, float((lo + hi) / 2.0)))
+        else:
+            plan.append((np.argsort(col, kind="stable"), None, None))
+    return plan
+
+
 def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float, seed: int) -> BoostedEnsemble:
     if n_estimators < 1 or max_depth < 1:
         raise ValueError("n_estimators and max_depth must be >= 1")
@@ -163,7 +219,7 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
             feature_names=raw.feature_names,
             trees=[],
         )
-    sorted_orders = [np.argsort(x[:, j], kind="stable") for j in range(x.shape[1])]
+    plan = _split_plan(x)
     margin = np.full(n, math.log(p_bar / (1.0 - p_bar)))
     everyone = np.ones(n, dtype=bool)
     trees = []
@@ -171,7 +227,7 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
         prob = 1.0 / (1.0 + np.exp(-margin))
         g = y - prob
         h = prob * (1.0 - prob)
-        root = _grow(x, g, sorted_orders, everyone, 0, max_depth, raw.labels)
+        root = _grow(x, g, plan, everyone, 0, max_depth, raw.labels)
         _set_leaf_values(root, x, g, h, everyone)
         margin = margin + learning_rate * _tree_predict(root, x)
         trees.append(root)

@@ -76,18 +76,26 @@ def cmd_guess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    reference = None
+    if args.pre_binarized and args.guess_thresholds:
+        _log("--guess-thresholds needs a raw CSV, not --pre-binarized")
+        return 2
+    data = read_binary_csv(args.data) if args.pre_binarized else load_csv(args.data)
+    # check the solver options before any fitting; the reference joins later
+    cfg = SolverConfig(
+        regularizer=Regularizer.from_text(args.lam, data.n_samples),
+        depth_limit=args.depth,
+        use_equiv_bound=not args.no_equiv_bound,
+        time_limit_s=args.time_limit_s,
+        max_records=args.max_records,
+    )
     if args.pre_binarized:
-        if args.guess_thresholds:
-            _log("--guess-thresholds needs a raw CSV, not --pre-binarized")
-            return 2
-        bin_data = read_binary_csv(args.data)
+        bin_data = data
         if args.lb_guess:
             ens = boosting.fit(guessing.indicator_raw(bin_data), args.n_est,
                                args.max_depth, args.lr, args.seed)
-            reference = guessing.reference_labels(ens, bin_data)
+            cfg.reference = guessing.reference_labels(ens, bin_data)
     else:
-        raw = load_csv(args.data)
+        raw = data
         if args.guess_thresholds:
             trace = guessing.column_eliminate(
                 raw, args.n_est, args.max_depth, args.lr, args.seed,
@@ -97,22 +105,13 @@ def cmd_train(args) -> int:
             _log(f"threshold guessing kept {bin_data.n_columns} columns "
                  f"(removed {len(trace.steps)})")
             if args.lb_guess:
-                reference = guessing.reference_labels(trace.ensemble, bin_data)
+                cfg.reference = guessing.reference_labels(trace.ensemble, bin_data)
         else:
             bin_data = full_binarize(raw)
             if args.lb_guess:
                 ens = boosting.fit(raw, args.n_est, args.max_depth, args.lr, args.seed)
-                reference = guessing.reference_labels(ens, raw)
+                cfg.reference = guessing.reference_labels(ens, raw)
 
-    reg = Regularizer.from_text(args.lam, bin_data.n_samples)
-    cfg = SolverConfig(
-        regularizer=reg,
-        depth_limit=args.depth,
-        reference=reference,
-        use_equiv_bound=not args.no_equiv_bound,
-        time_limit_s=args.time_limit_s,
-        max_records=args.max_records,
-    )
     t0 = time.monotonic()
     result = optimize(bin_data, cfg)
     wall = time.monotonic() - t0

@@ -352,6 +352,16 @@ class EquivalenceClasses:
 
 
 def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
+    """Partition of the samples by indicator row.  Computed once per dataset
+    object and kept in its cache: the dataset is frozen, so every solve on it
+    can share the result."""
+    eq = bin_data._cache.get("classes")
+    if eq is None:
+        eq = bin_data._cache["classes"] = _partition(bin_data)
+    return eq
+
+
+def _partition(bin_data: BinaryDataset) -> EquivalenceClasses:
     rows = bin_data.rows_matrix()
     y = bin_data.labels
     if rows.shape[1]:

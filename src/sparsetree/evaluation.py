@@ -336,7 +336,13 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig) 
 def run_benchmark(raw: RawDataset, cfg: BenchmarkConfig) -> BenchmarkReport:
     """Per-fold pipeline: reference fit, column elimination, guessed and
     plain solves, train/test scoring.  A fold failure is recorded on its
-    entry and does not stop the run."""
+    entry and does not stop the run; invalid solver options raise
+    ValueError before any fold fits."""
+    SolverConfig(
+        regularizer=Regularizer.from_text(cfg.regularization, raw.n_samples),
+        depth_limit=cfg.depth_limit,
+        time_limit_s=cfg.time_limit_s,
+    )
     plan = kfold(raw, cfg.folds, cfg.seed)
     report = BenchmarkReport(config=cfg)
     for fold in range(cfg.folds):

@@ -20,7 +20,8 @@ Children whose bound sum cannot beat the parent incumbent are pruned at
 expansion.  The returned tree is extracted afterwards as a pass over the
 recorded actions minimizing (objective, leaves, depth, structure)
 lexicographically per subproblem, which also picks up any child improvements
-made after a guessed bound closed the parent.
+made after a guessed bound closed the parent.  That pass compares keys only;
+tree nodes are built once, top-down along the winning choices.
 
 Bounds flow from children to parents incrementally.  Each child links back to
 the (parent, split index) pairs that use it.  The moment a record's bounds
@@ -195,7 +196,7 @@ def split_support(support: SupportSet, column_bits: int) -> tuple[SupportSet, Su
 
 # ---------------------------------------------------------------- records
 
-_LEAF = -1
+_LEAF_KEY = (-1,)  # structure key of a leaf; a split's is (column, left key, right key)
 
 
 class _Rec:
@@ -253,7 +254,7 @@ class _Search:
         # lower sum exceeds its parent's upper bound is dead for good
         self.prune_dead = not self.guessing
 
-        # rarer-label members of each equivalence class inside the root; see _floors
+        # rarer-label members of each equivalence class inside the root; see _create
         self.minority = (
             minority_bits(equivalence_classes(bin_data), root_bits) if cfg.use_equiv_bound else 0
         )
@@ -273,27 +274,22 @@ class _Search:
 
     # ---------------- record lifecycle
 
-    def _floors(self, bits):
-        # Every support here is the root cut by indicator columns, and columns
-        # are constant on an equivalence class, so a support holds all of a
-        # class's members inside the root or none.  Its minority count is
-        # therefore the popcount of the root's minority mask inside it.
-        true_floor = self.pen + self.q * (bits & self.minority).bit_count()
-        guess_floor = None
-        if self.guessing:
-            guess_floor = self.pen + self.q * (bits & self.inc_bits).bit_count()
-        return true_floor, guess_floor
-
-    def _create(self, bits, depth):
+    def _create(self, bits, depth, n, pos, miss):
+        """The record of (bits, depth), made on first use.  n, pos and miss
+        are the support's sample, label-1 and reference-mistake counts (miss
+        is None without a guess); every caller has already taken them."""
         key = (bits, depth)
         rec = self.recs.get(key)
         if rec is not None:
             self.counters.cache_hits += 1
             return rec
-        n = bits.bit_count()
-        pos = (bits & self.pos_bits).bit_count()
         leaf_units = self.q * min(pos, n - pos) + self.pen
-        true_floor, guess_floor = self._floors(bits)
+        # Every support here is the root cut by indicator columns, and columns
+        # are constant on an equivalence class, so a support holds all of a
+        # class's members inside the root or none.  Its minority count is
+        # therefore the popcount of the root's minority mask inside it.
+        true_floor = self.pen + self.q * (bits & self.minority).bit_count()
+        guess_floor = None if miss is None else self.pen + self.q * miss
         rec = _Rec(bits, depth, n, pos, leaf_units, true_floor, guess_floor)
         self.counters.created += 1
         if self.cfg.max_records is not None and self.counters.created > self.cfg.max_records:
@@ -335,6 +331,9 @@ class _Search:
         self.counters.expanded += 1
         bits, n, pos = rec.bits, rec.n, rec.pos
         q, pen, pos_bits, inc_bits = self.q, self.pen, self.pos_bits, self.inc_bits
+        miss = missl = missr = None
+        if inc_bits is not None:
+            miss = (bits & inc_bits).bit_count()
         colbits, create, link = self.colbits, self._create, self._link
         child_depth = rec.depth - 1 if self.bounded else None
         leaf_children = child_depth == 0
@@ -357,27 +356,25 @@ class _Search:
             forced_r = leaf_children or nr == 1
             # cheap child floors for the prune check; records add the
             # equivalence-points term when created
+            low_l = low_r = pen
+            if miss is not None:
+                missl = (bl & inc_bits).bit_count()
+                missr = miss - missl
+                low_l += q * missl
+                low_r += q * missr
             if forced_l:
                 low_l = vl
-            elif inc_bits is not None:
-                low_l = pen + q * (bl & inc_bits).bit_count()
-            else:
-                low_l = pen
             if forced_r:
                 low_r = vr
-            elif inc_bits is not None:
-                low_r = pen + q * (br & inc_bits).bit_count()
-            else:
-                low_r = pen
             if low_l + low_r >= upper:
                 continue
             i = len(splits)
             cl = cr = None
             if not forced_l:
-                cl = create(bl, child_depth)
+                cl = create(bl, child_depth, nl, posl, missl)
                 link(cl, rec, i)
             if not forced_r:
-                cr = create(br, child_depth)
+                cr = create(br, child_depth, nr, posr, missr)
                 link(cr, rec, i)
             splits.append((j, cl, cr, vl, vr))
             # splitting j into two majority leaves is an incumbent
@@ -499,7 +496,10 @@ class _Search:
 
     def run(self):
         t0 = time.monotonic()
-        root = self._create(self.root_bits, self.cfg.depth_limit)
+        bits = self.root_bits
+        miss = (bits & self.inc_bits).bit_count() if self.guessing else None
+        root = self._create(bits, self.cfg.depth_limit, bits.bit_count(),
+                            (bits & self.pos_bits).bit_count(), miss)
         timed_out = False
         while not root.solved and self.heap:
             if self.cfg.time_limit_s is not None and time.monotonic() - t0 > self.cfg.time_limit_s:
@@ -513,38 +513,40 @@ class _Search:
 
     # ---------------- extraction
 
-    def _leaf_node(self, bits):
-        n = bits.bit_count()
-        pos = (bits & self.pos_bits).bit_count()
-        units = self.q * min(pos, n - pos) + self.pen
-        return Leaf(1 if pos > n - pos else 0), units, 1, 0, (_LEAF,)
-
-    def extract(self, rec, memo):
-        """Best tree over the recorded action DAG: minimize (units, leaves,
-        depth, structure) per subproblem.  Children of closed records may
-        have kept improving, so this can land below the record's incumbent;
-        never above it."""
+    def best(self, rec, memo):
+        """Key and choice of the best tree over the recorded action DAG below
+        rec: the key (units, leaves, depth, structure) is minimal per
+        subproblem, and the choice is the winning split tuple, or None for
+        the leaf.  Children of closed records may have kept improving, so
+        this can land below the record's incumbent; never above it."""
         got = memo.get(rec)
         if got is not None:
             return got
-        best = self._leaf_node(rec.bits)
-        for j, cl, cr, _vl, _vr in rec.splits:
-            bl = rec.bits & self.colbits[j]
-            left = self.extract(cl, memo) if cl is not None else self._leaf_node(bl)
-            right = self.extract(cr, memo) if cr is not None else self._leaf_node(rec.bits ^ bl)
-            f, t = self.bin.column_meta[j]
-            cand = (
-                Split(self.bin.feature_names[f], t, left[0], right[0]),
-                left[1] + right[1],
-                left[2] + right[2],
-                1 + max(left[3], right[3]),
-                (j, left[4], right[4]),
-            )
-            if cand[1:] < best[1:]:
-                best = cand
-        assert best[1] <= rec.upper, "extraction can only match or beat the incumbent"
-        memo[rec] = best
-        return best
+        key, choice = (rec.leaf_units, 1, 0, _LEAF_KEY), None
+        for s in rec.splits:
+            j, cl, cr, vl, vr = s
+            lu, ll, ld, ls = self.best(cl, memo)[0] if cl is not None else (vl, 1, 0, _LEAF_KEY)
+            ru, rl, rd, rs = self.best(cr, memo)[0] if cr is not None else (vr, 1, 0, _LEAF_KEY)
+            cand = (lu + ru, ll + rl, 1 + (ld if ld > rd else rd), (j, ls, rs))
+            if cand < key:
+                key, choice = cand, s
+        assert key[0] <= rec.upper, "extraction can only match or beat the incumbent"
+        memo[rec] = got = key, choice
+        return got
+
+    def build(self, bits, rec, memo):
+        """The tree of the choices best() made, top-down from the support
+        bits; rec is None for a forced leaf."""
+        choice = None if rec is None else self.best(rec, memo)[1]
+        if choice is None:
+            n = bits.bit_count()
+            pos = (bits & self.pos_bits).bit_count()
+            return Leaf(1 if pos > n - pos else 0)
+        j, cl, cr, _vl, _vr = choice
+        bl = bits & self.colbits[j]
+        f, t = self.bin.column_meta[j]
+        return Split(self.bin.feature_names[f], t,
+                     self.build(bl, cl, memo), self.build(bits ^ bl, cr, memo))
 
 
 def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[SupportSet] = None) -> SolveResult:
@@ -563,7 +565,9 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
         raise ValueError("empty root support")
     search = _Search(bin_data, cfg, root_bits)
     root, timed_out = search.run()
-    tree, units, leaves, depth, _ = search.extract(root, {})
+    memo = {}
+    units, leaves, depth, _ = search.best(root, memo)[0]
+    tree = search.build(root.bits, root, memo)
     reg = cfg.regularizer
     loss_units = units - reg.leaf_penalty_units * leaves
     assert loss_units % reg.denom == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sparsetree
-from sparsetree import boosting
+from sparsetree import boosting, guessing
 from sparsetree.boosting import BoostedEnsemble, RegressionNode
 
 from conftest import random_raw
@@ -290,6 +290,145 @@ def test_weak_tree_thresholds_are_member_midpoints():
 
     for t in ens.trees:
         walk(t, np.arange(raw.n_samples))
+
+
+# ---------------------------------------------------------------- split kernels
+
+def _node_stats(g, member):
+    idx = np.flatnonzero(member)
+    g_tot = float(g[idx].sum())
+    return idx, g_tot, g_tot * g_tot / len(idx)
+
+
+def test_two_valued_kernel_matches_sorted_prefix():
+    # gain and threshold must be the same floats as the sorted-prefix path's,
+    # not merely close: the fitted trees depend on exact ties
+    rng = np.random.default_rng(21)
+    seen = {"both": 0, "one_value": 0, "single_member": 0}
+    for trial in range(600):
+        lo, hi = [(0.0, 1.0), (3.0, 7.5), (-2.25, 0.1)][trial % 3]
+        n = int(rng.integers(2, 60))
+        xj = np.where(rng.random(n) < rng.random(), lo, hi)
+        xj[:2] = lo, hi  # the feature itself always has both values
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-4, 4, size=n)
+        member = rng.random(n) < rng.random()
+        if trial % 7 == 0:
+            member[:] = False
+            member[rng.integers(n)] = True
+        elif trial % 7 == 1:
+            member &= xj == (lo if trial % 2 else hi)
+        if not member.any():
+            continue
+        order, low, thr = boosting._split_plan(xj[:, None])[0]
+        assert order is None and thr == (lo + hi) / 2.0
+        idx, g_tot, base = _node_stats(g, member)
+        sorted_order = np.argsort(xj, kind="stable")
+        want = boosting._sorted_split(xj, g, sorted_order[member[sorted_order]], g_tot, base)
+        gain = boosting._two_valued_gain(low[idx], g[idx], g_tot, base)
+        if want[0] is None:
+            assert gain is None
+            seen["single_member" if len(idx) == 1 else "one_value"] += 1
+        else:
+            assert (gain, thr) == want
+            seen["both"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_split_plan_sorts_only_multi_valued_features():
+    x = np.array([[0.0, 3.0, 1.0, 2.0], [1.0, 7.5, 2.0, 2.0], [0.0, 3.0, 3.0, 2.0]])
+    plan = boosting._split_plan(x)
+    assert [order is None for order, _, _ in plan] == [True, True, False, False]
+    assert [thr for _, _, thr in plan[:2]] == [0.5, 5.25]
+    assert plan[0][1].tolist() == [True, False, True]
+    assert plan[2][0].tolist() == [0, 1, 2]
+
+
+def _seed_grow(x, g, sorted_orders, member, depth, max_depth, y):
+    """The sorted-prefix split search for every feature, as fit ran it before
+    two-valued features got their own kernel."""
+    idx = np.flatnonzero(member)
+    node = RegressionNode(samples=len(idx), positives=int(y[idx].sum()))
+    if depth >= max_depth or len(idx) < 2:
+        return node
+    g_tot = float(g[idx].sum())
+    n_tot = len(idx)
+    base = g_tot * g_tot / n_tot
+    best_gain, best_feat, best_thr = boosting._MIN_GAIN, -1, 0.0
+    for j in range(x.shape[1]):
+        order = sorted_orders[j][member[sorted_orders[j]]]
+        vals = x[order, j]
+        gs = np.cumsum(g[order])
+        ns = np.arange(1, n_tot + 1, dtype=np.float64)
+        cut = np.flatnonzero(vals[:-1] < vals[1:])
+        if len(cut) == 0:
+            continue
+        gl = gs[cut]
+        nl = ns[cut]
+        gr = g_tot - gl
+        nr = n_tot - nl
+        gains = gl * gl / nl + gr * gr / nr - base
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best_feat = j
+            best_thr = float((vals[cut[k]] + vals[cut[k] + 1]) / 2.0)
+    if best_feat < 0:
+        return node
+    node.feature = best_feat
+    node.threshold = best_thr
+    go_left = member & (x[:, best_feat] <= best_thr)
+    node.left = _seed_grow(x, g, sorted_orders, go_left, depth + 1, max_depth, y)
+    node.right = _seed_grow(x, g, sorted_orders, member & ~go_left, depth + 1, max_depth, y)
+    return node
+
+
+def _seed_fit(raw, n_estimators, max_depth, learning_rate, seed):
+    x = raw.features
+    y = raw.labels.astype(np.float64)
+    p_bar = float(y.mean())
+    assert 0.0 < p_bar < 1.0
+    sorted_orders = [np.argsort(x[:, j], kind="stable") for j in range(x.shape[1])]
+    margin = np.full(len(y), math.log(p_bar / (1.0 - p_bar)))
+    everyone = np.ones(len(y), dtype=bool)
+    trees = []
+    for _ in range(n_estimators):
+        prob = 1.0 / (1.0 + np.exp(-margin))
+        g = y - prob
+        h = prob * (1.0 - prob)
+        root = _seed_grow(x, g, sorted_orders, everyone, 0, max_depth, raw.labels)
+        boosting._set_leaf_values(root, x, g, h, everyone)
+        margin = margin + learning_rate * boosting._tree_predict(root, x)
+        trees.append(root)
+    return BoostedEnsemble(
+        initial_score=float(math.log(p_bar / (1.0 - p_bar))),
+        learning_rate=learning_rate,
+        n_estimators=n_estimators,
+        max_depth=max_depth,
+        seed=seed,
+        degenerate=False,
+        feature_names=raw.feature_names,
+        trees=trees,
+    )
+
+
+def test_fit_matches_the_sorted_prefix_algorithm():
+    # indicator refits (every feature two-valued) and raw data that mixes
+    # 0/1 and {3, 7.5} features with multi-valued ones
+    for seed in range(6):
+        rng = np.random.default_rng(40 + seed)
+        raw = random_raw(rng, int(rng.integers(80, 400)), 3, levels=int(rng.integers(1, 4)))
+        ind = guessing.indicator_raw(sparsetree.full_binarize(raw))
+        mixed = sparsetree.make_raw(
+            np.column_stack([
+                raw.features,
+                rng.integers(0, 2, size=raw.n_samples),
+                np.where(rng.random(raw.n_samples) < 0.3, 3.0, 7.5),
+            ]),
+            raw.labels,
+        )
+        for data in (ind, mixed):
+            got = boosting.to_json(boosting.fit(data, 8, 3, 0.2, seed))
+            assert got == boosting.to_json(_seed_fit(data, 8, 3, 0.2, seed)), seed
 
 
 # ---------------------------------------------------------------- serialization

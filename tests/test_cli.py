@@ -175,6 +175,37 @@ def test_train_input_errors_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _forbid_fitting(monkeypatch):
+    def fitting(*args, **kwargs):
+        raise AssertionError("fitting ran before the solver options were checked")
+
+    monkeypatch.setattr(sparsetree.boosting, "fit", fitting)
+    monkeypatch.setattr(sparsetree.guessing, "column_eliminate", fitting)
+
+
+@pytest.mark.parametrize("bad", [
+    ["--time-limit-s", "-1"],
+    ["--max-records", "0"],
+    ["--lambda=-1/10"],
+    ["--lambda", "nonsense"],
+])
+def test_train_checks_solver_options_before_fitting(tmp_path, capsys, monkeypatch, bad):
+    data = _write_synthetic(tmp_path / "syn.csv")
+    _forbid_fitting(monkeypatch)
+    runs = [
+        [data, "--guess-thresholds", "--lb-guess"],
+        [data, "--lb-guess"],
+    ]
+    binarized = tmp_path / "bin.csv"
+    assert cli.main(["binarize", data, "--out", str(binarized)]) == 0
+    runs.append([str(binarized), "--pre-binarized", "--lb-guess"])
+    for run in runs:
+        argv = ["train", *run, "--lambda", "1/100", "--out", str(tmp_path / "r"), *bad]
+        assert cli.main(argv) == 1, run
+        assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "r.tree.json").exists()
+
+
 def test_train_unbounded_depth_flag(tmp_path):
     data = _write_xor(tmp_path / "xor.csv")
     assert cli.main([

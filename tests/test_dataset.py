@@ -230,6 +230,29 @@ def test_equivalence_invariant_under_column_permutation():
     assert sorted(map(sorted, g1)) == sorted(map(sorted, g2))
 
 
+def test_equivalence_classes_are_computed_once_per_dataset(monkeypatch):
+    # every solve on one dataset object shares one partition; an equal
+    # dataset built afresh is another object and gets its own
+    from sparsetree import dataset, solver
+
+    rows = np.random.default_rng(7).integers(0, 2, size=(24, 3))
+    labels = np.arange(24) % 2
+    b = _binary_from_rows(rows, labels)
+    calls = []
+    real = dataset._partition
+    monkeypatch.setattr(dataset, "_partition", lambda d: calls.append(d) or real(d))
+    first = equivalence_classes(b)
+    for lam in ("0", "1/64", "1/20"):
+        solver.optimize(b, solver.SolverConfig(Regularizer.from_text(lam, 24), depth_limit=2))
+    assert equivalence_classes(b) is first
+    assert len(calls) == 1 and calls[0] is b
+    twin = _binary_from_rows(rows, labels)
+    assert twin.columns == b.columns
+    assert equivalence_classes(twin) is not first
+    assert equivalence_classes(twin).groups == first.groups
+    assert len(calls) == 2
+
+
 def test_minority_total_pair():
     b = _binary_from_rows([[0], [0]], [0, 1])
     eq = equivalence_classes(b)

@@ -332,6 +332,23 @@ def test_benchmark_isolates_failed_folds():
     assert report.summary()["completed_folds"] == 2
 
 
+@pytest.mark.parametrize("bad", [
+    {"time_limit_s": -1.0},
+    {"time_limit_s": float("nan")},
+    {"regularization": "-1/10"},
+    {"regularization": "nonsense"},
+    {"depth_limit": 0},
+])
+def test_benchmark_checks_solver_options_before_fitting(monkeypatch, bad):
+    def fitting(*args, **kwargs):
+        raise AssertionError("a fold fitted before the solver options were checked")
+
+    monkeypatch.setattr(evaluation.guessing, "column_eliminate", fitting)
+    monkeypatch.setattr(evaluation.boosting, "fit", fitting)
+    with pytest.raises(ValueError):
+        run_benchmark(_bench_raw(), _bench_cfg(**bad))
+
+
 def test_benchmark_csv_round_trip():
     report = run_benchmark(_bench_raw(), _bench_cfg())
     text = evaluation.report_to_csv(report)

@@ -407,9 +407,38 @@ def _pinned_instances():
     }
 
 
+_PINNED_TREES = {
+    "exact": (
+        "Split(feature='x3', threshold=0.16666666666666666, "
+        "on_true=Split(feature='x0', threshold=-1.5, on_true=Leaf(prediction=0), on_false=Leaf(prediction=1)), "
+        "on_false=Split(feature='x0', threshold=0.8333333333333333, "
+        "on_true=Leaf(prediction=0), on_false=Leaf(prediction=1)))"
+    ),
+    "guessed": (
+        "Split(feature='x3', threshold=0.5, "
+        "on_true=Split(feature='x0', threshold=0.5, on_true=Leaf(prediction=0), on_false=Leaf(prediction=1)), "
+        "on_false=Leaf(prediction=0))"
+    ),
+    "unbounded": (
+        "Split(feature='x2', threshold=0.5, "
+        "on_true=Split(feature='x0', threshold=0.5, "
+        "on_true=Split(feature='x2', threshold=-0.5, "
+        "on_true=Split(feature='x1', threshold=-1.5, on_true=Leaf(prediction=0), on_false=Leaf(prediction=1)), "
+        "on_false=Split(feature='x0', threshold=-0.5, on_true=Leaf(prediction=1), on_false=Leaf(prediction=0))), "
+        "on_false=Leaf(prediction=1)), "
+        "on_false=Leaf(prediction=0))"
+    ),
+    "root_support": (
+        "Split(feature='x0', threshold=-1.5, on_true=Leaf(prediction=0), "
+        "on_false=Split(feature='x3', threshold=0.16666666666666666, "
+        "on_true=Leaf(prediction=1), on_false=Leaf(prediction=0)))"
+    ),
+}
+
+
 def test_search_counters_are_pinned():
-    # exact objective and counters of seeded solves: any change in search
-    # order shows up here
+    # exact objective, counters and extracted tree of seeded solves: any
+    # change in search order or in extraction's tie rules shows up here
     want = {
         "exact": (4100, {"created": 3763, "expanded": 3567, "closed_by_guess": 0, "cache_hits": 5466}),
         "guessed": (2114, {"created": 410, "expanded": 306, "closed_by_guess": 80, "cache_hits": 238}),
@@ -420,6 +449,7 @@ def test_search_counters_are_pinned():
         units, counters = want[name]
         res = solver.optimize(bin_data, cfg, root_support=root)
         assert (res.objective_units, res.counters.as_dict()) == (units, counters), name
+        assert repr(res.tree) == _PINNED_TREES[name], name
 
 
 def _split_sums(split):
