@@ -128,10 +128,13 @@ def _two_valued_gain(low, g_node, g_tot, base):
     return float(gl * gl / nl + gr * gr / nr - base)
 
 
-def _grow(x, g, plan, member, depth, max_depth, y):
+def _grow(x, g, plan, member, depth, max_depth, y, leaves):
+    """Grow the weak tree under the member mask; every leaf is appended to
+    leaves with its member indices, in ascending order."""
     idx = np.flatnonzero(member)
     node = RegressionNode(samples=len(idx), positives=int(y[idx].sum()))
     if depth >= max_depth or len(idx) < 2:
+        leaves.append((node, idx))
         return node
     g_node = g[idx]
     g_tot = float(g_node.sum())
@@ -146,25 +149,14 @@ def _grow(x, g, plan, member, depth, max_depth, y):
         if gain is not None and gain > best_gain:
             best_gain, best_feat, best_thr = gain, j, thr
     if best_feat < 0:
+        leaves.append((node, idx))
         return node
     node.feature = best_feat
     node.threshold = best_thr
     go_left = member & (x[:, best_feat] <= best_thr)
-    node.left = _grow(x, g, plan, go_left, depth + 1, max_depth, y)
-    node.right = _grow(x, g, plan, member & ~go_left, depth + 1, max_depth, y)
+    node.left = _grow(x, g, plan, go_left, depth + 1, max_depth, y, leaves)
+    node.right = _grow(x, g, plan, member & ~go_left, depth + 1, max_depth, y, leaves)
     return node
-
-
-def _set_leaf_values(node, x, g, h, member):
-    if node.is_leaf:
-        num = float(g[member].sum())
-        den = float(h[member].sum())
-        v = num / den if den > _MIN_HESS else 0.0
-        node.value = float(np.clip(v, -SCORE_CLAMP, SCORE_CLAMP))
-        return
-    go_left = member & (x[:, node.feature] <= node.threshold)
-    _set_leaf_values(node.left, x, g, h, go_left)
-    _set_leaf_values(node.right, x, g, h, member & ~go_left)
 
 
 def _tree_predict(node, x):
@@ -222,14 +214,23 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
     plan = _split_plan(x)
     margin = np.full(n, math.log(p_bar / (1.0 - p_bar)))
     everyone = np.ones(n, dtype=bool)
+    out = np.empty(n, dtype=np.float64)
     trees = []
     for _ in range(n_estimators):
         prob = 1.0 / (1.0 + np.exp(-margin))
         g = y - prob
         h = prob * (1.0 - prob)
-        root = _grow(x, g, plan, everyone, 0, max_depth, raw.labels)
-        _set_leaf_values(root, x, g, h, everyone)
-        margin = margin + learning_rate * _tree_predict(root, x)
+        leaves = []
+        root = _grow(x, g, plan, everyone, 0, max_depth, raw.labels, leaves)
+        # the leaves partition the rows as _tree_predict routes them; each
+        # leaf's Newton step sums its members in index order
+        for node, idx in leaves:
+            num = float(g[idx].sum())
+            den = float(h[idx].sum())
+            v = num / den if den > _MIN_HESS else 0.0
+            node.value = float(np.clip(v, -SCORE_CLAMP, SCORE_CLAMP))
+            out[idx] = node.value
+        margin = margin + learning_rate * out
         trees.append(root)
     return BoostedEnsemble(
         initial_score=float(math.log(p_bar / (1.0 - p_bar))),

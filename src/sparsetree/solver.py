@@ -29,21 +29,19 @@ change, the index of every split that uses it goes on that parent's dirty
 list; a changed record then wakes its parents breadth-first, and each woken
 parent refreshes only its dirty splits.  (The two-leaf incumbents a record
 finds while it is expanded are marked but wake no one; parents fold them in
-at their next wake.)  Child upper bounds only fall, so a
-parent's upper bound is a running min.  For the lower bound a parent keeps
-the min lower sum over its splits (and its leaf) with the split holding it,
-and rescans only when that split's sum rose.  Because splits are marked when
-the child changes, not when the parent is woken, every refresh equals a full
-rescan of the parent's splits, so search order and counters do not depend on
-this bookkeeping.
+at their next wake.)  Child upper bounds only fall, so a parent's upper bound
+is a running min.  For the lower bound a parent keeps each split's current
+lower sum and a lazy min-heap of (sum, split index): a refresh pushes a dirty
+split only when its sum changed, and pops tops whose sum is stale.  Because
+splits are marked when the child changes, not when the parent is woken, every
+refresh equals a full rescan of the parent's splits, whether a sum rose or,
+after a guess closed a child, fell; search order and counters do not depend
+on this bookkeeping.
 
-Without a lower-bound guess, child lower bounds never fall.  A split whose
-lower sum is above its parent's upper bound can then never set either of the
-parent's bounds again; the parent's next lower-bound rescan drops it for good
-(it stays in the recorded actions for extraction).  With a guess this does not
-hold: a child closed by the guess drops its lower bound to its incumbent,
-which can bring the split's lower sum back under the parent's upper bound, so
-the prune is off.
+A record one level above the depth limit has only forced-leaf children, so
+its expansion is terminal: one pass over the columns counts each split's loss
+with two popcounts, keeps the first column of least loss if its two leaves
+beat the one leaf, and solves the record on the spot.
 """
 
 from __future__ import annotations
@@ -203,7 +201,7 @@ class _Rec:
     __slots__ = (
         "bits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
         "lower", "upper", "splits", "parents", "expanded", "solved", "by_guess",
-        "dirty", "live", "lo_min", "lo_arg",
+        "dirty", "sums", "lows",
     )
 
     def __init__(self, bits, depth, n, pos, leaf_units, true_floor, guess_floor):
@@ -221,11 +219,10 @@ class _Rec:
         self.expanded = False
         self.solved = False
         self.by_guess = False
-        # set from expansion until solved:
+        # set from a non-terminal expansion until solved:
         self.dirty = None         # indices of splits whose children changed since the last refresh
-        self.live = None          # splits in the lower-bound scan
-        self.lo_min = None        # min lower sum over the leaf and the live splits
-        self.lo_arg = None        # the split holding lo_min; None = the leaf
+        self.sums = None          # each split's lower sum as of its last refresh
+        self.lows = None          # lazy min-heap of lower sum * len(splits) + split index; stale where sums differ
 
 
 class _Search:
@@ -250,17 +247,15 @@ class _Search:
             self.refused = True
         self.inc_bits = ref.incorrect_bits if ref is not None else None
         self.guessing = self.inc_bits is not None
-        # without a guess, child lower sums never fall, so a split whose
-        # lower sum exceeds its parent's upper bound is dead for good
-        self.prune_dead = not self.guessing
 
         # rarer-label members of each equivalence class inside the root; see _create
         self.minority = (
             minority_bits(equivalence_classes(bin_data), root_bits) if cfg.use_equiv_bound else 0
         )
 
-        # drop duplicate columns (same or complementary partition); earlier
-        # indices win every tie anyway, later copies only cost scan time
+        # (index, bits) of each column, dropping duplicates (same or
+        # complementary partition); earlier indices win every tie anyway,
+        # later copies only cost scan time
         seen = set()
         self.cols = []
         for j, c in enumerate(bin_data.columns):
@@ -269,7 +264,7 @@ class _Search:
             if key in seen:
                 continue
             seen.add(key)
-            self.cols.append(j)
+            self.cols.append((j, c))
         self.colbits = bin_data.columns
 
     # ---------------- record lifecycle
@@ -299,11 +294,7 @@ class _Search:
             rec.lower = rec.upper = leaf_units
             rec.solved = True
         elif rec.upper <= rec.lower:
-            rec.solved = True
-            if guess_floor is not None and rec.upper <= guess_floor and rec.upper > true_floor:
-                rec.by_guess = True
-                self.counters.closed_by_guess += 1
-            rec.lower = rec.upper
+            self._close(rec)
         self.recs[key] = rec
         if not rec.solved:
             self.seq += 1
@@ -329,22 +320,23 @@ class _Search:
     def _expand(self, rec):
         rec.expanded = True
         self.counters.expanded += 1
+        if rec.depth == 1 and self.bounded:
+            self._expand_terminal(rec)
+            return
         bits, n, pos = rec.bits, rec.n, rec.pos
         q, pen, pos_bits, inc_bits = self.q, self.pen, self.pos_bits, self.inc_bits
         miss = missl = missr = None
         if inc_bits is not None:
             miss = (bits & inc_bits).bit_count()
-        colbits, create, link = self.colbits, self._create, self._link
+        create, link = self._create, self._link
         child_depth = rec.depth - 1 if self.bounded else None
-        leaf_children = child_depth == 0
         splits = rec.splits
         upper = rec.upper
-        for j in self.cols:
-            bl = bits & colbits[j]
+        for j, c in self.cols:
+            bl = bits & c
             nl = bl.bit_count()
             if nl == 0 or nl == n:
                 continue
-            br = bits ^ bl
             nr = n - nl
             posl = (bl & pos_bits).bit_count()
             posr = pos - posl
@@ -352,8 +344,6 @@ class _Search:
             negr = nr - posr
             vl = q * (posl if posl < negl else negl) + pen
             vr = q * (posr if posr < negr else negr) + pen
-            forced_l = leaf_children or nl == 1
-            forced_r = leaf_children or nr == 1
             # cheap child floors for the prune check; records add the
             # equivalence-points term when created
             low_l = low_r = pen
@@ -362,19 +352,19 @@ class _Search:
                 missr = miss - missl
                 low_l += q * missl
                 low_r += q * missr
-            if forced_l:
+            if nl == 1:
                 low_l = vl
-            if forced_r:
+            if nr == 1:
                 low_r = vr
             if low_l + low_r >= upper:
                 continue
             i = len(splits)
             cl = cr = None
-            if not forced_l:
+            if nl != 1:
                 cl = create(bl, child_depth, nl, posl, missl)
                 link(cl, rec, i)
-            if not forced_r:
-                cr = create(br, child_depth, nr, posr, missr)
+            if nr != 1:
+                cr = create(bits ^ bl, child_depth, nr, posr, missr)
                 link(cr, rec, i)
             splits.append((j, cl, cr, vl, vr))
             # splitting j into two majority leaves is an incumbent
@@ -385,48 +375,68 @@ class _Search:
             rec.upper = upper
             self._mark_parents(rec)
         # a first refresh with every split dirty is the full scan
-        rec.dirty = list(range(len(splits)))
-        rec.live = splits
-        rec.lo_min, rec.lo_arg = rec.leaf_units, None
+        k = len(splits)
+        rec.dirty = list(range(k))
+        rec.sums = [None] * k
+        rec.lows = []
         if self._settle(rec, *self._refresh(rec)):
             self._propagate(rec)
 
+    def _expand_terminal(self, rec):
+        """Expand and solve a record whose children are all forced leaves.
+
+        With d = posl - negl on a column's left side and D = pos - neg, the
+        two majority leaves miss (n - max(|D|, |2d - D|)) / 2 samples, since
+        2*min(a, b) = a + b - |a - b|.  |2d - D| is largest at the largest or
+        the smallest d, so one pass with two popcounts per column finds the
+        least loss and the first column holding it.  The split's two leaves
+        cost q*loss + 2*pen, which beats the upper bound exactly when
+        loss < -((2*pen - upper) // q); a column constant on the support has
+        the leaf's own loss and never passes.  Splits that pass one after
+        another strictly fall in value and extraction takes the least, so
+        only the first column of least loss is stored."""
+        n, pos, q, pen = rec.n, rec.pos, self.q, self.pen
+        bp = rec.bits & self.pos_bits
+        bn = rec.bits ^ bp
+        hi, lo = -n - 1, n + 1
+        for j, c in self.cols:
+            d = (bp & c).bit_count() - (bn & c).bit_count()
+            if d > hi:
+                hi, j_hi = d, j
+            if d < lo:
+                lo, j_lo = d, j
+        dd = 2 * pos - n
+        up, down = 2 * hi - dd, dd - 2 * lo
+        loss = (n - (up if up > down else down)) // 2
+        if loss < -((2 * pen - rec.upper) // q):
+            j = j_hi if up > down else j_lo if down > up else min(j_hi, j_lo)
+            c = self.colbits[j]
+            posl = (bp & c).bit_count()
+            negl = (bn & c).bit_count()
+            posr, negr = pos - posl, n - pos - negl
+            rec.splits.append((j, None, None,
+                               q * (posl if posl < negl else negl) + pen,
+                               q * (posr if posr < negr else negr) + pen))
+            rec.upper = q * loss + 2 * pen
+        self._close(rec)
+        self._mark_parents(rec)
+        self._propagate(rec)
+
     # ---------------- bound maintenance
 
-    def _scan_lower(self, rec, upper):
-        """Min lower sum over the leaf and the live splits, and its split.
-
-        Without a guess, splits whose lower sum exceeds `upper` leave the
-        live list."""
-        lo_min, lo_arg = rec.leaf_units, None
-        keep = [] if self.prune_dead else None
-        for s in rec.live:
-            _, cl, cr, ll, lr = s
-            if cl is not None:
-                ll = cl.lower
-            if cr is not None:
-                lr = cr.lower
-            l = ll + lr
-            if l < lo_min:
-                lo_min, lo_arg = l, s
-            if keep is not None and l <= upper:
-                keep.append(s)
-        if keep is not None:
-            rec.live = keep
-        return lo_min, lo_arg
-
     def _refresh(self, rec):
-        """Fold the dirty splits into rec's bounds: (upper, min lower sum).
+        """Fold the dirty splits into rec's bounds: (upper, lower).
 
         Equal to a full rescan of rec's splits.  Child uppers only fall, so
-        the upper is a running min; the min lower sum is rescanned only when
-        the split that held it rose."""
-        splits = rec.splits
-        upper, lo_min, lo_arg = rec.upper, rec.lo_min, rec.lo_arg
-        rescan = False
+        the upper is a running min.  Every split's current lower sum sits in
+        the heap, as the one int sum * k + index for k splits; entries whose
+        sum has since changed are stale and are dropped when they reach the
+        top."""
+        splits, sums, lows = rec.splits, rec.sums, rec.lows
+        k = len(splits)
+        upper = rec.upper
         for i in rec.dirty:
-            s = splits[i]
-            _, cl, cr, ul, ur = s
+            _, cl, cr, ul, ur = splits[i]
             ll, lr = ul, ur
             if cl is not None:
                 ul, ll = cl.upper, cl.lower
@@ -435,45 +445,45 @@ class _Search:
             if ul + ur < upper:
                 upper = ul + ur
             l = ll + lr
-            if s is lo_arg:
-                if l > lo_min:
-                    rescan = True
-                else:
-                    lo_min = l
-            elif l < lo_min:
-                lo_min, lo_arg = l, s
+            if l != sums[i]:
+                sums[i] = l
+                heapq.heappush(lows, l * k + i)
         rec.dirty.clear()
-        if rescan:
-            lo_min, lo_arg = self._scan_lower(rec, upper)
-        rec.lo_min, rec.lo_arg = lo_min, lo_arg
-        return upper, lo_min
+        lower = rec.leaf_units
+        while lows:
+            l, i = divmod(lows[0], k)
+            if l == sums[i]:
+                if l < lower:
+                    lower = l
+                break
+            heapq.heappop(lows)
+        return upper, lower
 
-    def _settle(self, rec, upper, lo_min) -> bool:
+    def _settle(self, rec, upper, lower) -> bool:
         """Take refreshed bounds; True when rec changed and its parents must be
         woken."""
         changed = False
         if upper < rec.upper:
             rec.upper = upper
             changed = True
-        if lo_min > rec.lower:
-            rec.lower = lo_min
+        if lower > rec.lower:
+            rec.lower = lower
             changed = True
         if rec.upper <= rec.lower:
-            rec.solved = True
-            rec.dirty = rec.live = rec.lo_arg = None
+            self._close(rec)
             changed = True
-            if (
-                rec.guess_floor is not None
-                and rec.upper <= rec.guess_floor
-                and rec.upper > rec.true_floor
-            ):
-                rec.by_guess = True
-                self.counters.closed_by_guess += 1
-            if rec.lower > rec.upper:
-                rec.lower = rec.upper
         if changed:
             self._mark_parents(rec)
         return changed
+
+    def _close(self, rec):
+        """Solve rec at its upper bound, counting it when only the guess closes it."""
+        rec.solved = True
+        rec.dirty = rec.sums = rec.lows = None
+        if rec.guess_floor is not None and rec.true_floor < rec.upper <= rec.guess_floor:
+            rec.by_guess = True
+            self.counters.closed_by_guess += 1
+        rec.lower = rec.upper
 
     @staticmethod
     def _mark_parents(rec):

@@ -382,6 +382,20 @@ def _seed_grow(x, g, sorted_orders, member, depth, max_depth, y):
     return node
 
 
+def _seed_set_leaf_values(node, x, g, h, member):
+    """Newton leaf values, routing the member mask down the tree, as fit
+    set them before _grow handed over each leaf's members."""
+    if node.is_leaf:
+        num = float(g[member].sum())
+        den = float(h[member].sum())
+        v = num / den if den > boosting._MIN_HESS else 0.0
+        node.value = float(np.clip(v, -boosting.SCORE_CLAMP, boosting.SCORE_CLAMP))
+        return
+    go_left = member & (x[:, node.feature] <= node.threshold)
+    _seed_set_leaf_values(node.left, x, g, h, go_left)
+    _seed_set_leaf_values(node.right, x, g, h, member & ~go_left)
+
+
 def _seed_fit(raw, n_estimators, max_depth, learning_rate, seed):
     x = raw.features
     y = raw.labels.astype(np.float64)
@@ -396,7 +410,7 @@ def _seed_fit(raw, n_estimators, max_depth, learning_rate, seed):
         g = y - prob
         h = prob * (1.0 - prob)
         root = _seed_grow(x, g, sorted_orders, everyone, 0, max_depth, raw.labels)
-        boosting._set_leaf_values(root, x, g, h, everyone)
+        _seed_set_leaf_values(root, x, g, h, everyone)
         margin = margin + learning_rate * boosting._tree_predict(root, x)
         trees.append(root)
     return BoostedEnsemble(

@@ -463,15 +463,22 @@ def _split_sums(split):
     return ul + ur, ll + lr
 
 
+def _heap_min(rec):
+    """rec's lower bound as its heap gives it: the least non-stale entry,
+    or the leaf."""
+    k = len(rec.splits)
+    fresh = [low for low, i in (divmod(e, k) for e in rec.lows) if rec.sums[i] == low]
+    return min([rec.leaf_units] + fresh)
+
+
 def _check_bounds_against_full_rescan(search):
     """Every expanded, unsolved record's bounds against its splits now.
 
     Runs between expansions, when every woken parent has been refreshed.
     A child whose upper bound fell while it was expanded leaves its split
     marked on the parent without waking it, so those marks are folded in
-    here as the next wake would fold them.  Returns how many splits have
-    left a lower-bound scan."""
-    pruned = 0
+    here as the next wake would fold them.  Such marks carry no change of
+    a lower sum, so the heap must already hold the full lower bound."""
     for rec in search.recs.values():
         if not rec.expanded or rec.solved:
             continue
@@ -480,16 +487,8 @@ def _check_bounds_against_full_rescan(search):
         full_lower = min([rec.leaf_units] + [l for _, l in sums])
         pending = [sums[i][0] for i in rec.dirty]
         assert min([rec.upper] + pending) == full_upper
-        if not pending:
-            assert rec.lo_min == full_lower
+        assert _heap_min(rec) == full_lower
         assert rec.lower >= full_lower
-        live = {id(s) for s in rec.live}
-        for s, (_, low) in zip(rec.splits, sums):
-            if id(s) not in live:
-                assert search.prune_dead
-                assert low > rec.upper
-                pruned += 1
-    return pruned
 
 
 def test_incremental_bounds_match_a_full_rescan():
@@ -497,21 +496,79 @@ def test_incremental_bounds_match_a_full_rescan():
         bits = bin_data.full_mask if root is None else root.bits
         search = solver._Search(bin_data, cfg, bits)
         expand = search._expand
-        seen = {"expanded": 0, "pruned": 0}
+        seen = {"expanded": 0}
 
         def expand_and_check(rec):
             expand(rec)
             seen["expanded"] += 1
             if seen["expanded"] % 5 == 0:
-                seen["pruned"] += _check_bounds_against_full_rescan(search)
+                _check_bounds_against_full_rescan(search)
 
         search._expand = expand_and_check
         root_rec, timed_out = search.run()
         assert root_rec.solved and not timed_out, name
         _check_bounds_against_full_rescan(search)
         assert seen["expanded"] >= 300, name
-        if search.prune_dead:
-            assert seen["pruned"] > 0, name
+
+
+def _two_leaf_scan(bin_data, reg, bits):
+    """(units, column, (left units, right units)) of the best split of the
+    support into two majority leaves: the least units over every column that
+    divides it, the first such column on ties; None when no column does."""
+    q, pen = reg.denom, reg.leaf_penalty_units
+    best = None
+    for j, c in enumerate(bin_data.columns):
+        sides = []
+        for side in (bits & c, bits & ~c):
+            n = side.bit_count()
+            pos = (side & bin_data.pos_mask).bit_count()
+            if n == 0:
+                break
+            sides.append(q * min(pos, n - pos) + pen)
+        else:
+            if best is None or sum(sides) < best[0]:
+                best = (sum(sides), j, tuple(sides))
+    return best
+
+
+def test_terminal_expansion_matches_a_column_scan():
+    cases = _pinned_instances()
+    del cases["unbounded"]  # no depth limit, so no terminal records
+    dense = cases["exact"][0]
+    coarse = cases["guessed"][0]
+    cases["zero_lambda"] = (
+        dense, SolverConfig(Regularizer.from_text("0", dense.n_samples), depth_limit=2), None
+    )
+    # lambda = 1/2 makes two leaves cost at least one leaf of any support
+    for name, data in (("heavy_dense", dense), ("heavy_coarse", coarse)):
+        cases[name] = (
+            data, SolverConfig(Regularizer.from_text("1/2", data.n_samples), depth_limit=1), None
+        )
+    for name, (bin_data, cfg, root) in cases.items():
+        reg = cfg.regularizer
+        bits = bin_data.full_mask if root is None else root.bits
+        search = solver._Search(bin_data, cfg, bits)
+        search.run()
+        kept = empty = 0
+        for rec in search.recs.values():
+            if not rec.expanded or rec.depth != 1:
+                continue
+            assert rec.solved and rec.lower == rec.upper, name
+            scan = _two_leaf_scan(bin_data, reg, rec.bits)
+            if scan is not None and scan[0] < rec.leaf_units:
+                units, j, (vl, vr) = scan
+                assert rec.splits == [(j, None, None, vl, vr)], name
+                assert rec.upper == units, name
+                kept += 1
+            else:
+                assert rec.splits == [], name
+                assert rec.upper == rec.leaf_units, name
+                empty += 1
+        if name.startswith("heavy"):
+            assert (kept, empty) == (0, 1), name
+            assert 2 * reg.leaf_penalty_units >= search.recs[(bits, 1)].leaf_units
+        else:
+            assert kept >= 20, (name, kept)
 
 
 def _floor_instances():
