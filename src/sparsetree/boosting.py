@@ -244,7 +244,7 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
     )
 
 
-def predict_margin(ens: BoostedEnsemble, x: np.ndarray, n_stages: Optional[int] = None) -> np.ndarray:
+def predict_margin(ens: BoostedEnsemble, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(ens.feature_names):
         raise ValueError(
@@ -252,8 +252,7 @@ def predict_margin(ens: BoostedEnsemble, x: np.ndarray, n_stages: Optional[int] 
             f"model width {len(ens.feature_names)}"
         )
     margin = np.full(x.shape[0], ens.initial_score)
-    use = ens.trees if n_stages is None else ens.trees[:n_stages]
-    for t in use:
+    for t in ens.trees:
         margin = margin + ens.learning_rate * _tree_predict(t, x)
     return margin
 
@@ -264,11 +263,6 @@ def predict_class(ens: BoostedEnsemble, x: np.ndarray) -> np.ndarray:
 
 def correct_count(ens: BoostedEnsemble, x: np.ndarray, y: np.ndarray) -> int:
     return int((predict_class(ens, x) == np.asarray(y)).sum())
-
-
-def training_accuracy(ens: BoostedEnsemble, raw: RawDataset) -> tuple[float, int]:
-    c = correct_count(ens, raw.features, raw.labels)
-    return c / raw.n_samples, c
 
 
 # ---------------------------------------------------------------- importances

@@ -292,27 +292,6 @@ class SupportSet:
     bits: int
     size: int
 
-    @property
-    def cardinality(self) -> int:
-        return self.bits.bit_count()
-
-    def intersect(self, other: "SupportSet") -> "SupportSet":
-        return SupportSet(self.bits & other.bits, self.size)
-
-    def complement(self) -> "SupportSet":
-        return SupportSet(((1 << self.size) - 1) ^ self.bits, self.size)
-
-    def indices(self) -> list[int]:
-        out, b = [], self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
-
-    def __iter__(self):
-        return iter(self.indices())
-
     @classmethod
     def from_indices(cls, indices: Iterable[int], size: int) -> "SupportSet":
         bits = 0
@@ -322,10 +301,6 @@ class SupportSet:
             bits |= 1 << i
         return cls(bits, size)
 
-    @classmethod
-    def full(cls, size: int) -> "SupportSet":
-        return cls((1 << size) - 1, size)
-
 
 # ---------------------------------------------------------------- equivalence classes
 
@@ -333,22 +308,16 @@ class SupportSet:
 class EquivalenceClasses:
     """Partition of samples by identical binarized feature vector.
 
-    minority_label[u] / minority_count[u] describe the rarer label inside
-    group u on the full dataset.  Internals keep the sample bitmask of each
-    impure group (`_impure_masks`; a group pure on the full data is pure
-    inside any support, so it never adds to a minority count) and the
-    label-1 bitmask of the dataset (`_pos_mask`).
+    groups holds each group's sample indices.  Internals keep the sample
+    bitmask of each impure group (`_impure_masks`; a group pure on the full
+    data is pure inside any support, so it never adds to a minority count)
+    and the label-1 bitmask of the dataset (`_pos_mask`); minority_bits and
+    minority_total read only those two.
     """
 
     groups: tuple[tuple[int, ...], ...]
-    minority_label: tuple[int, ...]
-    minority_count: tuple[int, ...]
     _impure_masks: tuple[int, ...] = field(repr=False, compare=False, default=())
     _pos_mask: int = field(repr=False, compare=False, default=0)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
 
 
 def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
@@ -370,23 +339,16 @@ def _partition(bin_data: BinaryDataset) -> EquivalenceClasses:
     else:
         inverse = np.zeros(bin_data.n_samples, dtype=int)
     n_groups = int(inverse.max()) + 1 if bin_data.n_samples else 0
-    groups, minority_label, minority_count = [], [], []
-    impure_masks = []
+    groups, impure_masks = [], []
     for g in range(n_groups):
         in_group = inverse == g
         members = np.flatnonzero(in_group)
         pos = int(y[members].sum())
-        neg = len(members) - pos
         groups.append(tuple(int(i) for i in members))
-        # ties go to label 1 as "minority": irrelevant for counts, pick deterministically
-        minority_label.append(1 if pos <= neg else 0)
-        minority_count.append(min(pos, neg))
         if 0 < pos < len(members):
             impure_masks.append(bools_to_bits(in_group))
     return EquivalenceClasses(
         groups=tuple(groups),
-        minority_label=tuple(minority_label),
-        minority_count=tuple(minority_count),
         _impure_masks=tuple(impure_masks),
         _pos_mask=bin_data.pos_mask,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -21,7 +21,6 @@ from . import boosting, guessing, trees
 from .dataset import (
     BinaryDataset,
     RawDataset,
-    SupportSet,
     binarize_with_thresholds,
     equivalence_classes,
     minority_total,
@@ -228,21 +227,6 @@ class BenchmarkConfig:
     compare_no_guess: bool = True
     time_limit_s: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        return {
-            "folds": self.folds,
-            "seed": self.seed,
-            "n_estimators": self.n_estimators,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "regularization": self.regularization,
-            "depth_limit": self.depth_limit,
-            "drop_tolerance": self.drop_tolerance,
-            "use_lb_guess": self.use_lb_guess,
-            "compare_no_guess": self.compare_no_guess,
-            "time_limit_s": self.time_limit_s,
-        }
-
 
 @dataclass
 class FoldOutcome:
@@ -310,7 +294,7 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig) 
         reference=ref,
         time_limit_s=cfg.time_limit_s,
     ))
-    out.counters = result.counters.as_dict()
+    out.counters = asdict(result.counters)
     if cfg.compare_no_guess:
         plain = optimize(bin_train, SolverConfig(
             regularizer=reg,
@@ -318,7 +302,7 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig) 
             reference=None,
             time_limit_s=cfg.time_limit_s,
         ))
-        out.counters_no_guess = plain.counters.as_dict()
+        out.counters_no_guess = asdict(plain.counters)
     out.train_accuracy = 1.0 - result.loss_count / train.n_samples
     bin_test = binarize_with_thresholds(test, pairs)
     test_pred = trees.predict(result.tree, bin_test)
@@ -375,7 +359,7 @@ def report_to_json(report: BenchmarkReport, include_timing: bool = False) -> str
             entry["wall_time_s"] = f.wall_time_s
         folds.append(entry)
     return json.dumps(
-        {"config": report.config.as_dict(), "folds": folds, "summary": report.summary()},
+        {"config": asdict(report.config), "folds": folds, "summary": report.summary()},
         indent=2,
     )
 

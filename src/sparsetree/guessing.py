@@ -147,20 +147,16 @@ def column_eliminate(
     learning_rate: float,
     seed: int,
     drop_tolerance: float = 0.0,
-    batch_fraction: float = 0.0,
 ) -> EliminationTrace:
     """Iteratively drop the globally least-important (feature, threshold).
 
     Each round refits the ensemble on the surviving indicator columns and
     re-ranks importances from that refit; elimination stops when a refit's
     training correct-count falls below ceil((1 - drop_tolerance) * initial),
-    undoing the offending removal.  batch_fraction > 0 removes that share of
-    the survivors per round instead of one.
+    undoing the offending removal.
     """
     if not 0.0 <= drop_tolerance <= 1.0:
         raise ValueError("drop_tolerance must be in [0, 1]")
-    if not 0.0 <= batch_fraction < 1.0:
-        raise ValueError("batch_fraction must be in [0, 1)")
     ens0 = boosting.fit(raw, n_estimators, max_depth, learning_rate, seed)
     if ens0.degenerate:
         raise DegenerateModelError("reference model predicts a single class")
@@ -187,16 +183,13 @@ def column_eliminate(
         return refit, c, ordered
 
     while survivors:
-        k = 1 if batch_fraction <= 0.0 else max(1, math.floor(len(survivors) * batch_fraction))
-        # least important leaves first; within ties the larger (feature, threshold) goes first
-        order = sorted(survivors, key=lambda p: (ranking[p], -p[0], -p[1]))
-        victims = order[:k]
-        candidate = [p for p in survivors if p not in victims]
+        # drop the least important; on ties, the larger (feature, threshold)
+        victim = min(survivors, key=lambda p: (ranking[p], -p[0], -p[1]))
+        candidate = [p for p in survivors if p != victim]
         refit, c, ordered = refit_on(candidate)
         if c < bar:
             break
-        for v in victims:
-            steps.append((v, c))
+        steps.append((victim, c))
         survivors = candidate
         accepted = refit
         ranking = _importance_by_pair(refit, ordered)

@@ -31,12 +31,12 @@ parent refreshes only its dirty splits.  (The two-leaf incumbents a record
 finds while it is expanded are marked but wake no one; parents fold them in
 at their next wake.)  Child upper bounds only fall, so a parent's upper bound
 is a running min.  For the lower bound a parent keeps each split's current
-lower sum and a lazy min-heap of (sum, split index): a refresh pushes a dirty
-split only when its sum changed, and pops tops whose sum is stale.  Because
-splits are marked when the child changes, not when the parent is woken, every
-refresh equals a full rescan of the parent's splits, whether a sum rose or,
-after a guess closed a child, fell; search order and counters do not depend
-on this bookkeeping.
+lower sum and a lazy min-heap of one int per entry, sum * k + index for k
+splits: a refresh pushes a dirty split only when its sum changed, and pops
+tops whose sum is stale.  Because splits are marked when the child changes,
+not when the parent is woken, every refresh equals a full rescan of the
+parent's splits, whether a sum rose or, after a guess closed a child, fell;
+search order and counters do not depend on this bookkeeping.
 
 A record one level above the depth limit has only forced-leaf children, so
 its expansion is terminal: one pass over the columns counts each split's loss
@@ -50,18 +50,14 @@ import heapq
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dataset import (
-    BinaryDataset,
-    EquivalenceClasses,
-    SupportSet,
-    equivalence_classes,
-    minority_bits,
-    minority_total,
-)
+from .dataset import BinaryDataset, SupportSet, equivalence_classes, minority_bits
+# Not called here: bench/tracing.py rebinds solver.minority_total to trace it,
+# and tests/test_bench_hooks.py checks the name is still bound.
+from .dataset import minority_total  # noqa: F401
 from .guessing import ReferenceLabels
 from .trees import Leaf, Node, Split
 
@@ -86,10 +82,6 @@ class Regularizer:
             lam = Fraction(text)
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"cannot parse regularization {text!r}: {e}") from None
-        return cls.from_fraction(lam, n_samples)
-
-    @classmethod
-    def from_fraction(cls, lam: Fraction, n_samples: int) -> "Regularizer":
         if lam < 0:
             raise ValueError("regularization must be >= 0")
         if n_samples < 1:
@@ -120,16 +112,32 @@ class Counters:
     cache_hits: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "created": self.created,
-            "expanded": self.expanded,
-            "closed_by_guess": self.closed_by_guess,
-            "cache_hits": self.cache_hits,
-        }
+        # kept for bench/workloads.py; the package itself uses dataclasses.asdict
+        return asdict(self)
 
 
 @dataclass
 class SolverConfig:
+    """What one solve minimizes and the limits it runs under.
+
+    regularizer: the leaf penalty lambda and the sample count n.
+    depth_limit: most splits on any root-to-leaf path; None leaves depth
+        unbounded.
+    reference: reference-model predictions; each subproblem's lower bound
+        is raised to the reference's mistakes inside its support plus one
+        leaf penalty, and the result is "guess-certified" rather than
+        "optimal".  None solves exactly, and so does a reference that
+        predicts a single class (it is refused).
+    use_equiv_bound: raise every subproblem's floor by the equivalence-points
+        bound; results are the same either way, only the search size moves.
+    time_limit_s: wall-clock seconds for the search loop; None is no limit.
+        Once spent, the search stops and returns the best tree found so far
+        with status "time-limit".
+    max_records: most subproblem records the search may create; None is no
+        limit.  Creating one more raises SolverMemoryError, which carries the
+        counters and no tree.
+    """
+
     regularizer: Regularizer
     depth_limit: Optional[int] = None
     reference: Optional[ReferenceLabels] = None
@@ -164,34 +172,6 @@ class SolveResult:
     refused_lb_guess: bool
 
 
-# ---------------------------------------------------------------- bound helpers
-
-def leaf_objective(support, bin_data: BinaryDataset, reg: Regularizer) -> tuple[int, Fraction]:
-    """Majority-vote leaf for the support: (label, exact objective). Ties predict 0."""
-    bits = support.bits if isinstance(support, SupportSet) else int(support)
-    n = bits.bit_count()
-    pos = (bits & bin_data.pos_mask).bit_count()
-    label = 1 if pos > n - pos else 0
-    return label, reg.fraction(reg.units(min(pos, n - pos), 1))
-
-
-def lb_guess_value(support, ref: ReferenceLabels, reg: Regularizer) -> Fraction:
-    """Reference disagreement share inside the support plus one leaf penalty."""
-    bits = support.bits if isinstance(support, SupportSet) else int(support)
-    return reg.fraction(reg.denom * (bits & ref.incorrect_bits).bit_count() + reg.leaf_penalty_units)
-
-
-def equiv_points_lb(support, eq: EquivalenceClasses, reg: Regularizer) -> Fraction:
-    """Equivalence-class minority share inside the support plus one leaf penalty."""
-    return reg.fraction(reg.denom * minority_total(eq, support) + reg.leaf_penalty_units)
-
-
-def split_support(support: SupportSet, column_bits: int) -> tuple[SupportSet, SupportSet]:
-    """Partition a support by one indicator column: (bit-1 side, bit-0 side)."""
-    left = support.bits & column_bits
-    return SupportSet(left, support.size), SupportSet(support.bits ^ left, support.size)
-
-
 # ---------------------------------------------------------------- records
 
 _LEAF_KEY = (-1,)  # structure key of a leaf; a split's is (column, left key, right key)
@@ -200,7 +180,7 @@ _LEAF_KEY = (-1,)  # structure key of a leaf; a split's is (column, left key, ri
 class _Rec:
     __slots__ = (
         "bits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
-        "lower", "upper", "splits", "parents", "expanded", "solved", "by_guess",
+        "lower", "upper", "splits", "parents", "expanded", "solved",
         "dirty", "sums", "lows",
     )
 
@@ -218,7 +198,6 @@ class _Rec:
         self.parents = {}         # parent _Rec -> split index or list of them, insertion ordered
         self.expanded = False
         self.solved = False
-        self.by_guess = False
         # set from a non-terminal expansion until solved:
         self.dirty = None         # indices of splits whose children changed since the last refresh
         self.sums = None          # each split's lower sum as of its last refresh
@@ -481,7 +460,6 @@ class _Search:
         rec.solved = True
         rec.dirty = rec.sums = rec.lows = None
         if rec.guess_floor is not None and rec.true_floor < rec.upper <= rec.guess_floor:
-            rec.by_guess = True
             self.counters.closed_by_guess += 1
         rec.lower = rec.upper
 
@@ -516,7 +494,7 @@ class _Search:
                 timed_out = True
                 break
             rec = heapq.heappop(self.heap)[2]
-            if rec.solved or rec.expanded:
+            if rec.solved:
                 continue
             self._expand(rec)
         return root, timed_out
@@ -571,6 +549,8 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
         if root_support.size != bin_data.n_samples:
             raise ValueError("root support size does not match dataset")
         root_bits = root_support.bits
+        if root_bits < 0 or root_bits > bin_data.full_mask:
+            raise ValueError("root support holds samples outside the dataset")
     if root_bits == 0:
         raise ValueError("empty root support")
     search = _Search(bin_data, cfg, root_bits)
@@ -625,5 +605,5 @@ def run_report(result: SolveResult) -> dict:
             "active": result.lb_guess_active,
             "refused_single_class": result.refused_lb_guess,
         },
-        "counters": result.counters.as_dict(),
+        "counters": asdict(result.counters),
     }

@@ -182,26 +182,12 @@ def test_eliminate_zero_tolerance_never_loses_accuracy():
         assert raw.n_samples - ref.incorrect_count >= tr.initial_correct
 
 
-def test_eliminate_batched_still_honors_bar():
-    raw = _noisy_signal_raw()
-    tr = guessing.column_eliminate(
-        raw, 10, 2, 0.2, seed=0, drop_tolerance=0.1, batch_fraction=0.5
-    )
-    for _, c in tr.steps:
-        assert c >= tr.stopping_bar
-    assert len(tr.thresholds) >= 1
-
-
 def test_eliminate_parameter_guards():
     raw = _single_signal_raw()
     with pytest.raises(ValueError):
         guessing.column_eliminate(raw, 5, 2, 0.1, seed=0, drop_tolerance=-0.1)
     with pytest.raises(ValueError):
         guessing.column_eliminate(raw, 5, 2, 0.1, seed=0, drop_tolerance=1.5)
-    with pytest.raises(ValueError):
-        guessing.column_eliminate(raw, 5, 2, 0.1, seed=0, batch_fraction=1.0)
-    with pytest.raises(ValueError):
-        guessing.column_eliminate(raw, 5, 2, 0.1, seed=0, batch_fraction=-0.5)
 
 
 def test_eliminate_rejects_single_class_reference():

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_regularizer_rejections():
         Regularizer.from_text("0.1", 0)
 
 
-# ---------------------------------------------------------------- bound helpers
+# ---------------------------------------------------------------- one-leaf solves
 
 def _hundred_sample_bin(labels4):
     labels = list(labels4) + [0] * 96
@@ -57,61 +58,30 @@ def _hundred_sample_bin(labels4):
     return sparsetree.binarize_with_thresholds(raw, [(0, 49.5)])
 
 
-def test_leaf_objective_majority_example():
-    bin_data = _hundred_sample_bin([1, 1, 1, 0])
+def _solve_first_four(labels4):
+    """Depth-1 solve on the first four samples, where the one column is constant."""
+    bin_data = _hundred_sample_bin(labels4)
     reg = Regularizer.from_text("0.01", 100)
-    label, obj = solver.leaf_objective(0b1111, bin_data, reg)
-    assert label == 1
-    assert obj == Fraction(1, 50)
+    cfg = SolverConfig(reg, depth_limit=1)
+    return reg, solver.optimize(bin_data, cfg, root_support=SupportSet(0b1111, 100))
 
 
-def test_leaf_objective_tie_predicts_zero():
-    bin_data = _hundred_sample_bin([1, 1, 0, 0])
-    reg = Regularizer.from_text("0.01", 100)
-    label, obj = solver.leaf_objective(0b1111, bin_data, reg)
-    assert label == 0
-    assert obj == Fraction(3, 100)
+def test_majority_leaf_on_a_root_support():
+    _, res = _solve_first_four([1, 1, 1, 0])
+    assert res.tree == trees.Leaf(1)
+    assert res.objective == Fraction(1, 50)
 
 
-def test_leaf_objective_pure_support_costs_one_leaf():
-    bin_data = _hundred_sample_bin([1, 1, 1, 1])
-    reg = Regularizer.from_text("0.01", 100)
-    label, obj = solver.leaf_objective(0b1111, bin_data, reg)
-    assert label == 1
-    assert obj == reg.value
+def test_tied_leaf_predicts_zero():
+    _, res = _solve_first_four([1, 1, 0, 0])
+    assert res.tree == trees.Leaf(0)
+    assert res.objective == Fraction(3, 100)
 
 
-def test_lb_guess_value_counts_reference_disagreements():
-    reg = Regularizer.from_text("0.01", 100)
-    labels = [1, 1, 0, 0] + [0] * 96
-    perfect = guessing.reference_from_predictions(labels, labels)
-    assert solver.lb_guess_value(0b1111, perfect, reg) == reg.value
-    off = list(labels)
-    off[0] ^= 1
-    off[2] ^= 1
-    ref = guessing.reference_from_predictions(off, labels)
-    assert solver.lb_guess_value(0b1111, ref, reg) == Fraction(3, 100)
-    assert solver.lb_guess_value(ref.incorrect_bits, ref, reg) == Fraction(3, 100)
-    assert solver.lb_guess_value(0b1010 & ~ref.incorrect_bits, ref, reg) == reg.value
-
-
-def test_equiv_points_lb_counts_contradictions():
-    raw = sparsetree.make_raw([[1.0], [1.0], [2.0]], [0, 1, 1])
-    bin_data = sparsetree.full_binarize(raw)
-    eq = sparsetree.equivalence_classes(bin_data)
-    reg = Regularizer.from_text("1/10", 3)
-    assert solver.equiv_points_lb(0b111, eq, reg) == Fraction(1, 3) + Fraction(1, 10)
-    assert solver.equiv_points_lb(0b100, eq, reg) == Fraction(1, 10)
-
-
-def test_split_support_partitions():
-    s = SupportSet(0b10111, 5)
-    hit, miss = solver.split_support(s, 0b00110)
-    assert hit.bits == 0b00110
-    assert miss.bits == 0b10001
-    assert hit.bits & miss.bits == 0
-    assert hit.bits | miss.bits == s.bits
-    assert hit.size == miss.size == 5
+def test_pure_root_support_costs_one_leaf():
+    reg, res = _solve_first_four([1, 1, 1, 1])
+    assert res.tree == trees.Leaf(1)
+    assert res.objective == reg.value
 
 
 # ---------------------------------------------------------------- small exact solves
@@ -301,8 +271,8 @@ def test_zero_time_budget_reports_partial_leaf():
     assert res.status == "time-limit"
     assert res.counters.expanded == 0
     assert isinstance(res.tree, trees.Leaf)
-    _, leaf_obj = solver.leaf_objective(bin_data.full_mask, bin_data, reg)
-    assert res.objective == leaf_obj
+    n, pos = bin_data.n_samples, bin_data.pos_mask.bit_count()
+    assert res.objective == Fraction(min(pos, n - pos), n) + reg.value
 
 
 def test_record_budget_overflow_raises_with_counters():
@@ -328,6 +298,10 @@ def test_validation_rejections():
         solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(0, 2))
     with pytest.raises(ValueError, match="size"):
         solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(1, 3))
+    # bits past the last sample, and a negative int, whose bits never end
+    for bits in (0b11 | 0b11111 << 10, -1):
+        with pytest.raises(ValueError, match="outside the dataset"):
+            solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(bits, 2))
     with pytest.raises(ValueError, match="depth_limit"):
         SolverConfig(reg2, depth_limit=0)
     for records in (0, -1):
@@ -448,7 +422,7 @@ def test_search_counters_are_pinned():
     for name, (bin_data, cfg, root) in _pinned_instances().items():
         units, counters = want[name]
         res = solver.optimize(bin_data, cfg, root_support=root)
-        assert (res.objective_units, res.counters.as_dict()) == (units, counters), name
+        assert (res.objective_units, asdict(res.counters)) == (units, counters), name
         assert repr(res.tree) == _PINNED_TREES[name], name
 
 
@@ -601,8 +575,13 @@ def test_floor_matches_a_per_group_recount():
         groups = sparsetree.equivalence_classes(bin_data).groups
         labels = bin_data.labels
         pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
+        ref = cfg.reference
         paid = 0
         for rec in search.recs.values():
+            if ref is None:
+                assert rec.guess_floor is None, name
+            else:
+                assert rec.guess_floor == pen + q * (rec.bits & ref.incorrect_bits).bit_count(), name
             recount = 0
             if cfg.use_equiv_bound:
                 for group in groups:
