@@ -174,13 +174,16 @@ class BinaryDataset:
             self._cache["rows"] = mat.astype(np.uint8)
         return self._cache["rows"]
 
-    def column_index(self, feature: int, threshold: float) -> int:
+    def column_index(self, feature: str, threshold: float) -> int:
+        """Index of the indicator column of a feature name and threshold."""
         if "lookup" not in self._cache:
-            self._cache["lookup"] = {meta: c for c, meta in enumerate(self.column_meta)}
+            self._cache["lookup"] = {
+                (self.feature_names[f], t): c for c, (f, t) in enumerate(self.column_meta)
+            }
         try:
             return self._cache["lookup"][(feature, threshold)]
         except KeyError:
-            raise KeyError(f"no column for feature {feature} at threshold {threshold!r}") from None
+            raise KeyError(f"no column for feature {feature!r} at threshold {threshold!r}") from None
 
 
 def _make_columns(raw: RawDataset, pairs: list[tuple[int, float]]) -> BinaryDataset:
@@ -304,20 +307,18 @@ class SupportSet:
 
 # ---------------------------------------------------------------- equivalence classes
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalenceClasses:
     """Partition of samples by identical binarized feature vector.
 
-    groups holds each group's sample indices.  Internals keep the sample
-    bitmask of each impure group (`_impure_masks`; a group pure on the full
-    data is pure inside any support, so it never adds to a minority count)
-    and the label-1 bitmask of the dataset (`_pos_mask`); minority_bits and
-    minority_total read only those two.
+    ids[i] is the class of sample i, numbered 0 .. n_classes - 1; labels is
+    the dataset's 0/1 label vector.  minority_bits and minority_total read
+    only these.
     """
 
-    groups: tuple[tuple[int, ...], ...]
-    _impure_masks: tuple[int, ...] = field(repr=False, compare=False, default=())
-    _pos_mask: int = field(repr=False, compare=False, default=0)
+    ids: np.ndarray
+    n_classes: int
+    labels: np.ndarray
 
 
 def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
@@ -331,50 +332,30 @@ def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
 
 
 def _partition(bin_data: BinaryDataset) -> EquivalenceClasses:
-    rows = bin_data.rows_matrix()
-    y = bin_data.labels
-    if rows.shape[1]:
-        _, inverse = np.unique(rows, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-    else:
-        inverse = np.zeros(bin_data.n_samples, dtype=int)
-    n_groups = int(inverse.max()) + 1 if bin_data.n_samples else 0
-    groups, impure_masks = [], []
-    for g in range(n_groups):
-        in_group = inverse == g
-        members = np.flatnonzero(in_group)
-        pos = int(y[members].sum())
-        groups.append(tuple(int(i) for i in members))
-        if 0 < pos < len(members):
-            impure_masks.append(bools_to_bits(in_group))
-    return EquivalenceClasses(
-        groups=tuple(groups),
-        _impure_masks=tuple(impure_masks),
-        _pos_mask=bin_data.pos_mask,
-    )
+    if not bin_data.n_columns:
+        return EquivalenceClasses(np.zeros(bin_data.n_samples, dtype=np.intp), 1, bin_data.labels)
+    # each row packed to bytes is one opaque key; equal rows, equal keys
+    packed = np.packbits(bin_data.rows_matrix(), axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    uniq, ids = np.unique(keys, return_inverse=True)
+    return EquivalenceClasses(ids, len(uniq), bin_data.labels)
 
 
-def minority_bits(eq: EquivalenceClasses, support) -> int:
-    """Bitmask of the rarer-label members of each group inside the support.
-
-    Accepts a SupportSet or a raw bitmask int.  On a tie inside a group the
-    label-1 members are taken; either side has the same count.
-    """
-    bits = support.bits if isinstance(support, SupportSet) else int(support)
-    pos_mask = eq._pos_mask
-    out = 0
-    for group in eq._impure_masks:
-        inside = bits & group
-        pos = inside & pos_mask
-        neg = inside ^ pos
-        out |= pos if pos.bit_count() <= neg.bit_count() else neg
-    return out
+def minority_bits(eq: EquivalenceClasses, support: int) -> int:
+    """Bitmask of the rarer-label members of each class inside the support
+    bitmask.  Label 1 is a class's rarer label when at most half its members
+    inside the support are label 1, so on a tie the label-1 members are
+    taken; either side has the same count."""
+    inside = bits_to_bools(support, len(eq.ids))
+    is_pos = eq.labels == 1
+    n = np.bincount(eq.ids[inside], minlength=eq.n_classes)
+    pos = np.bincount(eq.ids[inside & is_pos], minlength=eq.n_classes)
+    pos_is_minority = 2 * pos <= n
+    return bools_to_bits(inside & (is_pos == pos_is_minority[eq.ids]))
 
 
-def minority_total(eq: EquivalenceClasses, support) -> int:
-    """Sum over groups of the rarer-label count inside the given support.
-
-    Accepts a SupportSet or a raw bitmask int.  This is the exact count whose
-    scaled value is the equivalence-points lower bound.
-    """
+def minority_total(eq: EquivalenceClasses, support: int) -> int:
+    """Sum over classes of the rarer-label count inside the support bitmask.
+    This is the exact count whose scaled value is the equivalence-points
+    lower bound."""
     return minority_bits(eq, support).bit_count()

@@ -162,8 +162,7 @@ def prune_to_depth(tree: Node, depth: int, bin_data: BinaryDataset) -> Node:
             n = bits.bit_count()
             pos = (bits & pos_mask).bit_count()
             return Leaf(1 if pos > n - pos else 0)
-        col = bin_data.columns[bin_data.column_index(
-            bin_data.feature_names.index(node.feature), node.threshold)]
+        col = bin_data.columns[bin_data.column_index(node.feature, node.threshold)]
         bl = bits & col
         return Split(node.feature, node.threshold,
                      walk(node.on_true, left - 1, bl),

@@ -121,8 +121,8 @@ class SolverConfig:
     """What one solve minimizes and the limits it runs under.
 
     regularizer: the leaf penalty lambda and the sample count n.
-    depth_limit: most splits on any root-to-leaf path; None leaves depth
-        unbounded.
+    depth_limit: most splits on any root-to-leaf path, a positive int; None
+        leaves depth unbounded.
     reference: reference-model predictions; each subproblem's lower bound
         is raised to the reference's mistakes inside its support plus one
         leaf penalty, and the result is "guess-certified" rather than
@@ -146,8 +146,10 @@ class SolverConfig:
     max_records: Optional[int] = None
 
     def __post_init__(self):
-        if self.depth_limit is not None and self.depth_limit < 1:
-            raise ValueError("depth_limit must be >= 1 when bounded")
+        if self.depth_limit is not None and not (
+            isinstance(self.depth_limit, int) and self.depth_limit >= 1
+        ):
+            raise ValueError("depth_limit must be an int >= 1 when bounded")
         if self.max_records is not None and self.max_records < 1:
             raise ValueError("max_records must be >= 1 when set")
         if self.time_limit_s is not None and not (
@@ -543,6 +545,8 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
         raise ValueError("dataset has no binary columns")
     if cfg.regularizer.n_samples != bin_data.n_samples:
         raise ValueError("regularizer sample count does not match dataset")
+    if cfg.reference is not None and len(cfg.reference.predictions) != bin_data.n_samples:
+        raise ValueError("reference prediction count does not match dataset")
     if root_support is None:
         root_bits = bin_data.full_mask
     else:

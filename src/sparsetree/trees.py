@@ -48,13 +48,6 @@ def measure(tree: Node) -> tuple[int, int]:
     return lt + lf, 1 + max(dt, df)
 
 
-def _resolve(tree: Node, bin_data: BinaryDataset) -> int:
-    name_to_idx = {n: j for j, n in enumerate(bin_data.feature_names)}
-    if tree.feature not in name_to_idx:
-        raise KeyError(f"tree references unknown feature {tree.feature!r}")
-    return bin_data.column_index(name_to_idx[tree.feature], tree.threshold)
-
-
 def predict(tree: Node, bin_data: BinaryDataset) -> np.ndarray:
     """Predicted 0/1 label per sample."""
     n = bin_data.n_samples
@@ -66,7 +59,7 @@ def _predict_bits(tree: Node, bin_data: BinaryDataset, support: int) -> int:
     """Bitmask of samples in `support` predicted as label 1."""
     if isinstance(tree, Leaf):
         return support if tree.prediction == 1 else 0
-    col = bin_data.columns[_resolve(tree, bin_data)]
+    col = bin_data.columns[bin_data.column_index(tree.feature, tree.threshold)]
     s_true = support & col
     return _predict_bits(tree.on_true, bin_data, s_true) | _predict_bits(
         tree.on_false, bin_data, support ^ s_true

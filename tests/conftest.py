@@ -59,6 +59,16 @@ def random_binary(rng, max_n=64, max_cols=8):
 
 # ---------------------------------------------------------------- oracles
 
+def class_groups(bin_data: BinaryDataset):
+    """Sample indices of each equivalence class, in order of first member:
+    samples grouped by their indicator row as a dict key, without np.unique."""
+    rows = bin_data.rows_matrix()
+    seen = {}
+    for i in range(bin_data.n_samples):
+        seen.setdefault(tuple(rows[i]), []).append(i)
+    return [tuple(g) for g in seen.values()]
+
+
 def masked_min_units(bin_data: BinaryDataset, depth, reg, count_bits):
     """Min over all trees of depth <= depth of
     q * (misclassified samples inside count_bits) + leaf_penalty * leaves.

@@ -15,7 +15,7 @@ from sparsetree.dataset import (
     write_binary_csv,
 )
 
-from conftest import exhaustive_min_units_nomemo, random_binary
+from conftest import class_groups, exhaustive_min_units_nomemo, random_binary
 from sparsetree.solver import Regularizer
 
 
@@ -190,17 +190,26 @@ def _binary_from_rows(rows, labels):
     )
 
 
+def _classes(eq):
+    """The partition eq.ids describes, as sorted lists of sample indices."""
+    assert eq.ids.shape == eq.labels.shape
+    assert sorted(set(eq.ids.tolist())) == list(range(eq.n_classes))
+    return sorted(np.flatnonzero(eq.ids == k).tolist() for k in range(eq.n_classes))
+
+
 def test_equivalence_classes_basic():
     b = _binary_from_rows([[0, 1], [0, 1], [1, 0]], [0, 1, 1])
     eq = equivalence_classes(b)
-    assert sorted(map(sorted, eq.groups)) == [[0, 1], [2]]
+    assert sorted(map(sorted, class_groups(b))) == [[0, 1], [2]]
+    assert _classes(eq) == [[0, 1], [2]]
     assert minority_total(eq, b.full_mask) == 1
 
 
 def test_equivalence_classes_all_distinct():
     b = _binary_from_rows([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 1, 1, 0])
     eq = equivalence_classes(b)
-    assert len(eq.groups) == 4
+    assert len(class_groups(b)) == 4
+    assert eq.n_classes == 4
     assert minority_total(eq, b.full_mask) == 0
 
 
@@ -215,16 +224,19 @@ def test_equivalence_classes_match_sort_and_scan():
     for i in range(32):
         seen.setdefault(tuple(x[i]), []).append(i)
     expect = sorted(sorted(v) for v in seen.values())
-    assert sorted(map(sorted, eq.groups)) == expect
+    assert sorted(map(sorted, class_groups(b))) == expect
+    assert _classes(eq) == expect
 
 
 def test_equivalence_invariant_under_column_permutation():
     rng = np.random.default_rng(6)
     x = rng.integers(0, 2, size=(20, 4))
     y = rng.integers(0, 2, size=20)
-    g1 = equivalence_classes(_binary_from_rows(x, y)).groups
-    g2 = equivalence_classes(_binary_from_rows(x[:, ::-1], y)).groups
+    b1, b2 = _binary_from_rows(x, y), _binary_from_rows(x[:, ::-1], y)
+    g1, g2 = class_groups(b1), class_groups(b2)
     assert sorted(map(sorted, g1)) == sorted(map(sorted, g2))
+    assert _classes(equivalence_classes(b1)) == _classes(equivalence_classes(b2))
+    assert _classes(equivalence_classes(b1)) == sorted(map(sorted, g1))
 
 
 def test_equivalence_classes_are_computed_once_per_dataset(monkeypatch):
@@ -246,7 +258,8 @@ def test_equivalence_classes_are_computed_once_per_dataset(monkeypatch):
     twin = _binary_from_rows(rows, labels)
     assert twin.columns == b.columns
     assert equivalence_classes(twin) is not first
-    assert equivalence_classes(twin).groups == first.groups
+    assert np.array_equal(equivalence_classes(twin).ids, first.ids)
+    assert equivalence_classes(twin).n_classes == first.n_classes
     assert len(calls) == 2
 
 
@@ -262,12 +275,12 @@ def test_minority_total_respects_support():
     eq = equivalence_classes(b)
     assert minority_total(eq, b.full_mask) == 1
     # support holding only one member of the impure group: nothing to pay
-    assert minority_total(eq, SupportSet.from_indices([2, 3], 4)) == 0
+    assert minority_total(eq, SupportSet.from_indices([2, 3], 4).bits) == 0
 
 
-def _per_group_recount(eq, y, bits):
+def _per_group_recount(b, y, bits):
     total = 0
-    for grp in eq.groups:
+    for grp in class_groups(b):
         inside = [i for i in grp if bits >> i & 1]
         pos = sum(int(y[i]) for i in inside)
         total += min(pos, len(inside) - pos)
@@ -283,7 +296,7 @@ def test_minority_total_matches_per_group_recount():
         eq = equivalence_classes(b)
         sub = rng.integers(0, 2, size=16).astype(bool)
         s = bools_to_bits(sub)
-        assert minority_total(eq, s) == _per_group_recount(eq, y, s)
+        assert minority_total(eq, s) == _per_group_recount(b, y, s)
 
 
 def test_minority_bits_counts_and_restricts_to_whole_classes():
@@ -295,18 +308,65 @@ def test_minority_bits_counts_and_restricts_to_whole_classes():
         eq = equivalence_classes(b)
         root = bools_to_bits(rng.integers(0, 2, size=40).astype(bool))
         mask = minority_bits(eq, root)
-        assert mask.bit_count() == _per_group_recount(eq, y, root)
+        assert mask.bit_count() == _per_group_recount(b, y, root)
         assert mask & ~root == 0
         # a support cut from the root along whole classes needs no recount:
         # its minority members are the root's, restricted to it
         sub = 0
-        for grp in eq.groups:
+        for grp in class_groups(b):
             if rng.random() < 0.5:
                 for i in grp:
                     sub |= 1 << i
         sub &= root
         assert minority_bits(eq, sub) == mask & sub
-        assert (mask & sub).bit_count() == _per_group_recount(eq, y, sub)
+        assert (mask & sub).bit_count() == _per_group_recount(b, y, sub)
+
+
+def _minority_recount(b, bits):
+    """Per-class rarer-label members inside bits, label 1 on a tie."""
+    out = 0
+    for grp in class_groups(b):
+        inside = [i for i in grp if bits >> i & 1]
+        pos = [i for i in inside if b.labels[i] == 1]
+        take = pos if 2 * len(pos) <= len(inside) else [i for i in inside if b.labels[i] == 0]
+        for i in take:
+            out |= 1 << i
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 17, 30])
+def test_minority_bits_matches_a_per_class_recount(m):
+    # column counts on both sides of the 8-column byte edges of the packed
+    # rows; few distinct rows, each repeated with mixed labels
+    rng = np.random.default_rng(100 + m)
+    n = 120
+    for _ in range(6):
+        base = rng.integers(0, 2, size=(int(rng.integers(1, 8)), m))
+        if m:
+            # rows that differ only in the last column, past any byte edge
+            flipped = base.copy()
+            flipped[:, -1] ^= 1
+            base = np.vstack([base, flipped])
+        if m >= 2:
+            base[:, 1] = base[:, 0]  # a duplicate column
+        x = base[rng.integers(0, len(base), size=n)]
+        y = rng.integers(0, 2, size=n)
+        if m:
+            b = _binary_from_rows(x, y)
+        else:
+            b = sparsetree.binarize_with_thresholds(sparsetree.make_raw(np.zeros((n, 1)), y), [])
+        assert b.n_columns == m
+        eq = equivalence_classes(b)
+        groups = class_groups(b)
+        assert eq.n_classes == len(groups)
+        assert _classes(eq) == sorted(map(sorted, groups))
+        halves = 0
+        for grp in groups:
+            for i in grp[::2]:
+                halves |= 1 << i
+        cut = bools_to_bits(rng.integers(0, 2, size=n).astype(bool))
+        for bits in (b.full_mask, 0, halves, cut, cut & halves):
+            assert minority_bits(eq, bits) == _minority_recount(b, bits)
 
 
 def test_minority_total_lower_bounds_every_tree():

@@ -9,7 +9,7 @@ from sparsetree import guessing, solver, trees
 from sparsetree.dataset import SupportSet
 from sparsetree.solver import Regularizer, SolverConfig, SolverMemoryError
 
-from conftest import masked_min_units, random_binary, random_raw
+from conftest import class_groups, masked_min_units, random_binary, random_raw
 
 
 def _xor_binary():
@@ -302,8 +302,14 @@ def test_validation_rejections():
     for bits in (0b11 | 0b11111 << 10, -1):
         with pytest.raises(ValueError, match="outside the dataset"):
             solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(bits, 2))
-    with pytest.raises(ValueError, match="depth_limit"):
-        SolverConfig(reg2, depth_limit=0)
+    # a reference scored on another dataset: 4 predictions for 2 samples
+    other = guessing.reference_from_predictions([0, 1, 1, 0], [0, 1, 0, 0])
+    with pytest.raises(ValueError, match="reference prediction count"):
+        solver.optimize(bin_data, SolverConfig(reg2, reference=other))
+    # a fractional depth never reaches 0, so it would leave the search unbounded
+    for depth in (0, 1.5, 2.0):
+        with pytest.raises(ValueError, match="depth_limit"):
+            SolverConfig(reg2, depth_limit=depth)
     for records in (0, -1):
         with pytest.raises(ValueError, match="max_records"):
             SolverConfig(reg2, max_records=records)
@@ -554,7 +560,7 @@ def _floor_instances():
     coarse, guessed_cfg, _ = cases["guessed"]
     reg = guessed_cfg.regularizer
     halves = 0
-    for group in sparsetree.equivalence_classes(coarse).groups:
+    for group in class_groups(coarse):
         for i in group[::2]:
             halves |= 1 << i
     cases["halved_classes"] = (
@@ -572,7 +578,7 @@ def test_floor_matches_a_per_group_recount():
         search = solver._Search(bin_data, cfg, bits)
         root_rec, _ = search.run()
         assert root_rec.solved, name
-        groups = sparsetree.equivalence_classes(bin_data).groups
+        groups = class_groups(bin_data)
         labels = bin_data.labels
         pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
         ref = cfg.reference
