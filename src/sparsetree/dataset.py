@@ -167,11 +167,11 @@ class BinaryDataset:
     def rows_matrix(self) -> np.ndarray:
         """(n, m_tilde) uint8 matrix of the indicator columns."""
         if "rows" not in self._cache:
-            if self.n_columns:
-                mat = np.stack([bits_to_bools(c, self.n_samples) for c in self.columns], axis=1)
-            else:
-                mat = np.zeros((self.n_samples, 0), dtype=bool)
-            self._cache["rows"] = mat.astype(np.uint8)
+            n, width = self.n_samples, (self.n_samples + 7) // 8
+            raw = b"".join(c.to_bytes(width, "little") for c in self.columns)
+            packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n_columns, width)
+            bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
+            self._cache["rows"] = np.ascontiguousarray(bits.T)
         return self._cache["rows"]
 
     def column_index(self, feature: str, threshold: float) -> int:

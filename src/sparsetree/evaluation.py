@@ -41,21 +41,27 @@ class BruteForceResult:
     depth: int
 
 
-_BRUTE_MAX_COLUMNS = 10
-_BRUTE_MAX_DEPTH = 3
-
-
-def brute_force_optimal(bin_data: BinaryDataset, reg: Regularizer, depth_limit: int) -> BruteForceResult:
+def brute_force_optimal(
+    bin_data: BinaryDataset,
+    reg: Regularizer,
+    depth_limit: int,
+    *,
+    max_columns: int = 10,
+    max_depth: int = 3,
+) -> BruteForceResult:
     """Exhaustive minimum over all trees up to depth_limit.
 
     Ties prefer fewer leaves, then smaller depth, then the smallest
     (column index, true-branch-first) structure, matching the solver.
-    Guarded to desk scale: at most 10 columns, depth at most 3.
+    Guarded to desk scale by default: at most max_columns columns and
+    depth_limit at most max_depth.  The recursion has no bounds, so its cost
+    grows with the number of distinct supports; raise the guards only for
+    inputs known to have few of them.
     """
-    if bin_data.n_columns > _BRUTE_MAX_COLUMNS:
-        raise ValueError(f"brute force limited to {_BRUTE_MAX_COLUMNS} columns")
-    if not 1 <= depth_limit <= _BRUTE_MAX_DEPTH:
-        raise ValueError(f"brute force depth limit must be in [1, {_BRUTE_MAX_DEPTH}]")
+    if bin_data.n_columns > max_columns:
+        raise ValueError(f"brute force limited to {max_columns} columns")
+    if not 1 <= depth_limit <= max_depth:
+        raise ValueError(f"brute force depth limit must be in [1, {max_depth}]")
     if reg.n_samples != bin_data.n_samples:
         raise ValueError("regularizer sample count does not match dataset")
     pos_mask = bin_data.pos_mask

@@ -39,9 +39,18 @@ parent's splits, whether a sum rose or, after a guess closed a child, fell;
 search order and counters do not depend on this bookkeeping.
 
 A record one level above the depth limit has only forced-leaf children, so
-its expansion is terminal: one pass over the columns counts each split's loss
-with two popcounts, keeps the first column of least loss if its two leaves
-beat the one leaf, and solves the record on the spot.
+its expansion is terminal: one pass over the columns finds the first column
+of least loss, keeps it if its two leaves beat the one leaf, and solves the
+record on the spot.  Each column carries an agreement mask, the samples whose
+label equals the column's bit, and |support & mask| = posl + negr fixes the
+split's loss up to a constant: one popcount per column.
+
+A record scans only the columns that split the support of the record that
+created it: a non-terminal expansion collects the columns it finds neither
+empty nor full on its support and hands that one list to every child it
+creates (a cache hit keeps its first creator's list; the root scans all).  A
+column constant on any ancestor's support is constant on the child's too, so
+no split is lost, and the list always holds the column that made the child.
 """
 
 from __future__ import annotations
@@ -116,6 +125,11 @@ class Counters:
         return asdict(self)
 
 
+def _is_count(value) -> bool:
+    """An int >= 1; bool is an int subclass, but True is no count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class SolverConfig:
     """What one solve minimizes and the limits it runs under.
@@ -146,12 +160,10 @@ class SolverConfig:
     max_records: Optional[int] = None
 
     def __post_init__(self):
-        if self.depth_limit is not None and not (
-            isinstance(self.depth_limit, int) and self.depth_limit >= 1
-        ):
+        if self.depth_limit is not None and not _is_count(self.depth_limit):
             raise ValueError("depth_limit must be an int >= 1 when bounded")
-        if self.max_records is not None and self.max_records < 1:
-            raise ValueError("max_records must be >= 1 when set")
+        if self.max_records is not None and not _is_count(self.max_records):
+            raise ValueError("max_records must be an int >= 1 when set")
         if self.time_limit_s is not None and not (
             math.isfinite(self.time_limit_s) and self.time_limit_s >= 0
         ):
@@ -183,10 +195,10 @@ class _Rec:
     __slots__ = (
         "bits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
         "lower", "upper", "splits", "parents", "expanded", "solved",
-        "dirty", "sums", "lows",
+        "dirty", "sums", "lows", "scan",
     )
 
-    def __init__(self, bits, depth, n, pos, leaf_units, true_floor, guess_floor):
+    def __init__(self, bits, depth, n, pos, leaf_units, true_floor, guess_floor, scan):
         self.bits = bits
         self.depth = depth
         self.n = n
@@ -204,6 +216,7 @@ class _Rec:
         self.dirty = None         # indices of splits whose children changed since the last refresh
         self.sums = None          # each split's lower sum as of its last refresh
         self.lows = None          # lazy min-heap of lower sum * len(splits) + split index; stale where sums differ
+        self.scan = scan          # (index, bits, agreement mask) of every column that may split bits
 
 
 class _Search:
@@ -234,26 +247,31 @@ class _Search:
             minority_bits(equivalence_classes(bin_data), root_bits) if cfg.use_equiv_bound else 0
         )
 
-        # (index, bits) of each column, dropping duplicates (same or
-        # complementary partition); earlier indices win every tie anyway,
-        # later copies only cost scan time
+        # (index, bits, agreement mask) of each column, dropping duplicates
+        # (same or complementary partition); earlier indices win every tie
+        # anyway, later copies only cost scan time.  The agreement mask holds
+        # the samples whose label equals the column's bit; see _expand_terminal
+        full = bin_data.full_mask
         seen = set()
         self.cols = []
         for j, c in enumerate(bin_data.columns):
-            cc = c & ((1 << bin_data.n_samples) - 1)
-            key = min(cc, cc ^ ((1 << bin_data.n_samples) - 1))
+            cc = c & full
+            key = min(cc, cc ^ full)
             if key in seen:
                 continue
             seen.add(key)
-            self.cols.append((j, c))
+            self.cols.append((j, c, full ^ self.pos_bits ^ cc))
         self.colbits = bin_data.columns
 
     # ---------------- record lifecycle
 
-    def _create(self, bits, depth, n, pos, miss):
+    def _create(self, bits, depth, n, pos, miss, scan):
         """The record of (bits, depth), made on first use.  n, pos and miss
         are the support's sample, label-1 and reference-mistake counts (miss
-        is None without a guess); every caller has already taken them."""
+        is None without a guess); every caller has already taken them.  scan
+        is the column list the record will scan, in column order, holding at
+        least every column not constant on bits; a cache hit keeps the list
+        of its first creator."""
         key = (bits, depth)
         rec = self.recs.get(key)
         if rec is not None:
@@ -266,7 +284,7 @@ class _Search:
         # therefore the popcount of the root's minority mask inside it.
         true_floor = self.pen + self.q * (bits & self.minority).bit_count()
         guess_floor = None if miss is None else self.pen + self.q * miss
-        rec = _Rec(bits, depth, n, pos, leaf_units, true_floor, guess_floor)
+        rec = _Rec(bits, depth, n, pos, leaf_units, true_floor, guess_floor, scan)
         self.counters.created += 1
         if self.cfg.max_records is not None and self.counters.created > self.cfg.max_records:
             raise SolverMemoryError(self.counters)
@@ -313,11 +331,17 @@ class _Search:
         child_depth = rec.depth - 1 if self.bounded else None
         splits = rec.splits
         upper = rec.upper
-        for j, c in self.cols:
+        # the columns that split bits: a column constant here is constant on
+        # every child, so the children scan only these.  The list fills
+        # while they are created, and none is expanded before it is complete
+        keep = []
+        for col in rec.scan:
+            j, c, _ = col
             bl = bits & c
             nl = bl.bit_count()
             if nl == 0 or nl == n:
                 continue
+            keep.append(col)
             nr = n - nl
             posl = (bl & pos_bits).bit_count()
             posr = pos - posl
@@ -342,10 +366,10 @@ class _Search:
             i = len(splits)
             cl = cr = None
             if nl != 1:
-                cl = create(bl, child_depth, nl, posl, missl)
+                cl = create(bl, child_depth, nl, posl, missl, keep)
                 link(cl, rec, i)
             if nr != 1:
-                cr = create(bits ^ bl, child_depth, nr, posr, missr)
+                cr = create(bits ^ bl, child_depth, nr, posr, missr, keep)
                 link(cr, rec, i)
             splits.append((j, cl, cr, vl, vr))
             # splitting j into two majority leaves is an incumbent
@@ -369,32 +393,37 @@ class _Search:
         With d = posl - negl on a column's left side and D = pos - neg, the
         two majority leaves miss (n - max(|D|, |2d - D|)) / 2 samples, since
         2*min(a, b) = a + b - |a - b|.  |2d - D| is largest at the largest or
-        the smallest d, so one pass with two popcounts per column finds the
-        least loss and the first column holding it.  The split's two leaves
-        cost q*loss + 2*pen, which beats the upper bound exactly when
-        loss < -((2*pen - upper) // q); a column constant on the support has
-        the leaf's own loss and never passes.  Splits that pass one after
-        another strictly fall in value and extraction takes the least, so
-        only the first column of least loss is stored."""
-        n, pos, q, pen = rec.n, rec.pos, self.q, self.pen
-        bp = rec.bits & self.pos_bits
-        bn = rec.bits ^ bp
-        hi, lo = -n - 1, n + 1
-        for j, c in self.cols:
-            d = (bp & c).bit_count() - (bn & c).bit_count()
-            if d > hi:
-                hi, j_hi = d, j
-            if d < lo:
-                lo, j_lo = d, j
-        dd = 2 * pos - n
-        up, down = 2 * hi - dd, dd - 2 * lo
+        the smallest d.  A column's agreement mask e holds the samples whose
+        label equals its bit, so |bits & e| = posl + negr = d + neg: one
+        popcount per column gives d up to a constant, and the extremes
+        a = d + neg give 2d - D = 2a - n.  The first column holding the least
+        loss is the first index of the winning extreme, and its left counts
+        take one more popcount, nl, since a + nl = 2*posl + neg.  The split's
+        two leaves cost q*loss + 2*pen, which beats the upper bound exactly
+        when loss < -((2*pen - upper) // q); a column constant on the support has
+        the leaf's own loss and never passes, so the scan covers only the
+        record's inherited list of columns that split its creator's support.
+        Splits that pass one after another strictly fall in value and
+        extraction takes the least, so only the first column of least loss
+        is stored."""
+        n, q, pen, bits, scan = rec.n, self.q, self.pen, rec.bits, rec.scan
+        agree = [(bits & e).bit_count() for _, _, e in scan]
+        hi, lo = max(agree), min(agree)
+        up, down = 2 * hi - n, n - 2 * lo
         loss = (n - (up if up > down else down)) // 2
         if loss < -((2 * pen - rec.upper) // q):
-            j = j_hi if up > down else j_lo if down > up else min(j_hi, j_lo)
-            c = self.colbits[j]
-            posl = (bp & c).bit_count()
-            negl = (bn & c).bit_count()
-            posr, negr = pos - posl, n - pos - negl
+            if up > down:
+                i = agree.index(hi)
+            elif down > up:
+                i = agree.index(lo)
+            else:
+                i = min(agree.index(hi), agree.index(lo))
+            j, c, _ = scan[i]
+            pos = rec.pos
+            nl = (bits & c).bit_count()
+            posl = (nl + agree[i] - (n - pos)) // 2
+            negl, posr = nl - posl, pos - posl
+            negr = n - nl - posr
             rec.splits.append((j, None, None,
                                q * (posl if posl < negl else negl) + pen,
                                q * (posr if posr < negr else negr) + pen))
@@ -489,7 +518,7 @@ class _Search:
         bits = self.root_bits
         miss = (bits & self.inc_bits).bit_count() if self.guessing else None
         root = self._create(bits, self.cfg.depth_limit, bits.bit_count(),
-                            (bits & self.pos_bits).bit_count(), miss)
+                            (bits & self.pos_bits).bit_count(), miss, self.cols)
         timed_out = False
         while not root.solved and self.heap:
             if self.cfg.time_limit_s is not None and time.monotonic() - t0 > self.cfg.time_limit_s:

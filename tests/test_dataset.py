@@ -115,6 +115,24 @@ def test_column_bits_are_le_indicators():
             )
 
 
+def test_rows_matrix_matches_per_column_unpacking():
+    # sample counts off the byte edge, one sample, and no columns at all
+    rng = np.random.default_rng(4)
+    for n, m in ((13, 5), (8, 3), (61, 9), (1, 4), (1, 1), (7, 0), (1, 0)):
+        x = rng.integers(0, 3, size=(n, 1)).astype(float)
+        thresholds = [(0, float(t)) for t in rng.uniform(-0.5, 2.5, size=m)]
+        b = sparsetree.binarize_with_thresholds(
+            sparsetree.make_raw(x, rng.integers(0, 2, size=n)), thresholds
+        )
+        assert (b.n_samples, b.n_columns) == (n, m)
+        want = np.zeros((n, m), dtype=np.uint8)
+        for c in range(m):
+            want[:, c] = bits_to_bools(b.columns[c], n)
+        got = b.rows_matrix()
+        assert got.dtype == np.uint8 and got.shape == (n, m)
+        assert np.array_equal(got, want)
+
+
 def test_binarize_with_thresholds_single():
     raw = sparsetree.make_raw([[1.0], [2.0], [4.0]], [0, 1, 1])
     b = sparsetree.binarize_with_thresholds(raw, [(0, 1.5)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sparsetree
-from sparsetree import guessing, solver, trees
+from sparsetree import evaluation, guessing, solver, trees
 from sparsetree.dataset import SupportSet
 from sparsetree.solver import Regularizer, SolverConfig, SolverMemoryError
 
@@ -310,7 +310,10 @@ def test_validation_rejections():
     for depth in (0, 1.5, 2.0):
         with pytest.raises(ValueError, match="depth_limit"):
             SolverConfig(reg2, depth_limit=depth)
-    for records in (0, -1):
+    # True is an int to isinstance, but it is no depth: it used to solve at depth 1
+    with pytest.raises(ValueError, match="depth_limit"):
+        SolverConfig(reg2, depth_limit=True)
+    for records in (0, -1, True, 2.5):
         with pytest.raises(ValueError, match="max_records"):
             SolverConfig(reg2, max_records=records)
     for seconds in (-1.0, float("nan"), float("inf"), float("-inf")):
@@ -524,6 +527,18 @@ def test_terminal_expansion_matches_a_column_scan():
         cases[name] = (
             data, SolverConfig(Regularizer.from_text("1/2", data.n_samples), depth_limit=1), None
         )
+    # each depth-1 support is one cell of two 0/1 features, ten identical
+    # rows with mixed labels, so every column it inherits is constant on it;
+    # without the equivalence-points bound those cells are expanded
+    cells = sparsetree.full_binarize(sparsetree.make_raw(
+        [[a, b] for a in (0.0, 1.0) for b in (0.0, 1.0) for _ in range(10)],
+        [int(i % 10 < 3 + 2 * (i // 10)) for i in range(40)],
+    ))
+    cases["identical_rows"] = (
+        cells,
+        SolverConfig(Regularizer.from_text("1/100", 40), depth_limit=3, use_equiv_bound=False),
+        None,
+    )
     for name, (bin_data, cfg, root) in cases.items():
         reg = cfg.regularizer
         bits = bin_data.full_mask if root is None else root.bits
@@ -547,8 +562,87 @@ def test_terminal_expansion_matches_a_column_scan():
         if name.startswith("heavy"):
             assert (kept, empty) == (0, 1), name
             assert 2 * reg.leaf_penalty_units >= search.recs[(bits, 1)].leaf_units
+        elif name == "identical_rows":
+            assert (kept, empty) == (0, 4), name
         else:
             assert kept >= 20, (name, kept)
+
+
+def test_scan_lists_hold_every_column_that_splits_the_support():
+    # a record scans the columns that split its first creator's support; the
+    # list must still hold every column that splits its own support, in
+    # column order, each with the samples whose label equals its bit
+    for name, (bin_data, cfg, root) in _pinned_instances().items():
+        bits = bin_data.full_mask if root is None else root.bits
+        search = solver._Search(bin_data, cfg, bits)
+        search.run()
+        full, pos_bits = bin_data.full_mask, bin_data.pos_mask
+        for j, c, agree in search.cols:
+            assert agree == (c & pos_bits) | (full & ~c & ~pos_bits), name
+
+        def splitting(rec):
+            return [j for j, c, _ in search.cols if 0 < (rec.bits & c).bit_count() < rec.n]
+
+        dropped = 0
+        for rec in search.recs.values():
+            scan = [j for j, _, _ in rec.scan]
+            assert scan and scan == sorted(scan), name
+            assert set(splitting(rec)) <= set(scan), name
+            # a child still unsolved when created links to its creator first
+            if rec.parents:
+                assert scan == splitting(next(iter(rec.parents))), name
+            dropped += len(search.cols) - len(scan)
+        # the lists do leave columns out
+        assert dropped > 0, name
+
+
+def _support_rows(raw, bin_data, bits):
+    """The samples of bits as a dataset of their own, on bin_data's columns."""
+    rows = [i for i in range(bin_data.n_samples) if bits >> i & 1]
+    sub = sparsetree.make_raw(raw.features[rows], raw.labels[rows], raw.feature_names)
+    return sparsetree.binarize_with_thresholds(sub, bin_data.column_meta)
+
+
+def test_matches_the_exhaustive_dp_at_mid_scale():
+    # the DP has no bounds and no search order; its guards are raised for
+    # inputs with few distinct supports.  Objective and tree, tie rules
+    # included, must match
+    wide_raw = random_raw(np.random.default_rng(41), 1500, 4, levels=2)
+    wide = sparsetree.full_binarize(wide_raw)
+    assert wide.n_columns == 52
+    reg = Regularizer.from_text("1/1000", wide.n_samples)
+    res = solver.optimize(wide, SolverConfig(reg, depth_limit=3))
+    bf = evaluation.brute_force_optimal(wide, reg, 3, max_columns=60)
+    assert res.objective_units == bf.objective_units
+    assert repr(res.tree) == repr(bf.tree)
+    assert res.leaf_count >= 6
+
+    # 200 distinct rows, each three times with independent labels
+    rng = np.random.default_rng(50)
+    base = random_raw(rng, 200, 3, levels=2)
+    dup = sparsetree.full_binarize(sparsetree.make_raw(
+        np.vstack([base.features] * 3), rng.integers(0, 2, size=600)
+    ))
+    assert len(class_groups(dup)) <= 200
+    reg = Regularizer.from_text("1/200", dup.n_samples)
+    res = solver.optimize(dup, SolverConfig(reg, depth_limit=4))
+    bf = evaluation.brute_force_optimal(dup, reg, 4, max_columns=40, max_depth=4)
+    assert res.objective_units == bf.objective_units
+    assert repr(res.tree) == repr(bf.tree)
+    assert res.depth == 4
+
+    # a root support against the DP on its rows alone: the leaf penalty
+    # lambda * n becomes lambda' * n' there, so units scale by denom/denom'
+    n = wide.n_samples
+    odd = sum(1 << i for i in range(1, n, 2))
+    sub = _support_rows(wide_raw, wide, odd)
+    reg = Regularizer.from_text("1/1000", n)
+    sub_reg = Regularizer.from_text(str(reg.value * n / sub.n_samples), sub.n_samples)
+    res = solver.optimize(wide, SolverConfig(reg, depth_limit=3), root_support=SupportSet(odd, n))
+    bf = evaluation.brute_force_optimal(sub, sub_reg, 3, max_columns=60)
+    assert res.objective_units * sub_reg.denom == bf.objective_units * reg.denom
+    assert (res.loss_count, res.leaf_count) == (bf.loss_count, bf.leaf_count)
+    assert repr(res.tree) == repr(bf.tree)
 
 
 def _floor_instances():
