@@ -10,6 +10,7 @@ over samples, which is what the solver operates on.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -117,7 +118,7 @@ def load_csv(path) -> RawDataset:
                     v = float(text)
                 except ValueError:
                     raise DataFormatError(f"non-numeric value {text!r} at row {r}, column {c}") from None
-                if not np.isfinite(v):
+                if not math.isfinite(v):
                     raise DataFormatError(f"non-finite value at row {r}, column {c}")
                 vals.append(v)
             ltext = rec[-1].strip()

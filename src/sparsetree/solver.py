@@ -21,7 +21,12 @@ expansion.  The returned tree is extracted afterwards as a pass over the
 recorded actions minimizing (objective, leaves, depth, structure)
 lexicographically per subproblem, which also picks up any child improvements
 made after a guessed bound closed the parent.  That pass compares keys only;
-tree nodes are built once, top-down along the winning choices.
+tree nodes are built once, top-down along the winning choices.  Without a
+guess every lower bound is certified, so the pass skips a split whose
+children's lower bounds sum to more than the best units found so far (ties
+are still explored: they may win on leaves or depth) and reaches only a
+few records near the winning tree.  Under a guess a closed record's lower
+bound is the guess, not a certificate, and the pass visits every split.
 
 Bounds flow from children to parents incrementally.  Each child links back to
 the (parent, split index) pairs that use it.  The moment a record's bounds
@@ -43,7 +48,15 @@ its expansion is terminal: one pass over the columns finds the first column
 of least loss, keeps it if its two leaves beat the one leaf, and solves the
 record on the spot.  Each column carries an agreement mask, the samples whose
 label equals the column's bit, and |support & mask| = posl + negr fixes the
-split's loss up to a constant: one popcount per column.
+split's loss up to a constant: one popcount per column.  Two kinds of
+terminal record skip the pass.  One whose floor plus one more leaf penalty
+already reaches its leaf is closed at the leaf: a split has two leaves and at
+least the equivalence-points loss.  And the two children of a split of a
+depth-2 record are paired (MurTree's sibling subtraction): the parent's
+agreement counts, taken during its own scan, are the sums of theirs, so the
+first of the two expanded scans the parent's column list, derives the
+other's outcome from the difference and keeps only that outcome, never the
+counts.
 
 A record scans only the columns that split the support of the record that
 created it: a non-terminal expansion collects the columns it finds neither
@@ -57,6 +70,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -165,9 +179,13 @@ class SolverConfig:
         if self.max_records is not None and not _is_count(self.max_records):
             raise ValueError("max_records must be an int >= 1 when set")
         if self.time_limit_s is not None and not (
-            math.isfinite(self.time_limit_s) and self.time_limit_s >= 0
+            isinstance(self.time_limit_s, numbers.Real)
+            and not isinstance(self.time_limit_s, bool)
+            and math.isfinite(self.time_limit_s) and self.time_limit_s >= 0
         ):
-            raise ValueError("time_limit_s must be finite and >= 0 when set")
+            raise ValueError("time_limit_s must be a finite number >= 0 when set")
+        if not isinstance(self.use_equiv_bound, bool):
+            raise ValueError("use_equiv_bound must be True or False")
 
 
 @dataclass
@@ -195,7 +213,7 @@ class _Rec:
     __slots__ = (
         "bits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
         "lower", "upper", "splits", "parents", "expanded", "solved",
-        "dirty", "sums", "lows", "scan",
+        "dirty", "sums", "lows", "scan", "sib",
     )
 
     def __init__(self, bits, depth, n, pos, leaf_units, true_floor, guess_floor, scan):
@@ -217,6 +235,11 @@ class _Rec:
         self.sums = None          # each split's lower sum as of its last refresh
         self.lows = None          # lazy min-heap of lower sum * len(splits) + split index; stale where sums differ
         self.scan = scan          # (index, bits, agreement mask) of every column that may split bits
+        # a terminal record paired with its sibling: (sibling, the depth-2
+        # parent's scan list, the parent's agreement counts over it) until
+        # either is expanded; (None, split or None) once the sibling has
+        # derived this record's outcome; see _expand_terminal
+        self.sib = None
 
 
 class _Search:
@@ -327,7 +350,7 @@ class _Search:
         miss = missl = missr = None
         if inc_bits is not None:
             miss = (bits & inc_bits).bit_count()
-        create, link = self._create, self._link
+        create, link, pair = self._create, self._link, self._pair
         child_depth = rec.depth - 1 if self.bounded else None
         splits = rec.splits
         upper = rec.upper
@@ -335,6 +358,10 @@ class _Search:
         # every child, so the children scan only these.  The list fills
         # while they are created, and none is expanded before it is complete
         keep = []
+        # over keep, |bits & agreement mask| when the children are terminal;
+        # sibling children share it, see _expand_terminal
+        agree = [] if child_depth == 1 else None
+        neg = n - pos
         for col in rec.scan:
             j, c, _ = col
             bl = bits & c
@@ -344,6 +371,8 @@ class _Search:
             keep.append(col)
             nr = n - nl
             posl = (bl & pos_bits).bit_count()
+            if agree is not None:
+                agree.append(2 * posl - nl + neg)
             posr = pos - posl
             negl = nl - posl
             negr = nr - posr
@@ -371,6 +400,8 @@ class _Search:
             if nr != 1:
                 cr = create(bits ^ bl, child_depth, nr, posr, missr, keep)
                 link(cr, rec, i)
+                if agree is not None and cl is not None:
+                    pair(cl, cr, keep, agree)
             splits.append((j, cl, cr, vl, vr))
             # splitting j into two majority leaves is an incumbent
             if vl + vr < upper:
@@ -387,13 +418,65 @@ class _Search:
         if self._settle(rec, *self._refresh(rec)):
             self._propagate(rec)
 
+    def _pair(self, a, b, scan, agree):
+        """Pair sibling terminal records a and b, children of one split of a
+        depth-2 parent whose scan list and agreement counts are scan and
+        agree, when both will be scanned: unsolved, unpaired, and not closed
+        by the floor check of _expand_terminal.  Their upper bounds are
+        still their leaves' and stay so until they are expanded."""
+        pen = self.pen
+        if (a.solved or b.solved or a.sib is not None or b.sib is not None
+                or a.true_floor + pen >= a.upper or b.true_floor + pen >= b.upper):
+            return
+        a.sib = (b, scan, agree)
+        b.sib = (a, scan, agree)
+
     def _expand_terminal(self, rec):
         """Expand and solve a record whose children are all forced leaves.
+
+        Its best split into two leaves is stored when it beats the leaf, and
+        the record is closed at once.  Any split costs at least two leaf
+        penalties plus the equivalence-points loss, true_floor + pen, so a
+        record whose upper bound is no more than that is closed at its leaf
+        without a scan.  A record paired with its sibling (see _pair) scans
+        the depth-2 parent's list, whose agreement counts the parent already
+        took: the sibling's counts are the parent's minus its own, so the
+        sibling's outcome is found here with no popcount per column and kept
+        until the sibling is expanded.  The parent's list holds every column
+        that splits either child, in column order, which is all the scan
+        needs (see _two_leaves)."""
+        sib, rec.sib = rec.sib, None
+        bits = rec.bits
+        if sib is not None and sib[0] is None:
+            split = sib[1]  # derived when the sibling was expanded
+        elif sib is not None:
+            other, scan, parent = sib
+            own = [(bits & e).bit_count() for _, _, e in scan]
+            split = self._two_leaves(rec, scan, own)
+            other.sib = (None, self._two_leaves(
+                other, scan, [p - a for p, a in zip(parent, own)]))
+        elif rec.true_floor + self.pen >= rec.upper:
+            split = None
+        else:
+            scan = rec.scan
+            split = self._two_leaves(rec, scan, [(bits & e).bit_count() for _, _, e in scan])
+        if split is not None:
+            rec.splits.append(split)
+            rec.upper = split[3] + split[4]
+        self._close(rec)
+        self._mark_parents(rec)
+        self._propagate(rec)
+
+    def _two_leaves(self, rec, scan, agree):
+        """The split (j, None, None, vl, vr) of rec into two majority leaves
+        of least loss, the first such column in scan, when it beats rec's
+        upper bound; else None.  agree holds |rec.bits & e| for each
+        column's agreement mask e.
 
         With d = posl - negl on a column's left side and D = pos - neg, the
         two majority leaves miss (n - max(|D|, |2d - D|)) / 2 samples, since
         2*min(a, b) = a + b - |a - b|.  |2d - D| is largest at the largest or
-        the smallest d.  A column's agreement mask e holds the samples whose
+        the smallest d.  A column's agreement mask holds the samples whose
         label equals its bit, so |bits & e| = posl + negr = d + neg: one
         popcount per column gives d up to a constant, and the extremes
         a = d + neg give 2d - D = 2a - n.  The first column holding the least
@@ -401,36 +484,31 @@ class _Search:
         take one more popcount, nl, since a + nl = 2*posl + neg.  The split's
         two leaves cost q*loss + 2*pen, which beats the upper bound exactly
         when loss < -((2*pen - upper) // q); a column constant on the support has
-        the leaf's own loss and never passes, so the scan covers only the
-        record's inherited list of columns that split its creator's support.
-        Splits that pass one after another strictly fall in value and
-        extraction takes the least, so only the first column of least loss
-        is stored."""
-        n, q, pen, bits, scan = rec.n, self.q, self.pen, rec.bits, rec.scan
-        agree = [(bits & e).bit_count() for _, _, e in scan]
+        the leaf's own loss and never passes, so scan may be any list holding
+        every column that splits the support, in column order.  Splits that
+        pass one after another strictly fall in value and extraction takes
+        the least, so only the first column of least loss is stored."""
+        n, q, pen = rec.n, self.q, self.pen
         hi, lo = max(agree), min(agree)
         up, down = 2 * hi - n, n - 2 * lo
         loss = (n - (up if up > down else down)) // 2
-        if loss < -((2 * pen - rec.upper) // q):
-            if up > down:
-                i = agree.index(hi)
-            elif down > up:
-                i = agree.index(lo)
-            else:
-                i = min(agree.index(hi), agree.index(lo))
-            j, c, _ = scan[i]
-            pos = rec.pos
-            nl = (bits & c).bit_count()
-            posl = (nl + agree[i] - (n - pos)) // 2
-            negl, posr = nl - posl, pos - posl
-            negr = n - nl - posr
-            rec.splits.append((j, None, None,
-                               q * (posl if posl < negl else negl) + pen,
-                               q * (posr if posr < negr else negr) + pen))
-            rec.upper = q * loss + 2 * pen
-        self._close(rec)
-        self._mark_parents(rec)
-        self._propagate(rec)
+        if loss >= -((2 * pen - rec.upper) // q):
+            return None
+        if up > down:
+            i = agree.index(hi)
+        elif down > up:
+            i = agree.index(lo)
+        else:
+            i = min(agree.index(hi), agree.index(lo))
+        j, c, _ = scan[i]
+        pos = rec.pos
+        nl = (rec.bits & c).bit_count()
+        posl = (nl + agree[i] - (n - pos)) // 2
+        negl, posr = nl - posl, pos - posl
+        negr = n - nl - posr
+        return (j, None, None,
+                q * (posl if posl < negl else negl) + pen,
+                q * (posr if posr < negr else negr) + pen)
 
     # ---------------- bound maintenance
 
@@ -542,8 +620,14 @@ class _Search:
         if got is not None:
             return got
         key, choice = (rec.leaf_units, 1, 0, _LEAF_KEY), None
+        prune = not self.guessing
         for s in rec.splits:
             j, cl, cr, vl, vr = s
+            # certified lowers: a split whose children cannot reach key's
+            # units cannot win; on a tie it still may, by leaves or depth
+            if prune and ((vl if cl is None else cl.lower)
+                          + (vr if cr is None else cr.lower)) > key[0]:
+                continue
             lu, ll, ld, ls = self.best(cl, memo)[0] if cl is not None else (vl, 1, 0, _LEAF_KEY)
             ru, rl, rd, rs = self.best(cr, memo)[0] if cr is not None else (vr, 1, 0, _LEAF_KEY)
             cand = (lu + ru, ll + rl, 1 + (ld if ld > rd else rd), (j, ls, rs))

@@ -69,6 +69,17 @@ def test_load_csv_bad_cell_position(tmp_path):
         sparsetree.load_csv(p)
 
 
+def test_load_csv_non_finite_cell_position(tmp_path):
+    p = tmp_path / "d.csv"
+    for cell in ("nan", "inf", "-inf", " NaN ", "-Infinity"):
+        p.write_text(f"a,b,label\n1,2,0\n3,4,1\n5,{cell},1\n")
+        with pytest.raises(DataFormatError, match="non-finite value at row 3, column 2"):
+            sparsetree.load_csv(p)
+        p.write_text(f"a,b,label\n{cell},2,0\n")
+        with pytest.raises(DataFormatError, match="non-finite value at row 1, column 1"):
+            sparsetree.load_csv(p)
+
+
 def test_load_csv_ragged_row(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,label\n1,2,0\n1,0\n")

@@ -316,12 +316,18 @@ def test_validation_rejections():
     for records in (0, -1, True, 2.5):
         with pytest.raises(ValueError, match="max_records"):
             SolverConfig(reg2, max_records=records)
-    for seconds in (-1.0, float("nan"), float("inf"), float("-inf")):
+    # True used to be a 1 s budget, and "5" raised TypeError from math.isfinite
+    for seconds in (-1.0, float("nan"), float("inf"), float("-inf"), True, "5"):
         with pytest.raises(ValueError, match="time_limit_s"):
             SolverConfig(reg2, time_limit_s=seconds)
+    # anything but a bool used to be taken for its truth value: "no" turned the bound on
+    for flag in ("no", 1, None):
+        with pytest.raises(ValueError, match="use_equiv_bound"):
+            SolverConfig(reg2, use_equiv_bound=flag)
     # the unset defaults and the edges stay allowed
     SolverConfig(reg2, max_records=None, time_limit_s=None)
-    SolverConfig(reg2, max_records=1, time_limit_s=0.0)
+    SolverConfig(reg2, max_records=1, time_limit_s=0.0, use_equiv_bound=False)
+    SolverConfig(reg2, time_limit_s=2)
 
 
 def test_equiv_bound_is_an_optimization_only():
@@ -541,13 +547,30 @@ def test_terminal_expansion_matches_a_column_scan():
     )
     for name, (bin_data, cfg, root) in cases.items():
         reg = cfg.regularizer
+        pen = reg.leaf_penalty_units
         bits = bin_data.full_mask if root is None else root.bits
         search = solver._Search(bin_data, cfg, bits)
+        # how each terminal record is solved: closed by the floor without a
+        # scan, from the outcome its sibling derived, or by its own scan
+        how = {}
+        expand_terminal = search._expand_terminal
+
+        def classify_and_expand(rec):
+            if rec.sib is not None and rec.sib[0] is None:
+                how[rec] = "derived"
+            elif rec.sib is None and rec.true_floor + pen >= rec.upper:
+                how[rec] = "floor"
+            else:
+                how[rec] = "scanned"
+            expand_terminal(rec)
+
+        search._expand_terminal = classify_and_expand
         search.run()
         kept = empty = 0
         for rec in search.recs.values():
             if not rec.expanded or rec.depth != 1:
                 continue
+            assert rec in how, name
             assert rec.solved and rec.lower == rec.upper, name
             scan = _two_leaf_scan(bin_data, reg, rec.bits)
             if scan is not None and scan[0] < rec.leaf_units:
@@ -559,13 +582,19 @@ def test_terminal_expansion_matches_a_column_scan():
                 assert rec.splits == [], name
                 assert rec.upper == rec.leaf_units, name
                 empty += 1
+        assert len(how) == kept + empty, name
+        counts = {k: list(how.values()).count(k) for k in ("floor", "derived", "scanned")}
         if name.startswith("heavy"):
             assert (kept, empty) == (0, 1), name
             assert 2 * reg.leaf_penalty_units >= search.recs[(bits, 1)].leaf_units
+            # the floor alone rules out every split of that record
+            assert counts["floor"] == 1, name
         elif name == "identical_rows":
             assert (kept, empty) == (0, 4), name
         else:
             assert kept >= 20, (name, kept)
+        if name == "exact":
+            assert counts["floor"] > 0 and counts["derived"] > 0, counts
 
 
 def test_scan_lists_hold_every_column_that_splits_the_support():
@@ -594,6 +623,68 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
             dropped += len(search.cols) - len(scan)
         # the lists do leave columns out
         assert dropped > 0, name
+
+
+def _unpruned_best(rec, memo):
+    """Key and choice of rec's best tree over every recorded split: the
+    extraction pass without its lower-bound prune."""
+    got = memo.get(rec)
+    if got is None:
+        leaf = (1, 0, solver._LEAF_KEY)
+        key, choice = (rec.leaf_units, *leaf), None
+        for split in rec.splits:
+            j, cl, cr, vl, vr = split
+            lu, ll, ld, ls = _unpruned_best(cl, memo)[0] if cl is not None else (vl, *leaf)
+            ru, rl, rd, rs = _unpruned_best(cr, memo)[0] if cr is not None else (vr, *leaf)
+            cand = (lu + ru, ll + rl, 1 + max(ld, rd), (j, ls, rs))
+            if cand < key:
+                key, choice = cand, split
+        memo[rec] = got = key, choice
+    return got
+
+
+class _TickClock:
+    """Stands in for the time module: each monotonic() call is one second
+    later, so a time limit of k cuts the search after about k expansions."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_pruned_extraction_matches_a_full_pass(monkeypatch):
+    cases = _pinned_instances()
+    dense, exact_cfg, _ = cases["exact"]
+    cases["time_limit"] = (dense, SolverConfig(exact_cfg.regularizer, depth_limit=3, time_limit_s=40), None)
+    # lambda = 0 on XOR behind an irrelevant first feature: every tree of
+    # zero loss ties in units and differs only in leaves, depth and structure
+    xor_rows = [[c, a, b] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)]
+    xor = sparsetree.full_binarize(sparsetree.make_raw(xor_rows, [int(a != b) for _, a, b in xor_rows]))
+    for depth in (2, 3):
+        cases[f"xor_depth_{depth}"] = (
+            xor, SolverConfig(Regularizer.from_text("0", xor.n_samples), depth_limit=depth), None
+        )
+    monkeypatch.setattr(solver, "time", _TickClock())
+    for name, (bin_data, cfg, root) in cases.items():
+        bits = bin_data.full_mask if root is None else root.bits
+        search = solver._Search(bin_data, cfg, bits)
+        root_rec, timed_out = search.run()
+        assert timed_out == (name == "time_limit"), name
+        memo, full = {}, {}
+        assert search.best(root_rec, memo) == _unpruned_best(root_rec, full), name
+        # every record the pruned pass reached has the full pass's key and choice
+        for rec, got in memo.items():
+            assert got == full[rec], name
+        tree = search.build(bits, root_rec, memo)
+        assert repr(tree) == repr(search.build(bits, root_rec, full)), name
+        if search.guessing:
+            # a guess-closed record's lower is not certified: no prune
+            assert memo.keys() == full.keys(), name
+        elif name == "exact":
+            assert len(memo) < len(full) // 10, (len(memo), len(full))
 
 
 def _support_rows(raw, bin_data, bits):
