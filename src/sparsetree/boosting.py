@@ -334,30 +334,3 @@ def to_json(ens: BoostedEnsemble) -> str:
         "trees": [_node_obj(t) for t in ens.trees],
     }
     return json.dumps(obj, indent=2)
-
-
-def _node_from_obj(obj) -> RegressionNode:
-    if "score" in obj:
-        return RegressionNode(samples=int(obj["samples"]), positives=int(obj["positives"]), value=float(obj["score"]))
-    return RegressionNode(
-        samples=int(obj["samples"]),
-        positives=int(obj["positives"]),
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
-    )
-
-
-def from_json(text: str) -> BoostedEnsemble:
-    obj = json.loads(text)
-    return BoostedEnsemble(
-        initial_score=float(obj["initial_score"]),
-        learning_rate=float(obj["learning_rate"]),
-        n_estimators=int(obj["n_estimators"]),
-        max_depth=int(obj["max_depth"]),
-        seed=int(obj["seed"]),
-        degenerate=bool(obj["degenerate"]),
-        feature_names=tuple(obj["feature_names"]),
-        trees=[_node_from_obj(t) for t in obj["trees"]],
-    )

@@ -15,14 +15,13 @@ import time
 
 from . import boosting, evaluation, guessing, trees
 from .dataset import (
-    DataFormatError,
     binarize_with_thresholds,
     full_binarize,
     load_csv,
     read_binary_csv,
     write_binary_csv,
 )
-from .solver import Regularizer, SolverConfig, SolverMemoryError, optimize, run_report
+from .solver import Regularizer, SolverConfig, optimize, run_report
 
 
 def _log(msg: str) -> None:
@@ -218,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the equivalence-points lower bound")
     p.add_argument("--time-limit-s", type=float, default=None)
     p.add_argument("--max-records", type=int, default=None,
-                   help="abort when the subproblem cache exceeds this size")
+                   help="stop once more than this many subproblem records exist; "
+                        "writes the best tree so far with status record-limit, exit 0")
     p.add_argument("--timing", action="store_true",
                    help="include wall time in the report JSON (breaks rerun byte-identity)")
     p.add_argument("--out", required=True, help="output prefix for .tree.json/.report.json")
@@ -252,8 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DataFormatError, boosting.DegenerateModelError, trees.TreeFormatError,
-            SolverMemoryError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         _log(f"error: {e}")
         return 1
 

@@ -85,12 +85,6 @@ from .guessing import ReferenceLabels
 from .trees import Leaf, Node, Split
 
 
-class SolverMemoryError(RuntimeError):
-    def __init__(self, counters):
-        super().__init__(f"subproblem record budget exceeded: {counters}")
-        self.counters = counters
-
-
 @dataclass(frozen=True)
 class Regularizer:
     """Leaf penalty lambda = numer/denom in lowest terms, over n samples."""
@@ -161,9 +155,11 @@ class SolverConfig:
     time_limit_s: wall-clock seconds for the search loop; None is no limit.
         Once spent, the search stops and returns the best tree found so far
         with status "time-limit".
-    max_records: most subproblem records the search may create; None is no
-        limit.  Creating one more raises SolverMemoryError, which carries the
-        counters and no tree.
+    max_records: subproblem records the search may create; None is no limit.
+        Once more than this many exist, the search stops before its next
+        expansion and returns the best tree found so far with status
+        "record-limit".  One expansion creates up to two children per column
+        that splits its support, so the count may pass the cap by that many.
     """
 
     regularizer: Regularizer
@@ -309,13 +305,9 @@ class _Search:
         guess_floor = None if miss is None else self.pen + self.q * miss
         rec = _Rec(bits, depth, n, pos, leaf_units, true_floor, guess_floor, scan)
         self.counters.created += 1
-        if self.cfg.max_records is not None and self.counters.created > self.cfg.max_records:
-            raise SolverMemoryError(self.counters)
-        forced = (depth == 0) or (n == 1)
-        if forced:
-            rec.lower = rec.upper = leaf_units
-            rec.solved = True
-        elif rec.upper <= rec.lower:
+        # a one-sample support, which only a root can be, closes here: its
+        # leaf costs pen, no more than any floor
+        if rec.upper <= rec.lower:
             self._close(rec)
         self.recs[key] = rec
         if not rec.solved:
@@ -592,21 +584,25 @@ class _Search:
     # ---------------- main loop
 
     def run(self):
+        """Expand until the root is solved or a budget is spent, checking both
+        budgets between expansions.  Returns the root record and the budget
+        that stopped the search, "time-limit" or "record-limit", or None."""
         t0 = time.monotonic()
         bits = self.root_bits
         miss = (bits & self.inc_bits).bit_count() if self.guessing else None
         root = self._create(bits, self.cfg.depth_limit, bits.bit_count(),
                             (bits & self.pos_bits).bit_count(), miss, self.cols)
-        timed_out = False
+        time_limit_s, max_records = self.cfg.time_limit_s, self.cfg.max_records
         while not root.solved and self.heap:
-            if self.cfg.time_limit_s is not None and time.monotonic() - t0 > self.cfg.time_limit_s:
-                timed_out = True
-                break
+            if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
+                return root, "time-limit"
+            if max_records is not None and self.counters.created > max_records:
+                return root, "record-limit"
             rec = heapq.heappop(self.heap)[2]
             if rec.solved:
                 continue
             self._expand(rec)
-        return root, timed_out
+        return root, None
 
     # ---------------- extraction
 
@@ -671,7 +667,7 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
     if root_bits == 0:
         raise ValueError("empty root support")
     search = _Search(bin_data, cfg, root_bits)
-    root, timed_out = search.run()
+    root, stopped_by = search.run()
     memo = {}
     units, leaves, depth, _ = search.best(root, memo)[0]
     tree = search.build(root.bits, root, memo)
@@ -679,8 +675,8 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
     loss_units = units - reg.leaf_penalty_units * leaves
     assert loss_units % reg.denom == 0
     loss_count = loss_units // reg.denom
-    if timed_out:
-        status = "time-limit"
+    if stopped_by is not None:
+        status = stopped_by
     elif search.guessing:
         status = "guess-certified"
     else:

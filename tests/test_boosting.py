@@ -434,20 +434,6 @@ def test_fit_matches_the_sorted_prefix_algorithm():
             assert got == boosting.to_json(_seed_fit(data, 8, 3, 0.2, seed)), seed
 
 
-# ---------------------------------------------------------------- serialization
-
-def test_ensemble_json_round_trip():
-    rng = np.random.default_rng(11)
-    raw = random_raw(rng, 30, 3)
-    ens = boosting.fit(raw, 4, 2, 0.1, seed=0)
-    back = boosting.from_json(boosting.to_json(ens))
-    assert boosting.to_json(back) == boosting.to_json(ens)
-    assert np.array_equal(
-        boosting.predict_class(back, raw.features),
-        boosting.predict_class(ens, raw.features),
-    )
-
-
 def test_fit_parameter_validation():
     raw = sparsetree.make_raw([[1.0], [2.0]], [0, 1])
     with pytest.raises(ValueError):

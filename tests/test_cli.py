@@ -127,6 +127,19 @@ def test_train_xor_heavy_penalty(tmp_path):
     assert report["objective"]["leaves"] == 1
 
 
+def test_train_record_budget_writes_the_best_tree_so_far(tmp_path, capsys):
+    data = _write_xor(tmp_path / "xor.csv")
+    out = tmp_path / "run"
+    rc = cli.main(["train", data, "--lambda", "0", "--depth", "2", "--max-records", "1",
+                   "--out", str(out)])
+    assert rc == 0
+    assert "status record-limit" in capsys.readouterr().err
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    assert report["status"] == "record-limit"
+    assert report["objective"]["value"] == "1/2"
+    assert trees.from_json((tmp_path / "run.tree.json").read_text()) == trees.Leaf(0)
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     data = _write_synthetic(tmp_path / "raw.csv")
     args = [

@@ -1,4 +1,4 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +7,7 @@ import pytest
 import sparsetree
 from sparsetree import evaluation, guessing, solver, trees
 from sparsetree.dataset import SupportSet
-from sparsetree.solver import Regularizer, SolverConfig, SolverMemoryError
+from sparsetree.solver import Regularizer, SolverConfig
 
 from conftest import class_groups, masked_min_units, random_binary, random_raw
 
@@ -111,15 +111,28 @@ def test_xor_heavy_lambda_collapses_to_leaf():
 
 def test_single_sample_is_created_not_expanded():
     raw = sparsetree.make_raw([[1.0]], [1])
-    bin_data = sparsetree.binarize_with_thresholds(raw, [(0, 5.0)])
-    cfg = SolverConfig(Regularizer.from_text("1/2", 1), depth_limit=3)
-    res = solver.optimize(bin_data, cfg)
-    assert res.counters.created == 1
-    assert res.counters.expanded == 0
-    assert res.leaf_count == 1
-    assert res.loss_count == 0
-    assert res.objective == Fraction(1, 2)
-    assert res.status == "optimal"
+    one = sparsetree.binarize_with_thresholds(raw, [(0, 5.0)])
+    # one sample of six as the root: its duplicate, sample 1, has the other
+    # label, and the reference misses it, so the guess floor is above its leaf
+    raw = sparsetree.make_raw([[1.0], [1.0], [2.0], [3.0], [3.0], [4.0]], [1, 0, 0, 1, 0, 1])
+    six = sparsetree.full_binarize(raw)
+    ref = guessing.reference_from_predictions([0, 0, 0, 1, 1, 1], raw.labels)
+    cases = [
+        (one, {}, None, "optimal"),
+        (six, {}, SupportSet(0b1, 6), "optimal"),
+        (six, {"use_equiv_bound": False}, SupportSet(0b1, 6), "optimal"),
+        (six, {"reference": ref}, SupportSet(0b1, 6), "guess-certified"),
+    ]
+    for bin_data, opts, root, status in cases:
+        reg = Regularizer.from_text("1/2", bin_data.n_samples)
+        res = solver.optimize(bin_data, SolverConfig(reg, depth_limit=3, **opts), root_support=root)
+        assert res.counters.created == 1, opts
+        assert res.counters.expanded == 0, opts
+        assert res.counters.closed_by_guess == 0, opts
+        assert res.tree == trees.Leaf(1), opts
+        assert res.loss_count == 0, opts
+        assert res.objective == Fraction(1, 2), opts
+        assert res.status == status, opts
 
 
 def test_matches_masked_dp_on_random_instances():
@@ -275,14 +288,19 @@ def test_zero_time_budget_reports_partial_leaf():
     assert res.objective == Fraction(min(pos, n - pos), n) + reg.value
 
 
-def test_record_budget_overflow_raises_with_counters():
+def test_record_budget_returns_the_best_tree_so_far():
     bin_data = _xor_binary()
     cfg = SolverConfig(
         Regularizer.from_text("0", 4), depth_limit=2, max_records=1
     )
-    with pytest.raises(SolverMemoryError) as info:
-        solver.optimize(bin_data, cfg)
-    assert info.value.counters.created == 2
+    res = solver.optimize(bin_data, cfg)
+    # the root is expanded once, creating both sides of both columns, and
+    # the search stops before the next expansion; at lambda 0 the leaf ties
+    # its two-leaf splits in units and wins on leaves
+    assert res.status == "record-limit"
+    assert asdict(res.counters) == {"created": 5, "expanded": 1, "closed_by_guess": 0, "cache_hits": 0}
+    assert res.tree == trees.Leaf(0)
+    assert res.objective == Fraction(1, 2)
 
 
 def test_validation_rejections():
@@ -494,8 +512,8 @@ def test_incremental_bounds_match_a_full_rescan():
                 _check_bounds_against_full_rescan(search)
 
         search._expand = expand_and_check
-        root_rec, timed_out = search.run()
-        assert root_rec.solved and not timed_out, name
+        root_rec, stopped_by = search.run()
+        assert root_rec.solved and stopped_by is None, name
         _check_bounds_against_full_rescan(search)
         assert seen["expanded"] >= 300, name
 
@@ -671,8 +689,8 @@ def test_pruned_extraction_matches_a_full_pass(monkeypatch):
     for name, (bin_data, cfg, root) in cases.items():
         bits = bin_data.full_mask if root is None else root.bits
         search = solver._Search(bin_data, cfg, bits)
-        root_rec, timed_out = search.run()
-        assert timed_out == (name == "time_limit"), name
+        root_rec, stopped_by = search.run()
+        assert stopped_by == ("time-limit" if name == "time_limit" else None), name
         memo, full = {}, {}
         assert search.best(root_rec, memo) == _unpruned_best(root_rec, full), name
         # every record the pruned pass reached has the full pass's key and choice
@@ -685,6 +703,52 @@ def test_pruned_extraction_matches_a_full_pass(monkeypatch):
             assert memo.keys() == full.keys(), name
         elif name == "exact":
             assert len(memo) < len(full) // 10, (len(memo), len(full))
+
+
+def test_cut_runs_return_a_valid_incumbent(monkeypatch):
+    # a search stopped by either budget still returns a tree that scores
+    # what the run reports; a record cap the full run never passes changes
+    # nothing
+    cases = _pinned_instances()
+    del cases["root_support"]
+    for name, (bin_data, cfg, _) in cases.items():
+        reg, limit = cfg.regularizer, cfg.depth_limit
+        # a single leaf scores at most 1/2 + lambda, so an unbounded optimum
+        # has at most 1/(2 lambda) + 1 leaves and fits in depth 1/(2 lambda)
+        dp_depth = limit or reg.denom // (2 * reg.numer)
+        optimum = evaluation.brute_force_optimal(
+            bin_data, reg, dp_depth, max_columns=bin_data.n_columns, max_depth=dp_depth
+        ).objective_units
+        full = solver.optimize(bin_data, cfg)
+        created = full.counters.created
+        runs = []
+        for cap in (1, 10, 100, created // 2, created, 2 * created):
+            res = solver.optimize(bin_data, replace(cfg, max_records=cap))
+            if cap >= created:
+                assert (res.status, res.objective_units, asdict(res.counters), repr(res.tree)) == (
+                    full.status, full.objective_units, asdict(full.counters), repr(full.tree)
+                ), (name, cap)
+            else:
+                assert res.status == "record-limit", (name, cap)
+                # one expansion passes the cap by at most two children per column
+                assert cap < res.counters.created <= cap + 2 * bin_data.n_columns, (name, cap)
+            runs.append(res)
+        for seconds in (0, 5, 40, 200):
+            monkeypatch.setattr(solver, "time", _TickClock())
+            res = solver.optimize(bin_data, replace(cfg, time_limit_s=seconds))
+            assert res.status == "time-limit", (name, seconds)
+            runs.append(res)
+        for res in runs:
+            assert trees.objective(res.tree, bin_data, reg) == res.objective, name
+            assert trees.measure(res.tree) == (res.leaf_count, res.depth), name
+            assert trees.misclassified_count(res.tree, bin_data) == res.loss_count, name
+            assert limit is None or res.depth <= limit, name
+            assert res.objective_units == reg.units(res.loss_count, res.leaf_count), name
+            # a cut run is a prefix of the full run, whose tree is at least as good
+            assert optimum <= full.objective_units <= res.objective_units, name
+        assert runs[0].counters.expanded < full.counters.expanded, name
+        if not full.lb_guess_active:
+            assert full.objective_units == optimum, name
 
 
 def _support_rows(raw, bin_data, bits):
