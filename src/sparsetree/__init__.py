@@ -40,7 +40,7 @@ from .solver import (
     optimize,
     run_report,
 )
-from .trees import Leaf, Split, TreeFormatError, measure, objective, predict
+from .trees import Leaf, Split, measure, objective, predict
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "run_report",
     "Leaf",
     "Split",
-    "TreeFormatError",
     "measure",
     "objective",
     "predict",

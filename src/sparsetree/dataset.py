@@ -248,6 +248,8 @@ def read_binary_csv(path) -> BinaryDataset:
             header = next(reader)
         except StopIteration:
             raise DataFormatError("empty file: missing header") from None
+        if not header:
+            raise DataFormatError("empty header line")
         if header[-1].strip() != "label":
             raise DataFormatError("last header cell must be 'label'")
         meta = []
@@ -257,9 +259,12 @@ def read_binary_csv(path) -> BinaryDataset:
                 raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>")
             left, right = text.split("≤", 1)
             try:
-                meta.append((int(left[len("feature"):]), float(right)))
+                idx, thr = int(left[len("feature"):]), float(right)
+                if idx < 0:
+                    raise ValueError("negative feature index")
             except ValueError:
                 raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>") from None
+            meta.append((idx, thr))
         rows, labels = [], []
         for r, rec in enumerate(reader, start=1):
             if len(rec) != len(header):
@@ -295,15 +300,6 @@ class SupportSet:
 
     bits: int
     size: int
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], size: int) -> "SupportSet":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < size:
-                raise ValueError(f"index {i} out of range for size {size}")
-            bits |= 1 << i
-        return cls(bits, size)
 
 
 # ---------------------------------------------------------------- equivalence classes

@@ -246,7 +246,6 @@ class FoldOutcome:
     reduced_columns: Optional[int] = None
     counters: Optional[dict] = None
     counters_no_guess: Optional[dict] = None
-    tree_json: Optional[str] = None
     wall_time_s: float = 0.0
 
     @property
@@ -317,7 +316,6 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig) 
     out.depth = result.depth
     out.status = result.status
     out.reduced_columns = bin_train.n_columns
-    out.tree_json = trees.to_json(result.tree)
     out.wall_time_s = time.monotonic() - t0
     return out
 

@@ -19,10 +19,6 @@ import numpy as np
 from .dataset import BinaryDataset, bits_to_bools
 
 
-class TreeFormatError(ValueError):
-    """Malformed tree JSON."""
-
-
 @dataclass(frozen=True)
 class Leaf:
     prediction: int
@@ -94,43 +90,6 @@ def _to_obj(tree: Node):
 
 def to_json(tree: Node) -> str:
     return json.dumps(_to_obj(tree), indent=2)
-
-
-def _from_obj(obj) -> Node:
-    if not isinstance(obj, dict):
-        raise TreeFormatError(f"node must be an object, got {type(obj).__name__}")
-    if "prediction" in obj:
-        extra = set(obj) - {"prediction"}
-        if extra:
-            raise TreeFormatError(f"unknown leaf fields: {sorted(extra)}")
-        p = obj["prediction"]
-        if p not in (0, 1):
-            raise TreeFormatError(f"leaf prediction must be 0 or 1, got {p!r}")
-        return Leaf(int(p))
-    required = {"feature", "threshold", "relation", "true", "false"}
-    missing = required - set(obj)
-    if missing:
-        raise TreeFormatError(f"split node missing fields: {sorted(missing)}")
-    extra = set(obj) - required
-    if extra:
-        raise TreeFormatError(f"unknown split fields: {sorted(extra)}")
-    if obj["relation"] != "<=":
-        raise TreeFormatError(f"unsupported relation {obj['relation']!r}")
-    if not isinstance(obj["feature"], str):
-        raise TreeFormatError("feature must be a string name")
-    try:
-        thr = float(obj["threshold"])
-    except (TypeError, ValueError):
-        raise TreeFormatError(f"threshold must be numeric, got {obj['threshold']!r}") from None
-    return Split(obj["feature"], thr, _from_obj(obj["true"]), _from_obj(obj["false"]))
-
-
-def from_json(text: str) -> Node:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise TreeFormatError(f"invalid JSON: {e}") from None
-    return _from_obj(obj)
 
 
 def pretty(tree: Node, indent: int = 0) -> str:

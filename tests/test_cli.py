@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sparsetree
-from sparsetree import cli, trees
+from sparsetree import cli
 from sparsetree.evaluation import kfold
 
 
@@ -110,8 +110,18 @@ def test_train_xor_exact(tmp_path, capsys):
     assert captured.out == ""  # machine output is files only
     assert "status optimal" in captured.err
 
-    tree = trees.from_json((tmp_path / "run.tree.json").read_text())
-    assert trees.measure(tree) == (4, 2)
+    tree = json.loads((tmp_path / "run.tree.json").read_text())
+    assert tree == {
+        "feature": "a", "threshold": 0.5, "relation": "<=",
+        "true": {
+            "feature": "b", "threshold": 0.5, "relation": "<=",
+            "true": {"prediction": 0}, "false": {"prediction": 1},
+        },
+        "false": {
+            "feature": "b", "threshold": 0.5, "relation": "<=",
+            "true": {"prediction": 1}, "false": {"prediction": 0},
+        },
+    }
     report = json.loads((tmp_path / "run.report.json").read_text())
     assert report["status"] == "optimal"
     assert report["objective"]["value"] == "0"
@@ -137,7 +147,7 @@ def test_train_record_budget_writes_the_best_tree_so_far(tmp_path, capsys):
     report = json.loads((tmp_path / "run.report.json").read_text())
     assert report["status"] == "record-limit"
     assert report["objective"]["value"] == "1/2"
-    assert trees.from_json((tmp_path / "run.tree.json").read_text()) == trees.Leaf(0)
+    assert json.loads((tmp_path / "run.tree.json").read_text()) == {"prediction": 0}
 
 
 def test_train_rerun_is_byte_identical(tmp_path):
@@ -186,6 +196,13 @@ def test_train_input_errors_exit_1(tmp_path, capsys):
     rc = cli.main(["train", data, "--lambda", "nonsense", "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    for header in ("", "feature0≤0.5,feature-1≤0.5,label"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\n1,0,0\n")
+        rc = cli.main(["train", str(bad), "--pre-binarized", "--lambda", "0", "--depth", "2",
+                       "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert "error: " in capsys.readouterr().err
 
 
 def _forbid_fitting(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 import sparsetree
 from sparsetree.dataset import (
     DataFormatError,
-    SupportSet,
     bits_to_bools,
     bools_to_bits,
     equivalence_classes,
@@ -200,14 +199,24 @@ def test_binary_csv_round_trip(tmp_path):
     assert np.array_equal(back.labels, b.labels)
 
 
-# ---------------------------------------------------------------- support sets
-
-def test_support_set_operations():
-    s = SupportSet.from_indices([0, 2, 5], size=8)
-    assert (s.bits, s.size) == (0b100101, 8)
-    for bad in (8, -1):
-        with pytest.raises(ValueError, match="out of range"):
-            SupportSet.from_indices([0, bad], size=8)
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("\nfeature0≤0.5,label\n1,0\n", "empty header"),
+    ("feature0≤0.5,y\n1,0\n", "last header cell"),
+    ("a≤0.5,label\n1,0\n", "header column 1"),
+    ("feature0≤x,label\n1,0\n", "header column 1"),
+    ("feature0≤0.5,feature-1≤0.5,label\n1,0,0\n", "header column 2"),
+    ("feature0≤0.5,label\n1\n", "row 1 has 1 cells"),
+    ("feature0≤0.5,label\n2,0\n", "non-binary cell at row 1"),
+    ("feature0≤0.5,label\n1,0\n0,2\n", "label outside"),
+    ("feature0≤0.5,label\n", "no samples"),
+], ids=["empty-file", "blank-header", "no-label-cell", "not-a-feature", "bad-threshold",
+        "negative-index", "short-row", "non-binary-cell", "bad-label", "no-rows"])
+def test_read_binary_csv_rejections(tmp_path, text, message):
+    p = tmp_path / "b.csv"
+    p.write_text(text)
+    with pytest.raises(DataFormatError, match=message):
+        read_binary_csv(p)
 
 
 # ---------------------------------------------------------------- equivalence
@@ -304,7 +313,7 @@ def test_minority_total_respects_support():
     eq = equivalence_classes(b)
     assert minority_total(eq, b.full_mask) == 1
     # support holding only one member of the impure group: nothing to pay
-    assert minority_total(eq, SupportSet.from_indices([2, 3], 4).bits) == 0
+    assert minority_total(eq, 0b1100) == 0
 
 
 def _per_group_recount(b, y, bits):

@@ -291,9 +291,6 @@ def test_benchmark_runs_all_folds():
         assert 0.0 <= f.train_accuracy <= 1.0
         assert 0.0 <= f.test_accuracy <= 1.0
         assert f.reduced_columns >= 1
-        # recorded tree agrees with the recorded leaf count
-        leaves, _ = trees.measure(trees.from_json(f.tree_json))
-        assert leaves == f.leaves
 
 
 def test_benchmark_json_deterministic():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sparsetree
-from sparsetree import evaluation, guessing, solver, trees
+from sparsetree import boosting, evaluation, guessing, solver, trees
 from sparsetree.dataset import SupportSet
 from sparsetree.solver import Regularizer, SolverConfig
 
@@ -847,3 +847,113 @@ def test_floor_matches_a_per_group_recount():
             paid += recount > 0
         # the bound is nonzero on some record unless it is switched off
         assert (paid > 0) == cfg.use_equiv_bound, name
+
+
+# ---------------------------------------------------------------- metamorphic relations
+
+def _metamorphic_draws():
+    """Seeded 120-200 row datasets, each with a 1-stage stump reference that
+    leaves the guessed search real work to do."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        raw = random_raw(rng, int(rng.integers(120, 201)), int(rng.integers(3, 5)), levels=1)
+        ref = guessing.reference_labels(boosting.fit(raw, 1, 1, 0.5, seed), raw)
+        yield rng, raw, ref
+
+
+def _solve(bin_data, lam="1/100", depth=3, ref=None):
+    reg = Regularizer.from_text(lam, bin_data.n_samples)
+    return solver.optimize(bin_data, SolverConfig(reg, depth_limit=depth, reference=ref))
+
+
+def _fingerprint(res):
+    return res.status, res.objective_units, asdict(res.counters), repr(res.tree)
+
+
+def _rebuilt(bin_data, **fields):
+    return replace(bin_data, _cache={}, **fields)
+
+
+def test_row_permutation_changes_nothing():
+    searched = 0
+    for rng, raw, ref in _metamorphic_draws():
+        perm = rng.permutation(raw.n_samples)
+        moved = sparsetree.make_raw(raw.features[perm], raw.labels[perm])
+        b, b_moved = sparsetree.full_binarize(raw), sparsetree.full_binarize(moved)
+        assert b_moved.column_meta == b.column_meta
+        assert _fingerprint(_solve(b)) == _fingerprint(_solve(b_moved))
+        ref_moved = guessing.reference_from_predictions(ref.predictions[perm], moved.labels)
+        guessed = _solve(b, ref=ref)
+        assert guessed.status == "guess-certified"
+        assert guessed.counters.closed_by_guess > 0
+        assert _fingerprint(guessed) == _fingerprint(_solve(b_moved, ref=ref_moved))
+        searched += guessed.counters.expanded > 1
+    assert searched >= 4
+
+
+def test_duplicate_and_complement_columns_change_nothing():
+    for rng, raw, ref in _metamorphic_draws():
+        b = sparsetree.full_binarize(raw)
+        c1, c2 = (int(c) for c in rng.choice(b.n_columns, 2, replace=False))
+        k = len(b.feature_names)
+        wide = _rebuilt(
+            b,
+            columns=b.columns + (b.columns[c1], b.full_mask ^ b.columns[c2]),
+            column_meta=b.column_meta + ((k, 0.0), (k + 1, 0.0)),
+            feature_names=b.feature_names + ("copy", "complement"),
+        )
+        for r in (None, ref):
+            assert _fingerprint(_solve(b, ref=r)) == _fingerprint(_solve(wide, ref=r))
+
+
+def test_column_permutation_keeps_the_exact_objective():
+    # exact runs only: a guessed run's objective depends on which subproblems
+    # the guess closes first, and column order changes that
+    for rng, raw, _ in _metamorphic_draws():
+        b = sparsetree.full_binarize(raw)
+        order = rng.permutation(b.n_columns)
+        shuffled = _rebuilt(
+            b,
+            columns=tuple(b.columns[c] for c in order),
+            column_meta=tuple(b.column_meta[c] for c in order),
+        )
+        assert _solve(b).objective_units == _solve(shuffled).objective_units
+
+
+def test_flipping_every_label_keeps_the_objective():
+    for _, raw, _ in _metamorphic_draws():
+        b = sparsetree.full_binarize(raw)
+        flipped = _rebuilt(b, labels=(1 - b.labels).astype(np.int8), pos_mask=b.full_mask ^ b.pos_mask)
+        for lam in ("0", "1/100", "1/20"):
+            assert _solve(b, lam).objective_units == _solve(flipped, lam).objective_units, lam
+
+
+# ---------------------------------------------------------------- monotonicity
+
+_LAMBDAS = ("0", "1/200", "1/50", "1/20", "1/8", "1/2")
+_DEPTHS = (1, 2, 3, 4, None)
+
+
+def _small_draws():
+    """Seeded 30-64 row datasets, small enough for unbounded solves."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        yield sparsetree.full_binarize(random_raw(rng, int(rng.integers(30, 65)), 3, levels=1))
+
+
+def test_leaf_count_never_rises_with_lambda():
+    # optimal trees with k1 leaves at lambda1 and k2 at lambda2 satisfy, by
+    # exchange, (lambda2 - lambda1) * (k2 - k1) <= 0
+    for b in _small_draws():
+        for depth in _DEPTHS:
+            runs = [_solve(b, lam, depth) for lam in _LAMBDAS]
+            assert {r.status for r in runs} == {"optimal"}
+            leaves = [r.leaf_count for r in runs]
+            assert leaves == sorted(leaves, reverse=True), depth
+
+
+def test_objective_never_rises_with_depth():
+    for b in _small_draws():
+        for lam in _LAMBDAS:
+            units = [_solve(b, lam, depth).objective_units for depth in _DEPTHS]
+            assert units == sorted(units, reverse=True), lam
