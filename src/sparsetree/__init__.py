@@ -5,7 +5,6 @@ from .dataset import (
     BinaryDataset,
     DataFormatError,
     RawDataset,
-    SupportSet,
     binarize_with_thresholds,
     equivalence_classes,
     full_binarize,
@@ -52,7 +51,6 @@ __all__ = [
     "BinaryDataset",
     "DataFormatError",
     "RawDataset",
-    "SupportSet",
     "binarize_with_thresholds",
     "equivalence_classes",
     "full_binarize",

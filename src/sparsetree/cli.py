@@ -83,7 +83,6 @@ def cmd_train(args) -> int:
     cfg = SolverConfig(
         regularizer=Regularizer.from_text(args.lam, data.n_samples),
         depth_limit=args.depth,
-        use_equiv_bound=not args.no_equiv_bound,
         time_limit_s=args.time_limit_s,
         max_records=args.max_records,
     )
@@ -213,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lb-guess", action="store_true",
                    help="use reference mistakes as subproblem lower-bound guesses")
     _add_reference_args(p)
-    p.add_argument("--no-equiv-bound", action="store_true",
-                   help="disable the equivalence-points lower bound")
     p.add_argument("--time-limit-s", type=float, default=None)
     p.add_argument("--max-records", type=int, default=None,
                    help="stop once more than this many subproblem records exist; "

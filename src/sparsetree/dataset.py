@@ -229,7 +229,7 @@ def binarize_with_thresholds(raw: RawDataset, thresholds: Iterable[tuple[int, fl
 def write_binary_csv(bin_data: BinaryDataset, path) -> None:
     """CSV of 0/1 columns, header feature<idx><=<threshold>, label last."""
     rows = bin_data.rows_matrix()
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([bin_data.column_header(c) for c in range(bin_data.n_columns)] + ["label"])
         for i in range(bin_data.n_samples):
@@ -239,7 +239,7 @@ def write_binary_csv(bin_data: BinaryDataset, path) -> None:
 def read_binary_csv(path) -> BinaryDataset:
     """Inverse of write_binary_csv; headers must follow the feature<idx><=<t> convention."""
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", newline="", encoding="utf-8")
     except OSError as e:
         raise DataFormatError(f"cannot open {path}: {e}") from e
     with fh:
@@ -290,16 +290,6 @@ def read_binary_csv(path) -> BinaryDataset:
         feature_names=names,
         pos_mask=bools_to_bits(y == 1),
     )
-
-
-# ---------------------------------------------------------------- support sets
-
-@dataclass(frozen=True)
-class SupportSet:
-    """Subset of sample indices as a bitmask over a dataset of fixed size."""
-
-    bits: int
-    size: int
 
 
 # ---------------------------------------------------------------- equivalence classes

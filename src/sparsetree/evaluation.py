@@ -343,24 +343,10 @@ def run_benchmark(raw: RawDataset, cfg: BenchmarkConfig) -> BenchmarkReport:
 def report_to_json(report: BenchmarkReport, include_timing: bool = False) -> str:
     import json
 
-    folds = []
-    for f in report.folds:
-        entry = {
-            "fold": f.fold,
-            "error": f.error,
-            "train_accuracy": f.train_accuracy,
-            "test_accuracy": f.test_accuracy,
-            "objective": f.objective,
-            "leaves": f.leaves,
-            "depth": f.depth,
-            "status": f.status,
-            "reduced_columns": f.reduced_columns,
-            "counters": f.counters,
-            "counters_no_guess": f.counters_no_guess,
-        }
-        if include_timing:
-            entry["wall_time_s"] = f.wall_time_s
-        folds.append(entry)
+    folds = [asdict(f) for f in report.folds]
+    if not include_timing:
+        for entry in folds:
+            del entry["wall_time_s"]
     return json.dumps(
         {"config": asdict(report.config), "folds": folds, "summary": report.summary()},
         indent=2,

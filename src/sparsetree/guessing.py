@@ -85,7 +85,6 @@ def min_depth_for_ensemble(n_estimators: int, vc_weak: int) -> tuple[int, float]
 class EliminationTrace:
     initial_correct: int
     stopping_bar: int
-    refit_space: str
     steps: tuple[tuple[tuple[int, float], int], ...]
     thresholds: ThresholdSet
     ensemble: BoostedEnsemble
@@ -158,8 +157,8 @@ def column_eliminate(
     if not 0.0 <= drop_tolerance <= 1.0:
         raise ValueError("drop_tolerance must be in [0, 1]")
     ens0 = boosting.fit(raw, n_estimators, max_depth, learning_rate, seed)
-    if ens0.degenerate:
-        raise DegenerateModelError("reference model predicts a single class")
+    # an ensemble with no trees, or whose trees are all leaves, gives every
+    # row the same margin, so this also covers an empty threshold set
     preds0 = boosting.predict_class(ens0, raw.features)
     if preds0.min() == preds0.max():
         raise DegenerateModelError("reference model predicts a single class")
@@ -167,8 +166,6 @@ def column_eliminate(
     tau = Fraction(str(drop_tolerance))
     bar = initial_correct - math.floor(tau * initial_correct)
     ts0 = boosting.extract_thresholds(ens0)
-    if len(ts0) == 0:
-        raise DegenerateModelError("reference model produced no thresholds")
 
     survivors = ts0.pairs()
     ranking = {(f, t): v for f, t, v in ts0.entries}
@@ -209,7 +206,6 @@ def column_eliminate(
     return EliminationTrace(
         initial_correct=initial_correct,
         stopping_bar=bar,
-        refit_space="indicator-columns",
         steps=tuple(steps),
         thresholds=ThresholdSet(tuple(entries)),
         ensemble=accepted,
@@ -221,7 +217,6 @@ def trace_to_json(trace: EliminationTrace) -> str:
     obj = {
         "initial_correct": trace.initial_correct,
         "stopping_bar": trace.stopping_bar,
-        "refit_space": trace.refit_space,
         "fallback_translated": trace.fallback_translated,
         "steps": [
             {"feature": f, "threshold": t, "refit_correct": c} for (f, t), c in trace.steps

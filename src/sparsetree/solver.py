@@ -77,7 +77,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dataset import BinaryDataset, SupportSet, equivalence_classes, minority_bits
+from .dataset import BinaryDataset, equivalence_classes, minority_bits
 # Not called here: bench/tracing.py rebinds solver.minority_total to trace it,
 # and tests/test_bench_hooks.py checks the name is still bound.
 from .dataset import minority_total  # noqa: F401
@@ -150,8 +150,6 @@ class SolverConfig:
         leaf penalty, and the result is "guess-certified" rather than
         "optimal".  None solves exactly, and so does a reference that
         predicts a single class (it is refused).
-    use_equiv_bound: raise every subproblem's floor by the equivalence-points
-        bound; results are the same either way, only the search size moves.
     time_limit_s: wall-clock seconds for the search loop; None is no limit.
         Once spent, the search stops and returns the best tree found so far
         with status "time-limit".
@@ -165,7 +163,6 @@ class SolverConfig:
     regularizer: Regularizer
     depth_limit: Optional[int] = None
     reference: Optional[ReferenceLabels] = None
-    use_equiv_bound: bool = True
     time_limit_s: Optional[float] = None
     max_records: Optional[int] = None
 
@@ -180,8 +177,6 @@ class SolverConfig:
             and math.isfinite(self.time_limit_s) and self.time_limit_s >= 0
         ):
             raise ValueError("time_limit_s must be a finite number >= 0 when set")
-        if not isinstance(self.use_equiv_bound, bool):
-            raise ValueError("use_equiv_bound must be True or False")
 
 
 @dataclass
@@ -262,9 +257,7 @@ class _Search:
         self.guessing = self.inc_bits is not None
 
         # rarer-label members of each equivalence class inside the root; see _create
-        self.minority = (
-            minority_bits(equivalence_classes(bin_data), root_bits) if cfg.use_equiv_bound else 0
-        )
+        self.minority = minority_bits(equivalence_classes(bin_data), root_bits)
 
         # (index, bits, agreement mask) of each column, dropping duplicates
         # (same or complementary partition); earlier indices win every tie
@@ -598,10 +591,7 @@ class _Search:
                 return root, "time-limit"
             if max_records is not None and self.counters.created > max_records:
                 return root, "record-limit"
-            rec = heapq.heappop(self.heap)[2]
-            if rec.solved:
-                continue
-            self._expand(rec)
+            self._expand(heapq.heappop(self.heap)[2])
         return root, None
 
     # ---------------- extraction
@@ -648,22 +638,21 @@ class _Search:
                      self.build(bl, cl, memo), self.build(bits ^ bl, cr, memo))
 
 
-def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[SupportSet] = None) -> SolveResult:
-    """Minimize loss/n + penalty*leaves over trees on the dataset's columns."""
+def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[int] = None) -> SolveResult:
+    """Minimize loss/n + penalty*leaves over trees on the dataset's columns.
+
+    root_support is a sample bitmask (bit i set keeps sample i) that restricts
+    the loss to those samples; the leaf penalty still counts all n.  None
+    keeps every sample."""
     if bin_data.n_columns < 1:
         raise ValueError("dataset has no binary columns")
     if cfg.regularizer.n_samples != bin_data.n_samples:
         raise ValueError("regularizer sample count does not match dataset")
     if cfg.reference is not None and len(cfg.reference.predictions) != bin_data.n_samples:
         raise ValueError("reference prediction count does not match dataset")
-    if root_support is None:
-        root_bits = bin_data.full_mask
-    else:
-        if root_support.size != bin_data.n_samples:
-            raise ValueError("root support size does not match dataset")
-        root_bits = root_support.bits
-        if root_bits < 0 or root_bits > bin_data.full_mask:
-            raise ValueError("root support holds samples outside the dataset")
+    root_bits = bin_data.full_mask if root_support is None else root_support
+    if root_bits < 0 or root_bits > bin_data.full_mask:
+        raise ValueError("root support holds samples outside the dataset")
     if root_bits == 0:
         raise ValueError("empty root support")
     search = _Search(bin_data, cfg, root_bits)

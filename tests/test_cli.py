@@ -13,6 +13,14 @@ from sparsetree import cli
 from sparsetree.evaluation import kfold
 
 
+def _child_env(**extra):
+    """Environment for a CLI subprocess that imports the package under test,
+    installed or not."""
+    src = str(Path(sparsetree.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def _write_xor(path):
     path.write_text("a,b,label\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
     return str(path)
@@ -177,6 +185,46 @@ def test_train_pre_binarized_with_lb_guess(tmp_path):
     assert report["lb_guess"]["active"] or report["lb_guess"]["refused_single_class"]
 
 
+def test_train_raw_lb_guess_and_timing(tmp_path):
+    # a reference fit on the raw features, without threshold guessing; wall
+    # time enters the report only with --timing
+    data = _write_synthetic(tmp_path / "raw.csv")
+    args = [
+        "train", data, "--lb-guess", "--n-est", "5", "--max-depth", "2", "--lr", "0.3",
+        "--lambda", "1/100", "--depth", "2",
+    ]
+    assert cli.main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert cli.main(args + ["--timing", "--out", str(tmp_path / "timed")]) == 0
+    plain = json.loads((tmp_path / "plain.report.json").read_text())
+    timed = json.loads((tmp_path / "timed.report.json").read_text())
+    assert plain["status"] == "guess-certified"
+    assert plain["lb_guess"] == {"active": True, "refused_single_class": False}
+    assert "wall_time_s" not in plain
+    assert timed.pop("wall_time_s") >= 0.0
+    assert timed == plain
+    assert (tmp_path / "plain.tree.json").read_bytes() == (tmp_path / "timed.tree.json").read_bytes()
+
+
+def test_binary_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    # binarized headers hold "≤": writing and reading them must not depend
+    # on the locale's encoding
+    data = _write_synthetic(tmp_path / "raw.csv")
+    bin_path = tmp_path / "bin.csv"
+    env = _child_env(LC_ALL="POSIX", PYTHONUTF8="0")
+    cmd = [sys.executable, "-m", "sparsetree.cli"]
+    runs = [
+        ["binarize", data, "--out", str(bin_path)],
+        ["train", str(bin_path), "--pre-binarized", "--lambda", "1/100", "--depth", "2",
+         "--out", str(tmp_path / "run")],
+    ]
+    for argv in runs:
+        proc = subprocess.run(cmd + argv, capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    assert "≤" in bin_path.read_text(encoding="utf-8").splitlines()[0]
+    report = (tmp_path / "run.report.json").read_text()
+    assert '"status": "optimal"' in report
+
+
 def test_train_flag_conflict_exits_2(tmp_path, capsys):
     data = _write_xor(tmp_path / "xor.csv")
     rc = cli.main([
@@ -295,17 +343,18 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main([])
     assert info.value.code == 2
+    # the equivalence-points bound is always on; there is no flag to drop it
+    with pytest.raises(SystemExit) as info:
+        cli.main(["train", "x.csv", "--lambda", "0", "--no-equiv-bound", "--out", "o"])
+    assert info.value.code == 2
 
 
 def test_console_script_smoke(tmp_path):
     exe = shutil.which("sparsetree")
     cmd = [exe] if exe else [sys.executable, "-m", "sparsetree.cli"]
-    # the child imports the package under test, installed or not
-    src = str(Path(sparsetree.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         cmd + ["depth-bound", "--n-estimators", "10", "--weak-vc", "8"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["suggested_depth"] == 11

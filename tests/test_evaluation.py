@@ -305,6 +305,31 @@ def test_benchmark_json_deterministic():
     assert "wall_time_s" in json.loads(timed)["folds"][0]
 
 
+def test_benchmark_json_fold_keys_are_pinned():
+    # every fold entry, failed or not, lists the same keys in this order;
+    # wall time is the last key and only with timing
+    keys = [
+        "fold", "error", "train_accuracy", "test_accuracy", "objective", "leaves",
+        "depth", "status", "reduced_columns", "counters", "counters_no_guess",
+    ]
+    report = evaluation.BenchmarkReport(config=_bench_cfg(), folds=[
+        evaluation.FoldOutcome(
+            fold=0, train_accuracy=0.75, test_accuracy=0.5, objective="1/4", leaves=3,
+            depth=2, status="optimal", reduced_columns=4,
+            counters={"created": 5, "expanded": 2, "closed_by_guess": 0, "cache_hits": 1},
+            counters_no_guess={"created": 6, "expanded": 3, "closed_by_guess": 0, "cache_hits": 1},
+            wall_time_s=0.25,
+        ),
+        evaluation.FoldOutcome(fold=1, error="DegenerateModelError: single class"),
+    ])
+    plain = json.loads(evaluation.report_to_json(report))["folds"]
+    timed = json.loads(evaluation.report_to_json(report, include_timing=True))["folds"]
+    assert [list(f) for f in plain] == [keys, keys]
+    assert [list(f) for f in timed] == [keys + ["wall_time_s"]] * 2
+    assert plain[0]["counters"]["expanded"] == 2 and plain[1]["error"].startswith("Degenerate")
+    assert [f["wall_time_s"] for f in timed] == [0.25, 0.0]
+
+
 def test_benchmark_isolates_failed_folds():
     # two positives: under some seed both land in one test fold, whose
     # training half is then single-class and must fail alone

@@ -238,7 +238,6 @@ def test_trace_json_shape_and_determinism():
     obj = json.loads(text)
     assert obj["initial_correct"] == tr.initial_correct
     assert obj["stopping_bar"] == tr.stopping_bar
-    assert obj["refit_space"] == "indicator-columns"
     assert [s["refit_correct"] for s in obj["steps"]] == [c for _, c in tr.steps]
     assert [(t["feature"], t["threshold"]) for t in obj["thresholds"]] == tr.thresholds.pairs()
     assert "ensemble" in obj

@@ -6,7 +6,6 @@ import pytest
 
 import sparsetree
 from sparsetree import boosting, evaluation, guessing, solver, trees
-from sparsetree.dataset import SupportSet
 from sparsetree.solver import Regularizer, SolverConfig
 
 from conftest import class_groups, masked_min_units, random_binary, random_raw
@@ -63,7 +62,7 @@ def _solve_first_four(labels4):
     bin_data = _hundred_sample_bin(labels4)
     reg = Regularizer.from_text("0.01", 100)
     cfg = SolverConfig(reg, depth_limit=1)
-    return reg, solver.optimize(bin_data, cfg, root_support=SupportSet(0b1111, 100))
+    return reg, solver.optimize(bin_data, cfg, root_support=0b1111)
 
 
 def test_majority_leaf_on_a_root_support():
@@ -119,9 +118,8 @@ def test_single_sample_is_created_not_expanded():
     ref = guessing.reference_from_predictions([0, 0, 0, 1, 1, 1], raw.labels)
     cases = [
         (one, {}, None, "optimal"),
-        (six, {}, SupportSet(0b1, 6), "optimal"),
-        (six, {"use_equiv_bound": False}, SupportSet(0b1, 6), "optimal"),
-        (six, {"reference": ref}, SupportSet(0b1, 6), "guess-certified"),
+        (six, {}, 0b1, "optimal"),
+        (six, {"reference": ref}, 0b1, "guess-certified"),
     ]
     for bin_data, opts, root, status in cases:
         reg = Regularizer.from_text("1/2", bin_data.n_samples)
@@ -159,9 +157,7 @@ def test_root_support_restricts_loss_not_penalty():
     if odd == 0:
         pytest.skip("degenerate draw")
     reg = Regularizer.from_text("1/32", n)
-    res = solver.optimize(
-        bin_data, SolverConfig(reg, depth_limit=2), root_support=SupportSet(odd, n)
-    )
+    res = solver.optimize(bin_data, SolverConfig(reg, depth_limit=2), root_support=odd)
     assert res.objective_units == masked_min_units(bin_data, 2, reg, odd)
 
 
@@ -192,10 +188,7 @@ def test_cache_holds_subproblem_optima():
             continue
         if bits.bit_count() <= 1:
             continue
-        fresh = solver.optimize(
-            bin_data, SolverConfig(reg, depth_limit=depth),
-            root_support=SupportSet(bits, n),
-        )
+        fresh = solver.optimize(bin_data, SolverConfig(reg, depth_limit=depth), root_support=bits)
         assert fresh.objective_units == rec.upper
         checked += 1
         if checked >= 12:
@@ -313,13 +306,11 @@ def test_validation_rejections():
     with pytest.raises(ValueError, match="does not match"):
         solver.optimize(bin_data, SolverConfig(Regularizer.from_text("0.1", 3)))
     with pytest.raises(ValueError, match="empty root support"):
-        solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(0, 2))
-    with pytest.raises(ValueError, match="size"):
-        solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(1, 3))
+        solver.optimize(bin_data, SolverConfig(reg2), root_support=0)
     # bits past the last sample, and a negative int, whose bits never end
     for bits in (0b11 | 0b11111 << 10, -1):
         with pytest.raises(ValueError, match="outside the dataset"):
-            solver.optimize(bin_data, SolverConfig(reg2), root_support=SupportSet(bits, 2))
+            solver.optimize(bin_data, SolverConfig(reg2), root_support=bits)
     # a reference scored on another dataset: 4 predictions for 2 samples
     other = guessing.reference_from_predictions([0, 1, 1, 0], [0, 1, 0, 0])
     with pytest.raises(ValueError, match="reference prediction count"):
@@ -338,13 +329,9 @@ def test_validation_rejections():
     for seconds in (-1.0, float("nan"), float("inf"), float("-inf"), True, "5"):
         with pytest.raises(ValueError, match="time_limit_s"):
             SolverConfig(reg2, time_limit_s=seconds)
-    # anything but a bool used to be taken for its truth value: "no" turned the bound on
-    for flag in ("no", 1, None):
-        with pytest.raises(ValueError, match="use_equiv_bound"):
-            SolverConfig(reg2, use_equiv_bound=flag)
     # the unset defaults and the edges stay allowed
     SolverConfig(reg2, max_records=None, time_limit_s=None)
-    SolverConfig(reg2, max_records=1, time_limit_s=0.0, use_equiv_bound=False)
+    SolverConfig(reg2, max_records=1, time_limit_s=0.0)
     SolverConfig(reg2, time_limit_s=2)
 
 
@@ -354,10 +341,7 @@ def test_equiv_bound_is_an_optimization_only():
         bin_data = random_binary(rng, max_n=20, max_cols=5)
         reg = Regularizer.from_text("1/32", bin_data.n_samples)
         on = solver.optimize(bin_data, SolverConfig(reg, depth_limit=3))
-        off = solver.optimize(
-            bin_data, SolverConfig(reg, depth_limit=3, use_equiv_bound=False)
-        )
-        assert on.objective_units == off.objective_units
+        assert on.objective_units == evaluation.brute_force_optimal(bin_data, reg, 3).objective_units
 
 
 def test_reruns_are_identical():
@@ -399,7 +383,7 @@ def _pinned_instances():
     coarse = sparsetree.full_binarize(random_raw(np.random.default_rng(37), 150, 4, levels=1))
     ref = _noisy_reference(coarse, np.random.default_rng(38))
     small = sparsetree.full_binarize(random_raw(np.random.default_rng(12), 60, 3, levels=1))
-    odd = SupportSet(sum(1 << i for i in range(1, dense.n_samples, 2)), dense.n_samples)
+    odd = sum(1 << i for i in range(1, dense.n_samples, 2))
     return {
         "exact": (dense, SolverConfig(reg, depth_limit=3), None),
         "guessed": (
@@ -500,7 +484,7 @@ def _check_bounds_against_full_rescan(search):
 
 def test_incremental_bounds_match_a_full_rescan():
     for name, (bin_data, cfg, root) in _pinned_instances().items():
-        bits = bin_data.full_mask if root is None else root.bits
+        bits = bin_data.full_mask if root is None else root
         search = solver._Search(bin_data, cfg, bits)
         expand = search._expand
         seen = {"expanded": 0}
@@ -551,22 +535,10 @@ def test_terminal_expansion_matches_a_column_scan():
         cases[name] = (
             data, SolverConfig(Regularizer.from_text("1/2", data.n_samples), depth_limit=1), None
         )
-    # each depth-1 support is one cell of two 0/1 features, ten identical
-    # rows with mixed labels, so every column it inherits is constant on it;
-    # without the equivalence-points bound those cells are expanded
-    cells = sparsetree.full_binarize(sparsetree.make_raw(
-        [[a, b] for a in (0.0, 1.0) for b in (0.0, 1.0) for _ in range(10)],
-        [int(i % 10 < 3 + 2 * (i // 10)) for i in range(40)],
-    ))
-    cases["identical_rows"] = (
-        cells,
-        SolverConfig(Regularizer.from_text("1/100", 40), depth_limit=3, use_equiv_bound=False),
-        None,
-    )
     for name, (bin_data, cfg, root) in cases.items():
         reg = cfg.regularizer
         pen = reg.leaf_penalty_units
-        bits = bin_data.full_mask if root is None else root.bits
+        bits = bin_data.full_mask if root is None else root
         search = solver._Search(bin_data, cfg, bits)
         # how each terminal record is solved: closed by the floor without a
         # scan, from the outcome its sibling derived, or by its own scan
@@ -607,8 +579,6 @@ def test_terminal_expansion_matches_a_column_scan():
             assert 2 * reg.leaf_penalty_units >= search.recs[(bits, 1)].leaf_units
             # the floor alone rules out every split of that record
             assert counts["floor"] == 1, name
-        elif name == "identical_rows":
-            assert (kept, empty) == (0, 4), name
         else:
             assert kept >= 20, (name, kept)
         if name == "exact":
@@ -620,7 +590,7 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
     # list must still hold every column that splits its own support, in
     # column order, each with the samples whose label equals its bit
     for name, (bin_data, cfg, root) in _pinned_instances().items():
-        bits = bin_data.full_mask if root is None else root.bits
+        bits = bin_data.full_mask if root is None else root
         search = solver._Search(bin_data, cfg, bits)
         search.run()
         full, pos_bits = bin_data.full_mask, bin_data.pos_mask
@@ -687,7 +657,7 @@ def test_pruned_extraction_matches_a_full_pass(monkeypatch):
         )
     monkeypatch.setattr(solver, "time", _TickClock())
     for name, (bin_data, cfg, root) in cases.items():
-        bits = bin_data.full_mask if root is None else root.bits
+        bits = bin_data.full_mask if root is None else root
         search = solver._Search(bin_data, cfg, bits)
         root_rec, stopped_by = search.run()
         assert stopped_by == ("time-limit" if name == "time_limit" else None), name
@@ -793,7 +763,7 @@ def test_matches_the_exhaustive_dp_at_mid_scale():
     sub = _support_rows(wide_raw, wide, odd)
     reg = Regularizer.from_text("1/1000", n)
     sub_reg = Regularizer.from_text(str(reg.value * n / sub.n_samples), sub.n_samples)
-    res = solver.optimize(wide, SolverConfig(reg, depth_limit=3), root_support=SupportSet(odd, n))
+    res = solver.optimize(wide, SolverConfig(reg, depth_limit=3), root_support=odd)
     bf = evaluation.brute_force_optimal(sub, sub_reg, 3, max_columns=60)
     assert res.objective_units * sub_reg.denom == bf.objective_units * reg.denom
     assert (res.loss_count, res.leaf_count) == (bf.loss_count, bf.leaf_count)
@@ -801,9 +771,8 @@ def test_matches_the_exhaustive_dp_at_mid_scale():
 
 
 def _floor_instances():
-    """The pinned exact, guessed and unbounded solves, a root support that
-    halves every equivalence class, and a solve without the
-    equivalence-points bound."""
+    """The pinned exact, guessed and unbounded solves and a root support that
+    halves every equivalence class."""
     cases = _pinned_instances()
     del cases["root_support"]  # its support happens to hold no impure class
     coarse, guessed_cfg, _ = cases["guessed"]
@@ -812,18 +781,13 @@ def _floor_instances():
     for group in class_groups(coarse):
         for i in group[::2]:
             halves |= 1 << i
-    cases["halved_classes"] = (
-        coarse, SolverConfig(reg, depth_limit=3), SupportSet(halves, coarse.n_samples)
-    )
-    cases["no_equiv_bound"] = (
-        coarse, SolverConfig(reg, depth_limit=3, use_equiv_bound=False), None
-    )
+    cases["halved_classes"] = (coarse, SolverConfig(reg, depth_limit=3), halves)
     return cases
 
 
 def test_floor_matches_a_per_group_recount():
     for name, (bin_data, cfg, root) in _floor_instances().items():
-        bits = bin_data.full_mask if root is None else root.bits
+        bits = bin_data.full_mask if root is None else root
         search = solver._Search(bin_data, cfg, bits)
         root_rec, _ = search.run()
         assert root_rec.solved, name
@@ -838,15 +802,14 @@ def test_floor_matches_a_per_group_recount():
             else:
                 assert rec.guess_floor == pen + q * (rec.bits & ref.incorrect_bits).bit_count(), name
             recount = 0
-            if cfg.use_equiv_bound:
-                for group in groups:
-                    inside = [i for i in group if rec.bits >> i & 1]
-                    pos = sum(int(labels[i]) for i in inside)
-                    recount += min(pos, len(inside) - pos)
+            for group in groups:
+                inside = [i for i in group if rec.bits >> i & 1]
+                pos = sum(int(labels[i]) for i in inside)
+                recount += min(pos, len(inside) - pos)
             assert rec.true_floor == pen + q * recount, name
             paid += recount > 0
-        # the bound is nonzero on some record unless it is switched off
-        assert (paid > 0) == cfg.use_equiv_bound, name
+        # the bound is nonzero on some record
+        assert paid > 0, name
 
 
 # ---------------------------------------------------------------- metamorphic relations
