@@ -68,7 +68,6 @@ class BoostedEnsemble:
     n_estimators: int
     max_depth: int
     seed: int
-    degenerate: bool
     feature_names: tuple[str, ...]
     trees: list[RegressionNode]
 
@@ -207,7 +206,6 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
             n_estimators=n_estimators,
             max_depth=max_depth,
             seed=seed,
-            degenerate=True,
             feature_names=raw.feature_names,
             trees=[],
         )
@@ -238,7 +236,6 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
         n_estimators=n_estimators,
         max_depth=max_depth,
         seed=seed,
-        degenerate=False,
         feature_names=raw.feature_names,
         trees=trees,
     )
@@ -329,7 +326,6 @@ def to_json(ens: BoostedEnsemble) -> str:
         "n_estimators": ens.n_estimators,
         "max_depth": ens.max_depth,
         "seed": ens.seed,
-        "degenerate": ens.degenerate,
         "feature_names": list(ens.feature_names),
         "trees": [_node_obj(t) for t in ens.trees],
     }

@@ -75,9 +75,6 @@ def cmd_guess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.pre_binarized and args.guess_thresholds:
-        _log("--guess-thresholds needs a raw CSV, not --pre-binarized")
-        return 2
     data = read_binary_csv(args.data) if args.pre_binarized else load_csv(args.data)
     # check the solver options before any fitting; the reference joins later
     cfg = SolverConfig(
@@ -205,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-leaf penalty, decimal or rational text (exact)")
     p.add_argument("--depth", type=_depth_arg, default=None,
                    help="depth limit, integer or 'none' (default none)")
-    p.add_argument("--pre-binarized", action="store_true",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--pre-binarized", action="store_true",
                    help="input is an indicator-column CSV from `binarize`/`guess`")
-    p.add_argument("--guess-thresholds", action="store_true",
+    g.add_argument("--guess-thresholds", action="store_true",
                    help="eliminate low-importance thresholds before solving")
     p.add_argument("--lb-guess", action="store_true",
                    help="use reference mistakes as subproblem lower-bound guesses")

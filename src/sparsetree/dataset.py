@@ -137,6 +137,10 @@ def load_csv(path) -> RawDataset:
 
 # ---------------------------------------------------------------- binarization
 
+def indicator_header(feature: int, threshold: float) -> str:
+    return f"feature{feature}≤{threshold!r}"
+
+
 @dataclass(frozen=True)
 class BinaryDataset:
     """Indicator columns as sample bitmasks; bit i of columns[c] is sample i.
@@ -162,8 +166,7 @@ class BinaryDataset:
         return (1 << self.n_samples) - 1
 
     def column_header(self, c: int) -> str:
-        f, t = self.column_meta[c]
-        return f"feature{f}≤{t!r}"
+        return indicator_header(*self.column_meta[c])
 
     def rows_matrix(self) -> np.ndarray:
         """(n, m_tilde) uint8 matrix of the indicator columns."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -193,8 +193,6 @@ def depth_gap_bound(opt_tree: Node, guessed_depth: int, bin_data: BinaryDataset,
 
 @dataclass(frozen=True)
 class FoldPlan:
-    k: int
-    seed: int
     test_indices: tuple[tuple[int, ...], ...]
 
     def train_indices(self, fold: int) -> tuple[int, ...]:
@@ -213,7 +211,7 @@ def kfold(raw: RawDataset, k: int, seed: int) -> FoldPlan:
     order = list(range(n))
     random.Random(seed).shuffle(order)
     folds = [sorted(order[f::k]) for f in range(k)]
-    return FoldPlan(k=k, seed=seed, test_indices=tuple(tuple(f) for f in folds))
+    return FoldPlan(tuple(tuple(f) for f in folds))
 
 
 # ---------------------------------------------------------------- benchmark
@@ -279,7 +277,8 @@ class BenchmarkReport:
         }
 
 
-def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig) -> FoldOutcome:
+def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig,
+              solver_cfg: SolverConfig) -> FoldOutcome:
     out = FoldOutcome(fold=fold)
     t0 = time.monotonic()
     train = raw.subset(plan.train_indices(fold))
@@ -290,27 +289,20 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig) 
     )
     pairs = trace.thresholds.pairs()
     bin_train = binarize_with_thresholds(train, pairs)
-    reg = Regularizer.from_text(cfg.regularization, train.n_samples)
     ref = guessing.reference_labels(trace.ensemble, bin_train) if cfg.use_lb_guess else None
-    result = optimize(bin_train, SolverConfig(
-        regularizer=reg,
-        depth_limit=cfg.depth_limit,
-        reference=ref,
-        time_limit_s=cfg.time_limit_s,
-    ))
+    fold_cfg = replace(solver_cfg, reference=ref,
+                       regularizer=Regularizer.from_text(cfg.regularization, train.n_samples))
+    result = optimize(bin_train, fold_cfg)
     out.counters = asdict(result.counters)
     if cfg.compare_no_guess:
-        plain = optimize(bin_train, SolverConfig(
-            regularizer=reg,
-            depth_limit=cfg.depth_limit,
-            reference=None,
-            time_limit_s=cfg.time_limit_s,
-        ))
+        plain = result  # without an active guess, the solve just made is plain
+        if result.lb_guess_active:
+            plain = optimize(bin_train, replace(fold_cfg, reference=None))
         out.counters_no_guess = asdict(plain.counters)
     out.train_accuracy = 1.0 - result.loss_count / train.n_samples
     bin_test = binarize_with_thresholds(test, pairs)
-    test_pred = trees.predict(result.tree, bin_test)
-    out.test_accuracy = float((test_pred == test.labels).mean())
+    n_test = test.n_samples
+    out.test_accuracy = (n_test - trees.misclassified_count(result.tree, bin_test)) / n_test
     out.objective = str(result.objective)
     out.leaves = result.leaf_count
     out.depth = result.depth
@@ -325,7 +317,7 @@ def run_benchmark(raw: RawDataset, cfg: BenchmarkConfig) -> BenchmarkReport:
     plain solves, train/test scoring.  A fold failure is recorded on its
     entry and does not stop the run; invalid solver options raise
     ValueError before any fold fits."""
-    SolverConfig(
+    solver_cfg = SolverConfig(
         regularizer=Regularizer.from_text(cfg.regularization, raw.n_samples),
         depth_limit=cfg.depth_limit,
         time_limit_s=cfg.time_limit_s,
@@ -334,7 +326,7 @@ def run_benchmark(raw: RawDataset, cfg: BenchmarkConfig) -> BenchmarkReport:
     report = BenchmarkReport(config=cfg)
     for fold in range(cfg.folds):
         try:
-            report.folds.append(_run_fold(raw, plan, fold, cfg))
+            report.folds.append(_run_fold(raw, plan, fold, cfg, solver_cfg))
         except Exception as e:  # noqa: BLE001 - fold isolation is the contract
             report.folds.append(FoldOutcome(fold=fold, error=f"{type(e).__name__}: {e}"))
     return report

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import boosting
 from .boosting import BoostedEnsemble, DegenerateModelError, RegressionNode, ThresholdSet
-from .dataset import BinaryDataset, RawDataset, binarize_with_thresholds, bools_to_bits
+from .dataset import BinaryDataset, RawDataset, binarize_with_thresholds, bools_to_bits, indicator_header
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ def translate_to_indicators(ens: BoostedEnsemble, pairs) -> BoostedEnsemble:
         n_estimators=ens.n_estimators,
         max_depth=ens.max_depth,
         seed=ens.seed,
-        degenerate=ens.degenerate,
-        feature_names=tuple(f"col{c}" for c in range(len(ordered))),
+        feature_names=tuple(indicator_header(f, t) for f, t in ordered),
         trees=[_translate_node(t, col_of) for t in ens.trees],
     )
 
@@ -167,40 +166,37 @@ def column_eliminate(
     bar = initial_correct - math.floor(tau * initial_correct)
     ts0 = boosting.extract_thresholds(ens0)
 
-    survivors = ts0.pairs()
+    survivors = sorted(ts0.pairs())  # in column order: a refit's column c is survivors[c]
     ranking = {(f, t): v for f, t, v in ts0.entries}
     steps: list[tuple[tuple[int, float], int]] = []
     accepted: BoostedEnsemble | None = None
 
     def refit_on(pairs):
-        bin_c = binarize_with_thresholds(raw, pairs)
-        ordered = list(bin_c.column_meta)
-        refit = boosting.fit(indicator_raw(bin_c), n_estimators, max_depth, learning_rate, seed)
-        c = boosting.correct_count(refit, bin_c.rows_matrix().astype(np.float64), bin_c.labels)
-        return refit, c, ordered
+        ind = indicator_raw(binarize_with_thresholds(raw, pairs))
+        refit = boosting.fit(ind, n_estimators, max_depth, learning_rate, seed)
+        return refit, boosting.correct_count(refit, ind.features, ind.labels)
 
     while survivors:
         # drop the least important; on ties, the larger (feature, threshold)
         victim = min(survivors, key=lambda p: (ranking[p], -p[0], -p[1]))
         candidate = [p for p in survivors if p != victim]
-        refit, c, ordered = refit_on(candidate)
+        refit, c = refit_on(candidate)
         if c < bar:
             break
         steps.append((victim, c))
         survivors = candidate
         accepted = refit
-        ranking = _importance_by_pair(refit, ordered)
+        ranking = _importance_by_pair(refit, survivors)
 
     fallback = False
     if accepted is None:
-        refit, c, ordered = refit_on(survivors)
+        refit, c = refit_on(survivors)
         if c >= bar:
             accepted = refit
         else:
             accepted = translate_to_indicators(ens0, survivors)
-            ordered = sorted(set((int(f), float(t)) for f, t in survivors))
             fallback = True
-        ranking = _importance_by_pair(accepted, ordered)
+        ranking = _importance_by_pair(accepted, survivors)
 
     entries = sorted(((f, t, ranking[(f, t)]) for f, t in survivors), key=lambda e: (-e[2], e[0], e[1]))
     return EliminationTrace(

@@ -203,7 +203,7 @@ _LEAF_KEY = (-1,)  # structure key of a leaf; a split's is (column, left key, ri
 class _Rec:
     __slots__ = (
         "bits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
-        "lower", "upper", "splits", "parents", "expanded", "solved",
+        "lower", "upper", "splits", "parents", "solved",
         "dirty", "sums", "lows", "scan", "sib",
     )
 
@@ -219,7 +219,6 @@ class _Rec:
         self.upper = leaf_units
         self.splits = []          # (col, left, right, exactL, exactR); child None = forced leaf
         self.parents = {}         # parent _Rec -> split index or list of them, insertion ordered
-        self.expanded = False
         self.solved = False
         # set from a non-terminal expansion until solved:
         self.dirty = None         # indices of splits whose children changed since the last refresh
@@ -237,14 +236,12 @@ class _Search:
     def __init__(self, bin_data: BinaryDataset, cfg: SolverConfig, root_bits: int):
         self.bin = bin_data
         self.cfg = cfg
-        self.reg = cfg.regularizer
-        self.pen = self.reg.leaf_penalty_units
-        self.q = self.reg.denom
+        self.pen = cfg.regularizer.leaf_penalty_units
+        self.q = cfg.regularizer.denom
         self.pos_bits = bin_data.pos_mask
         self.counters = Counters()
         self.recs: dict = {}
         self.heap: list = []
-        self.seq = 0
         self.root_bits = root_bits
         self.bounded = cfg.depth_limit is not None
 
@@ -273,7 +270,6 @@ class _Search:
                 continue
             seen.add(key)
             self.cols.append((j, c, full ^ self.pos_bits ^ cc))
-        self.colbits = bin_data.columns
 
     # ---------------- record lifecycle
 
@@ -304,8 +300,7 @@ class _Search:
             self._close(rec)
         self.recs[key] = rec
         if not rec.solved:
-            self.seq += 1
-            heapq.heappush(self.heap, (rec.lower, self.seq, rec))
+            heapq.heappush(self.heap, (rec.lower, len(self.recs), rec))  # creation index breaks ties
         return rec
 
     @staticmethod
@@ -325,7 +320,6 @@ class _Search:
     # ---------------- expansion
 
     def _expand(self, rec):
-        rec.expanded = True
         self.counters.expanded += 1
         if rec.depth == 1 and self.bounded:
             self._expand_terminal(rec)
@@ -632,7 +626,7 @@ class _Search:
             pos = (bits & self.pos_bits).bit_count()
             return Leaf(1 if pos > n - pos else 0)
         j, cl, cr, _vl, _vr = choice
-        bl = bits & self.colbits[j]
+        bl = bits & self.bin.columns[j]
         f, t = self.bin.column_meta[j]
         return Split(self.bin.feature_names[f], t,
                      self.build(bl, cl, memo), self.build(bits ^ bl, cr, memo))

@@ -29,7 +29,6 @@ def _ensemble(trees, initial=0.0, lr=1.0, names=("x0",)):
         n_estimators=len(trees),
         max_depth=1,
         seed=0,
-        degenerate=False,
         feature_names=names,
         trees=trees,
     )
@@ -90,7 +89,7 @@ def test_perfect_separation_one_feature():
 def test_degenerate_constant_labels():
     raw = sparsetree.make_raw([[1.0], [2.0]], [0, 0])
     ens = boosting.fit(raw, 3, 2, 0.1, seed=0)
-    assert ens.degenerate
+    assert ens.trees == []
     assert list(boosting.predict_class(ens, np.array([[5.0], [-5.0]]))) == [0, 0]
     assert len(boosting.extract_thresholds(ens)) == 0
     assert boosting.correct_count(ens, raw.features, raw.labels) == raw.n_samples
@@ -100,7 +99,7 @@ def test_degenerate_on_balanced_labels_scores_half():
     raw = sparsetree.make_raw([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1])
     all_zero = BoostedEnsemble(
         initial_score=-4.0, learning_rate=0.1, n_estimators=1, max_depth=1,
-        seed=0, degenerate=True, feature_names=raw.feature_names, trees=[],
+        seed=0, feature_names=raw.feature_names, trees=[],
     )
     assert boosting.correct_count(all_zero, raw.features, raw.labels) == 2
 
@@ -408,7 +407,6 @@ def _seed_fit(raw, n_estimators, max_depth, learning_rate, seed):
         n_estimators=n_estimators,
         max_depth=max_depth,
         seed=seed,
-        degenerate=False,
         feature_names=raw.feature_names,
         trees=trees,
     )

@@ -227,11 +227,12 @@ def test_binary_csv_is_utf8_under_an_ascii_locale(tmp_path):
 
 def test_train_flag_conflict_exits_2(tmp_path, capsys):
     data = _write_xor(tmp_path / "xor.csv")
-    rc = cli.main([
-        "train", data, "--pre-binarized", "--guess-thresholds",
-        "--lambda", "0", "--out", str(tmp_path / "run"),
-    ])
-    assert rc == 2
+    with pytest.raises(SystemExit) as e:
+        cli.main([
+            "train", data, "--pre-binarized", "--guess-thresholds",
+            "--lambda", "0", "--out", str(tmp_path / "run"),
+        ])
+    assert e.value.code == 2
     assert "--guess-thresholds" in capsys.readouterr().err
 
 
@@ -347,6 +348,10 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main(["train", "x.csv", "--lambda", "0", "--no-equiv-bound", "--out", "o"])
     assert info.value.code == 2
+    for depth in ("0", "x"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["train", "x.csv", "--lambda", "0", "--depth", depth, "--out", "o"])
+        assert info.value.code == 2
 
 
 def test_console_script_smoke(tmp_path):

@@ -47,12 +47,21 @@ def test_load_csv_bad_label(tmp_path):
     p.write_text("a,label\n1,2\n")
     with pytest.raises(DataFormatError, match=r"label outside \{0,1\} at row 1"):
         sparsetree.load_csv(p)
+    p.write_text("a,label\n1,0\n1,yes\n")
+    with pytest.raises(DataFormatError, match="non-numeric label 'yes' at row 2"):
+        sparsetree.load_csv(p)
 
 
 def test_load_csv_empty_data(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,label\n")
     with pytest.raises(DataFormatError, match="no samples"):
+        sparsetree.load_csv(p)
+    p.write_text("")
+    with pytest.raises(DataFormatError, match="empty file"):
+        sparsetree.load_csv(p)
+    p.write_text("label\n1\n")
+    with pytest.raises(DataFormatError, match="header must list at least one feature"):
         sparsetree.load_csv(p)
 
 
@@ -65,6 +74,9 @@ def test_load_csv_bad_cell_position(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,label\n1,2,0\n1,oops,1\n")
     with pytest.raises(DataFormatError, match="row 2, column 2"):
+        sparsetree.load_csv(p)
+    p.write_text("a,b,label\n1,2,0\n , 1,1\n")
+    with pytest.raises(DataFormatError, match="missing value at row 2, column 1"):
         sparsetree.load_csv(p)
 
 
@@ -182,6 +194,16 @@ def test_make_raw_rejects_bad_input():
         sparsetree.make_raw([[np.nan]], [0])
     with pytest.raises(DataFormatError, match="no samples"):
         sparsetree.make_raw(np.zeros((0, 2)), [])
+    with pytest.raises(DataFormatError, match="2-dimensional"):
+        sparsetree.make_raw([1.0, 2.0], [0, 1])
+    with pytest.raises(DataFormatError, match="no feature columns"):
+        sparsetree.make_raw(np.zeros((2, 0)), [0, 1])
+    with pytest.raises(DataFormatError, match="one value per sample"):
+        sparsetree.make_raw([[1.0], [2.0]], [0])
+    with pytest.raises(DataFormatError, match="name count"):
+        sparsetree.make_raw([[1.0, 2.0]], [0], ["a"])
+    with pytest.raises(DataFormatError, match="duplicate feature names"):
+        sparsetree.make_raw([[1.0, 2.0]], [0], ["a", "a"])
 
 
 # ---------------------------------------------------------------- CSV round trip

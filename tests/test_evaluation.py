@@ -104,7 +104,7 @@ def test_brute_force_guards():
 def _constant_ensemble(names, score):
     return BoostedEnsemble(
         initial_score=score, learning_rate=0.1, n_estimators=1, max_depth=1,
-        seed=0, degenerate=False, feature_names=names, trees=[],
+        seed=0, feature_names=names, trees=[],
     )
 
 
@@ -232,7 +232,7 @@ def test_gap_bound_dominates_actual_regret():
 def test_kfold_partitions_evenly():
     raw = sparsetree.make_raw([[float(i)] for i in range(10)], [i % 2 for i in range(10)])
     plan = kfold(raw, 5, seed=0)
-    assert plan.k == 5
+    assert len(plan.test_indices) == 5
     assert [len(f) for f in plan.test_indices] == [2, 2, 2, 2, 2]
     seen = sorted(i for f in plan.test_indices for i in f)
     assert seen == list(range(10))
@@ -328,6 +328,44 @@ def test_benchmark_json_fold_keys_are_pinned():
     assert [list(f) for f in timed] == [keys + ["wall_time_s"]] * 2
     assert plain[0]["counters"]["expanded"] == 2 and plain[1]["error"].startswith("Degenerate")
     assert [f["wall_time_s"] for f in timed] == [0.25, 0.0]
+
+
+def test_benchmark_solves_once_per_fold_without_a_guess(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solver.optimize(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "optimize", counting)
+    report = run_benchmark(_bench_raw(), _bench_cfg(use_lb_guess=False))
+    assert len(calls) == 3
+    for f in report.folds:
+        assert f.status == "optimal"
+        assert f.counters_no_guess == f.counters
+    # a guessed fold still pairs its solve with a plain one
+    calls.clear()
+    report = run_benchmark(_bench_raw(), _bench_cfg())
+    assert [f.status for f in report.folds] == ["guess-certified"] * 3
+    assert len(calls) == 6
+
+
+def test_report_with_every_fold_failed():
+    report = evaluation.BenchmarkReport(config=_bench_cfg(), folds=[
+        evaluation.FoldOutcome(fold=0, error="DegenerateModelError: single class"),
+        evaluation.FoldOutcome(fold=1, error="ValueError: bad"),
+    ])
+    assert report.summary() == {
+        "completed_folds": 0, "failed_folds": 2,
+        "train_accuracy": None, "test_accuracy": None, "leaves": None,
+    }
+    rows = list(csv.reader(io.StringIO(evaluation.report_to_csv(report))))
+    assert [r[0] for r in rows[1:3]] == ["0", "1"]
+    assert rows[1][-1] == "DegenerateModelError: single class"
+    assert rows[3:] == [
+        [name, "", "", "", "", "", "", "", "no completed folds"]
+        for name in ("train_accuracy", "test_accuracy", "leaves")
+    ]
 
 
 def test_benchmark_isolates_failed_folds():

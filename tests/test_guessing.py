@@ -182,6 +182,23 @@ def test_eliminate_zero_tolerance_never_loses_accuracy():
         assert raw.n_samples - ref.incorrect_count >= tr.initial_correct
 
 
+def test_eliminate_fallback_keeps_the_first_fit():
+    # on this draw no elimination step and no refit on every threshold keeps
+    # the bar, so the first raw fit is translated onto the indicator columns
+    raw = random_raw(np.random.default_rng(28), 60, 3, noise=0.8)
+    tr = guessing.column_eliminate(raw, 5, 2, 0.3, 0)
+    assert tr.fallback_translated and tr.steps == ()
+    bin_data = sparsetree.binarize_with_thresholds(raw, tr.thresholds.pairs())
+    assert tr.ensemble.feature_names == tuple(
+        bin_data.column_header(c) for c in range(bin_data.n_columns)
+    )
+    first = boosting.fit(raw, 5, 2, 0.3, 0)
+    assert np.array_equal(
+        guessing.reference_labels(tr.ensemble, bin_data).predictions,
+        boosting.predict_class(first, raw.features),
+    )
+
+
 def test_eliminate_parameter_guards():
     raw = _single_signal_raw()
     with pytest.raises(ValueError):

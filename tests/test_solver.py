@@ -471,7 +471,7 @@ def _check_bounds_against_full_rescan(search):
     here as the next wake would fold them.  Such marks carry no change of
     a lower sum, so the heap must already hold the full lower bound."""
     for rec in search.recs.values():
-        if not rec.expanded or rec.solved:
+        if rec.dirty is None:  # unexpanded, terminal or solved
             continue
         sums = [_split_sums(s) for s in rec.splits]
         full_upper = min([rec.leaf_units] + [u for u, _ in sums])
@@ -543,7 +543,12 @@ def test_terminal_expansion_matches_a_column_scan():
         # how each terminal record is solved: closed by the floor without a
         # scan, from the outcome its sibling derived, or by its own scan
         how = {}
-        expand_terminal = search._expand_terminal
+        expanded = set()
+        expand, expand_terminal = search._expand, search._expand_terminal
+
+        def note_and_expand(rec):
+            expanded.add(rec)
+            expand(rec)
 
         def classify_and_expand(rec):
             if rec.sib is not None and rec.sib[0] is None:
@@ -554,11 +559,12 @@ def test_terminal_expansion_matches_a_column_scan():
                 how[rec] = "scanned"
             expand_terminal(rec)
 
+        search._expand = note_and_expand
         search._expand_terminal = classify_and_expand
         search.run()
         kept = empty = 0
         for rec in search.recs.values():
-            if not rec.expanded or rec.depth != 1:
+            if rec not in expanded or rec.depth != 1:
                 continue
             assert rec in how, name
             assert rec.solved and rec.lower == rec.upper, name

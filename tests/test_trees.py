@@ -65,6 +65,10 @@ def test_predict_matches_per_row_walk():
         got = trees.predict(t, b)
         expect = [_raw_walk(t, x[i], list(raw.feature_names)) for i in range(30)]
         assert list(got) == expect
+        # the popcount accuracy the benchmark reports equals the numpy mean
+        miss = trees.misclassified_count(t, b)
+        assert miss == sum(int(p != label) for p, label in zip(expect, y))
+        assert (30 - miss) / 30 == float((got == raw.labels).mean())
 
 
 # ---------------------------------------------------------------- measure
