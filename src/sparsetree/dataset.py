@@ -303,12 +303,15 @@ class EquivalenceClasses:
 
     ids[i] is the class of sample i, numbered 0 .. n_classes - 1; labels is
     the dataset's 0/1 label vector.  minority_bits and minority_total read
-    only these.
+    only these.  columns holds each indicator column in class space: bit k
+    of columns[c] is column c's value on the members of class k, which all
+    share it.
     """
 
     ids: np.ndarray
     n_classes: int
     labels: np.ndarray
+    columns: tuple[int, ...]
 
 
 def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
@@ -323,12 +326,23 @@ def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
 
 def _partition(bin_data: BinaryDataset) -> EquivalenceClasses:
     if not bin_data.n_columns:
-        return EquivalenceClasses(np.zeros(bin_data.n_samples, dtype=np.intp), 1, bin_data.labels)
+        return EquivalenceClasses(np.zeros(bin_data.n_samples, dtype=np.intp), 1, bin_data.labels, ())
     # each row packed to bytes is one opaque key; equal rows, equal keys
-    packed = np.packbits(bin_data.rows_matrix(), axis=1)
+    rows = bin_data.rows_matrix()
+    packed = np.packbits(rows, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    uniq, ids = np.unique(keys, return_inverse=True)
-    return EquivalenceClasses(ids, len(uniq), bin_data.labels)
+    uniq, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    # one member's row stands for its class; pack each column over classes
+    by_class = np.packbits(rows[first].T, axis=1, bitorder="little")
+    columns = tuple(int.from_bytes(c.tobytes(), "little") for c in by_class)
+    return EquivalenceClasses(ids, len(uniq), bin_data.labels, columns)
+
+
+def class_bits(eq: EquivalenceClasses, support: int) -> int:
+    """Bitmask over classes of those with a member inside the support
+    bitmask."""
+    inside = bits_to_bools(support, len(eq.ids))
+    return bools_to_bits(np.bincount(eq.ids[inside], minlength=eq.n_classes) > 0)
 
 
 def minority_bits(eq: EquivalenceClasses, support: int) -> int:

@@ -1,19 +1,26 @@
 """Optimal sparse tree search: best-first branch and bound over subproblems.
 
-A subproblem is (support bitmask, remaining depth); unbounded-depth runs drop
-the depth from the key.  All objective comparisons are exact on integers
-scaled by n*q where the penalty is p/q: units(loss, leaves) = q*loss +
-p*n*leaves.  Each record keeps a certified lower bound (one-leaf penalty
+A subproblem is a support, a bitmask over samples, and a remaining depth;
+unbounded-depth runs drop the depth.  All objective comparisons are exact on
+integers scaled by n*q where the penalty is p/q: units(loss, leaves) = q*loss
++ p*n*leaves.  Each record keeps a certified lower bound (one-leaf penalty
 floor, equivalence-points bound) optionally raised by the reference-model
 guess; a record is solved once its incumbent meets its lower bound, so a
 guessed bound may close a subproblem before it is provably optimal.
 
-The equivalence-points bound (GOSDT) counts, per group of samples with
-identical column values, the rarer label inside the support.  Every support
-the search creates is the root cut by indicator columns, which are constant on
-each group, so it holds a group's members inside the root either all or none.
-The bound is thus one popcount of the support against a minority mask of the
-root, built once per solve.
+Every support the search creates is the root cut by indicator columns, which
+are constant on each equivalence class (group of samples with identical column
+values), so it holds a class's members inside the root either all or none.
+Two consequences.  The equivalence-points bound (GOSDT), which counts per class
+the rarer label inside the support, is one popcount of the support against a
+minority mask of the root, built once per solve.  And the classes a support
+meets fix it, so the subproblem cache is keyed by (class mask, depth), with one
+bit per class rather than per sample: each column also carries its values over
+the classes, and a child's class mask is its parent's cut by the column, as
+its support is.  All counting stays on sample masks.  A record keeps its
+support's sample mask only until it is solved; from then on it holds its class
+mask, its counts and bounds, and the splits extraction reads, and a terminal
+record (see below) also gives up its parent links.
 
 Exploration pops the smallest current lower bound first, FIFO on ties.
 Children whose bound sum cannot beat the parent incumbent are pruned at
@@ -71,13 +78,14 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+import operator
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dataset import BinaryDataset, equivalence_classes, minority_bits
+from .dataset import BinaryDataset, class_bits, equivalence_classes, minority_bits
 # Not called here: bench/tracing.py rebinds solver.minority_total to trace it,
 # and tests/test_bench_hooks.py checks the name is still bound.
 from .dataset import minority_total  # noqa: F401
@@ -202,13 +210,14 @@ _LEAF_KEY = (-1,)  # structure key of a leaf; a split's is (column, left key, ri
 
 class _Rec:
     __slots__ = (
-        "bits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
+        "bits", "cbits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
         "lower", "upper", "splits", "parents", "solved",
         "dirty", "sums", "lows", "scan", "sib",
     )
 
-    def __init__(self, bits, depth, n, pos, leaf_units, true_floor, guess_floor, scan):
-        self.bits = bits
+    def __init__(self, bits, cbits, depth, n, pos, leaf_units, true_floor, guess_floor, scan):
+        self.bits = bits          # the support over samples; None once solved
+        self.cbits = cbits        # the classes the support meets: with depth, the cache key
         self.depth = depth
         self.n = n
         self.pos = pos
@@ -218,13 +227,14 @@ class _Rec:
         self.lower = true_floor if guess_floor is None else max(true_floor, guess_floor)
         self.upper = leaf_units
         self.splits = []          # (col, left, right, exactL, exactR); child None = forced leaf
-        self.parents = {}         # parent _Rec -> split index or list of them, insertion ordered
+        self.parents = {}         # parent _Rec -> split index or list of them, insertion ordered;
+                                  # None once a terminal record is expanded
         self.solved = False
         # set from a non-terminal expansion until solved:
         self.dirty = None         # indices of splits whose children changed since the last refresh
         self.sums = None          # each split's lower sum as of its last refresh
         self.lows = None          # lazy min-heap of lower sum * len(splits) + split index; stale where sums differ
-        self.scan = scan          # (index, bits, agreement mask) of every column that may split bits
+        self.scan = scan          # _Search.cols entries of every column that may split bits
         # a terminal record paired with its sibling: (sibling, the depth-2
         # parent's scan list, the parent's agreement counts over it) until
         # either is expanded; (None, split or None) once the sibling has
@@ -253,13 +263,17 @@ class _Search:
         self.inc_bits = ref.incorrect_bits if ref is not None else None
         self.guessing = self.inc_bits is not None
 
+        eq = equivalence_classes(bin_data)
         # rarer-label members of each equivalence class inside the root; see _create
-        self.minority = minority_bits(equivalence_classes(bin_data), root_bits)
+        self.minority = minority_bits(eq, root_bits)
+        # the classes meeting the root: the root's cache key with its depth
+        self.root_cbits = class_bits(eq, root_bits)
 
-        # (index, bits, agreement mask) of each column, dropping duplicates
-        # (same or complementary partition); earlier indices win every tie
-        # anyway, later copies only cost scan time.  The agreement mask holds
-        # the samples whose label equals the column's bit; see _expand_terminal
+        # (index, bits, agreement mask, class bits) of each column, dropping
+        # duplicates (same or complementary partition); earlier indices win
+        # every tie anyway, later copies only cost scan time.  The agreement
+        # mask holds the samples whose label equals the column's bit (see
+        # _expand_terminal); the class bits are the column over the classes
         full = bin_data.full_mask
         seen = set()
         self.cols = []
@@ -269,18 +283,19 @@ class _Search:
             if key in seen:
                 continue
             seen.add(key)
-            self.cols.append((j, c, full ^ self.pos_bits ^ cc))
+            self.cols.append((j, c, full ^ self.pos_bits ^ cc, eq.columns[j]))
 
     # ---------------- record lifecycle
 
-    def _create(self, bits, depth, n, pos, miss, scan):
-        """The record of (bits, depth), made on first use.  n, pos and miss
-        are the support's sample, label-1 and reference-mistake counts (miss
-        is None without a guess); every caller has already taken them.  scan
-        is the column list the record will scan, in column order, holding at
-        least every column not constant on bits; a cache hit keeps the list
-        of its first creator."""
-        key = (bits, depth)
+    def _create(self, bits, cbits, depth, n, pos, miss, scan):
+        """The record of the support bits at depth, made on first use and
+        found again by its class mask cbits.  n, pos and miss are the
+        support's sample, label-1 and reference-mistake counts (miss is None
+        without a guess); every caller has already taken them.  scan is the
+        column list the record will scan, in column order, holding at least
+        every column not constant on bits; a cache hit keeps the list of its
+        first creator."""
+        key = (cbits, depth)
         rec = self.recs.get(key)
         if rec is not None:
             self.counters.cache_hits += 1
@@ -292,7 +307,7 @@ class _Search:
         # therefore the popcount of the root's minority mask inside it.
         true_floor = self.pen + self.q * (bits & self.minority).bit_count()
         guess_floor = None if miss is None else self.pen + self.q * miss
-        rec = _Rec(bits, depth, n, pos, leaf_units, true_floor, guess_floor, scan)
+        rec = _Rec(bits, cbits, depth, n, pos, leaf_units, true_floor, guess_floor, scan)
         self.counters.created += 1
         # a one-sample support, which only a root can be, closes here: its
         # leaf costs pen, no more than any floor
@@ -324,7 +339,7 @@ class _Search:
         if rec.depth == 1 and self.bounded:
             self._expand_terminal(rec)
             return
-        bits, n, pos = rec.bits, rec.n, rec.pos
+        bits, cbits, n, pos = rec.bits, rec.cbits, rec.n, rec.pos
         q, pen, pos_bits, inc_bits = self.q, self.pen, self.pos_bits, self.inc_bits
         miss = missl = missr = None
         if inc_bits is not None:
@@ -342,7 +357,7 @@ class _Search:
         agree = [] if child_depth == 1 else None
         neg = n - pos
         for col in rec.scan:
-            j, c, _ = col
+            j, c, _, cc = col
             bl = bits & c
             nl = bl.bit_count()
             if nl == 0 or nl == n:
@@ -373,11 +388,12 @@ class _Search:
                 continue
             i = len(splits)
             cl = cr = None
+            cbl = cbits & cc
             if nl != 1:
-                cl = create(bl, child_depth, nl, posl, missl, keep)
+                cl = create(bl, cbl, child_depth, nl, posl, missl, keep)
                 link(cl, rec, i)
             if nr != 1:
-                cr = create(bits ^ bl, child_depth, nr, posr, missr, keep)
+                cr = create(bits ^ bl, cbits ^ cbl, child_depth, nr, posr, missr, keep)
                 link(cr, rec, i)
                 if agree is not None and cl is not None:
                     pair(cl, cr, keep, agree)
@@ -430,7 +446,7 @@ class _Search:
             split = sib[1]  # derived when the sibling was expanded
         elif sib is not None:
             other, scan, parent = sib
-            own = [(bits & e).bit_count() for _, _, e in scan]
+            own = [(bits & e).bit_count() for _, _, e, _ in scan]
             split = self._two_leaves(rec, scan, own)
             other.sib = (None, self._two_leaves(
                 other, scan, [p - a for p, a in zip(parent, own)]))
@@ -438,13 +454,15 @@ class _Search:
             split = None
         else:
             scan = rec.scan
-            split = self._two_leaves(rec, scan, [(bits & e).bit_count() for _, _, e in scan])
+            split = self._two_leaves(rec, scan, [(bits & e).bit_count() for _, _, e, _ in scan])
         if split is not None:
             rec.splits.append(split)
             rec.upper = split[3] + split[4]
         self._close(rec)
         self._mark_parents(rec)
         self._propagate(rec)
+        # it has no child records, so nothing wakes it again
+        rec.parents = None
 
     def _two_leaves(self, rec, scan, agree):
         """The split (j, None, None, vl, vr) of rec into two majority leaves
@@ -479,7 +497,7 @@ class _Search:
             i = agree.index(lo)
         else:
             i = min(agree.index(hi), agree.index(lo))
-        j, c, _ = scan[i]
+        j, c, _, _ = scan[i]
         pos = rec.pos
         nl = (rec.bits & c).bit_count()
         posl = (nl + agree[i] - (n - pos)) // 2
@@ -544,9 +562,10 @@ class _Search:
         return changed
 
     def _close(self, rec):
-        """Solve rec at its upper bound, counting it when only the guess closes it."""
+        """Solve rec at its upper bound, counting it when only the guess closes
+        it.  Its sample mask goes: only an unsolved record is counted."""
         rec.solved = True
-        rec.dirty = rec.sums = rec.lows = None
+        rec.bits = rec.dirty = rec.sums = rec.lows = None
         if rec.guess_floor is not None and rec.true_floor < rec.upper <= rec.guess_floor:
             self.counters.closed_by_guess += 1
         rec.lower = rec.upper
@@ -577,7 +596,7 @@ class _Search:
         t0 = time.monotonic()
         bits = self.root_bits
         miss = (bits & self.inc_bits).bit_count() if self.guessing else None
-        root = self._create(bits, self.cfg.depth_limit, bits.bit_count(),
+        root = self._create(bits, self.root_cbits, self.cfg.depth_limit, bits.bit_count(),
                             (bits & self.pos_bits).bit_count(), miss, self.cols)
         time_limit_s, max_records = self.cfg.time_limit_s, self.cfg.max_records
         while not root.solved and self.heap:
@@ -635,16 +654,27 @@ class _Search:
 def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[int] = None) -> SolveResult:
     """Minimize loss/n + penalty*leaves over trees on the dataset's columns.
 
-    root_support is a sample bitmask (bit i set keeps sample i) that restricts
-    the loss to those samples; the leaf penalty still counts all n.  None
-    keeps every sample."""
+    root_support is a sample bitmask (bit i set keeps sample i), an int or a
+    numpy integer, that restricts the loss to those samples; the leaf
+    penalty still counts all n.  None keeps every sample."""
     if bin_data.n_columns < 1:
         raise ValueError("dataset has no binary columns")
     if cfg.regularizer.n_samples != bin_data.n_samples:
         raise ValueError("regularizer sample count does not match dataset")
     if cfg.reference is not None and len(cfg.reference.predictions) != bin_data.n_samples:
         raise ValueError("reference prediction count does not match dataset")
-    root_bits = bin_data.full_mask if root_support is None else root_support
+    if root_support is None:
+        root_bits = bin_data.full_mask
+    else:
+        # a numpy integer becomes the int it holds; bool is an int subclass,
+        # but True is no sample mask
+        try:
+            root_bits = operator.index(root_support)
+        except TypeError:
+            root_bits = None
+        if root_bits is None or isinstance(root_support, bool):
+            raise ValueError(
+                f"root support must be an int bitmask, not {type(root_support).__name__}")
     if root_bits < 0 or root_bits > bin_data.full_mask:
         raise ValueError("root support holds samples outside the dataset")
     if root_bits == 0:
@@ -653,7 +683,7 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
     root, stopped_by = search.run()
     memo = {}
     units, leaves, depth, _ = search.best(root, memo)[0]
-    tree = search.build(root.bits, root, memo)
+    tree = search.build(root_bits, root, memo)
     reg = cfg.regularizer
     loss_units = units - reg.leaf_penalty_units * leaves
     assert loss_units % reg.denom == 0

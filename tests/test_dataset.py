@@ -6,6 +6,7 @@ from sparsetree.dataset import (
     DataFormatError,
     bits_to_bools,
     bools_to_bits,
+    class_bits,
     equivalence_classes,
     full_binarize,
     minority_bits,
@@ -427,6 +428,35 @@ def test_minority_bits_matches_a_per_class_recount(m):
         cut = bools_to_bits(rng.integers(0, 2, size=n).astype(bool))
         for bits in (b.full_mask, 0, halves, cut, cut & halves):
             assert minority_bits(eq, bits) == _minority_recount(b, bits)
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 17])
+def test_class_space_columns_match_per_class_rows(m):
+    # bit k of a class-space column is the column's value on every member of
+    # class k; class_bits marks the classes a support meets.  Few distinct
+    # rows, each repeated; m = 0 is the one-class partition with no columns
+    rng = np.random.default_rng(200 + m)
+    n = 90
+    for _ in range(5):
+        base = rng.integers(0, 2, size=(int(rng.integers(1, 12)), m))
+        x = base[rng.integers(0, len(base), size=n)]
+        y = rng.integers(0, 2, size=n)
+        if m:
+            b = _binary_from_rows(x, y)
+        else:
+            b = sparsetree.binarize_with_thresholds(sparsetree.make_raw(np.zeros((n, 1)), y), [])
+        eq = equivalence_classes(b)
+        assert len(eq.columns) == b.n_columns == m
+        for k in range(eq.n_classes):
+            members = np.flatnonzero(eq.ids == k).tolist()
+            for c, col in enumerate(eq.columns):
+                assert {b.columns[c] >> i & 1 for i in members} == {col >> k & 1}
+        for col in eq.columns:
+            assert col >> eq.n_classes == 0
+        cut = bools_to_bits(rng.integers(0, 2, size=n).astype(bool))
+        for bits in (b.full_mask, 0, cut):
+            meets = {int(eq.ids[i]) for i in range(n) if bits >> i & 1}
+            assert class_bits(eq, bits) == sum(1 << k for k in meets)
 
 
 def test_minority_total_lower_bounds_every_tree():

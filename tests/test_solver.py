@@ -174,6 +174,31 @@ def test_unbounded_agrees_with_bounded_at_its_depth():
         assert pinned.objective_units == free.objective_units
 
 
+def _supports(search, root_rec):
+    """Each record's support over samples, walked down the recorded splits
+    from the root: every record is created as one side of some split, and a
+    solved record no longer keeps its own.  A record reached along two paths
+    must have one support there."""
+    columns = search.bin.columns
+    got = {root_rec: search.root_bits}
+    todo = [root_rec]
+    while todo:
+        rec = todo.pop()
+        bits = got[rec]
+        for j, cl, cr, _, _ in rec.splits:
+            bl = bits & columns[j]
+            for child, side in ((cl, bl), (cr, bits ^ bl)):
+                if child is None:
+                    continue
+                if child in got:
+                    assert got[child] == side
+                else:
+                    got[child] = side
+                    todo.append(child)
+    assert len(got) == len(search.recs)
+    return got
+
+
 def test_cache_holds_subproblem_optima():
     rng = np.random.default_rng(3)
     bin_data = random_binary(rng, max_n=22, max_cols=5)
@@ -181,9 +206,11 @@ def test_cache_holds_subproblem_optima():
     reg = Regularizer.from_text("1/64", n)
     cfg = SolverConfig(reg, depth_limit=3)
     search = solver._Search(bin_data, cfg, bin_data.full_mask)
-    search.run()
+    root_rec, _ = search.run()
+    support = _supports(search, root_rec)
     checked = 0
-    for (bits, depth), rec in search.recs.items():
+    for rec in search.recs.values():
+        bits, depth = support[rec], rec.depth
         if not rec.solved or depth is None or depth < 1 or bits == 0:
             continue
         if bits.bit_count() <= 1:
@@ -311,6 +338,15 @@ def test_validation_rejections():
     for bits in (0b11 | 0b11111 << 10, -1):
         with pytest.raises(ValueError, match="outside the dataset"):
             solver.optimize(bin_data, SolverConfig(reg2), root_support=bits)
+    # True used to be sample 0, and a float failed later with AttributeError
+    for bits in (True, False, np.bool_(True), 1.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="root support must be an int"):
+            solver.optimize(bin_data, SolverConfig(reg2), root_support=bits)
+    # a numpy integer is the int it holds
+    as_int = solver.optimize(bin_data, SolverConfig(reg2), root_support=0b10)
+    as_np = solver.optimize(bin_data, SolverConfig(reg2), root_support=np.int64(0b10))
+    assert (as_np.objective_units, asdict(as_np.counters), repr(as_np.tree)) == (
+        as_int.objective_units, asdict(as_int.counters), repr(as_int.tree))
     # a reference scored on another dataset: 4 predictions for 2 samples
     other = guessing.reference_from_predictions([0, 1, 1, 0], [0, 1, 0, 0])
     with pytest.raises(ValueError, match="reference prediction count"):
@@ -561,14 +597,15 @@ def test_terminal_expansion_matches_a_column_scan():
 
         search._expand = note_and_expand
         search._expand_terminal = classify_and_expand
-        search.run()
+        root_rec, _ = search.run()
+        support = _supports(search, root_rec)
         kept = empty = 0
         for rec in search.recs.values():
             if rec not in expanded or rec.depth != 1:
                 continue
             assert rec in how, name
             assert rec.solved and rec.lower == rec.upper, name
-            scan = _two_leaf_scan(bin_data, reg, rec.bits)
+            scan = _two_leaf_scan(bin_data, reg, support[rec])
             if scan is not None and scan[0] < rec.leaf_units:
                 units, j, (vl, vr) = scan
                 assert rec.splits == [(j, None, None, vl, vr)], name
@@ -582,7 +619,7 @@ def test_terminal_expansion_matches_a_column_scan():
         counts = {k: list(how.values()).count(k) for k in ("floor", "derived", "scanned")}
         if name.startswith("heavy"):
             assert (kept, empty) == (0, 1), name
-            assert 2 * reg.leaf_penalty_units >= search.recs[(bits, 1)].leaf_units
+            assert root_rec.depth == 1 and 2 * reg.leaf_penalty_units >= root_rec.leaf_units
             # the floor alone rules out every split of that record
             assert counts["floor"] == 1, name
         else:
@@ -598,22 +635,43 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
     for name, (bin_data, cfg, root) in _pinned_instances().items():
         bits = bin_data.full_mask if root is None else root
         search = solver._Search(bin_data, cfg, bits)
-        search.run()
+        # the record each expansion creates: an expanded terminal record
+        # drops its parent links, so creators are noted as they happen
+        creator, expanding = {}, [None]
+        expand, create = search._expand, search._create
+
+        def note_expand(rec):
+            expanding[0] = rec
+            expand(rec)
+
+        def note_create(*args):
+            known = len(search.recs)
+            rec = create(*args)
+            if len(search.recs) > known:
+                creator[rec] = expanding[0]
+            return rec
+
+        search._expand, search._create = note_expand, note_create
+        root_rec, _ = search.run()
+        support = _supports(search, root_rec)
         full, pos_bits = bin_data.full_mask, bin_data.pos_mask
-        for j, c, agree in search.cols:
+        for j, c, agree, _ in search.cols:
             assert agree == (c & pos_bits) | (full & ~c & ~pos_bits), name
 
         def splitting(rec):
-            return [j for j, c, _ in search.cols if 0 < (rec.bits & c).bit_count() < rec.n]
+            return [j for j, c, _, _ in search.cols if 0 < (support[rec] & c).bit_count() < rec.n]
 
         dropped = 0
         for rec in search.recs.values():
-            scan = [j for j, _, _ in rec.scan]
+            scan = [j for j, _, _, _ in rec.scan]
             assert scan and scan == sorted(scan), name
             assert set(splitting(rec)) <= set(scan), name
             # a child still unsolved when created links to its creator first
             if rec.parents:
                 assert scan == splitting(next(iter(rec.parents))), name
+            # every child scans its creator's list
+            if creator[rec] is not None:
+                assert scan == splitting(creator[rec]), name
             dropped += len(search.cols) - len(scan)
         # the lists do leave columns out
         assert dropped > 0, name
@@ -797,6 +855,7 @@ def test_floor_matches_a_per_group_recount():
         search = solver._Search(bin_data, cfg, bits)
         root_rec, _ = search.run()
         assert root_rec.solved, name
+        support = _supports(search, root_rec)
         groups = class_groups(bin_data)
         labels = bin_data.labels
         pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
@@ -806,16 +865,50 @@ def test_floor_matches_a_per_group_recount():
             if ref is None:
                 assert rec.guess_floor is None, name
             else:
-                assert rec.guess_floor == pen + q * (rec.bits & ref.incorrect_bits).bit_count(), name
+                assert rec.guess_floor == pen + q * (support[rec] & ref.incorrect_bits).bit_count(), name
             recount = 0
             for group in groups:
-                inside = [i for i in group if rec.bits >> i & 1]
+                inside = [i for i in group if support[rec] >> i & 1]
                 pos = sum(int(labels[i]) for i in inside)
                 recount += min(pos, len(inside) - pos)
             assert rec.true_floor == pen + q * recount, name
             paid += recount > 0
         # the bound is nonzero on some record
         assert paid > 0, name
+
+
+def test_cache_is_keyed_by_class_masks():
+    # a record is found by the classes its support meets; solved records
+    # keep no sample mask, and expanded terminal records no parent links
+    cases = _pinned_instances()
+    cases["halved_classes"] = _floor_instances()["halved_classes"]
+    for name, (bin_data, cfg, root) in cases.items():
+        bits = bin_data.full_mask if root is None else root
+        search = solver._Search(bin_data, cfg, bits)
+        terminal = []
+        expand_terminal = search._expand_terminal
+
+        def note_terminal(rec):
+            terminal.append(rec)
+            expand_terminal(rec)
+
+        search._expand_terminal = note_terminal
+        root_rec, _ = search.run()
+        support = _supports(search, root_rec)
+        ids = sparsetree.equivalence_classes(bin_data).ids
+        seen = set()
+        for (cbits, depth), rec in search.recs.items():
+            assert (cbits, depth) == (rec.cbits, rec.depth), name
+            meets = {int(ids[i]) for i in range(bin_data.n_samples) if support[rec] >> i & 1}
+            assert cbits == sum(1 << k for k in meets), name
+            seen.add((support[rec], depth))
+            assert rec.bits == (None if rec.solved else support[rec]), name
+        assert len(seen) == len(search.recs), name
+        assert all(rec.parents is None for rec in terminal), name
+        assert terminal or cfg.depth_limit is None, name
+        if name == "halved_classes":
+            # this root splits classes, so its key holds fewer sample bits
+            assert root_rec.cbits.bit_count() < bits.bit_count(), name
 
 
 # ---------------------------------------------------------------- metamorphic relations
