@@ -14,13 +14,31 @@ values), so it holds a class's members inside the root either all or none.
 Two consequences.  The equivalence-points bound (GOSDT), which counts per class
 the rarer label inside the support, is one popcount of the support against a
 minority mask of the root, built once per solve.  And the classes a support
-meets fix it, so the subproblem cache is keyed by (class mask, depth), with one
-bit per class rather than per sample: each column also carries its values over
-the classes, and a child's class mask is its parent's cut by the column, as
-its support is.  All counting stays on sample masks.  A record keeps its
-support's sample mask only until it is solved; from then on it holds its class
-mask, its counts and bounds, and the splits extraction reads, and a terminal
-record (see below) also gives up its parent links.
+meets fix it, so the subproblem cache is one dict per depth, keyed by the
+class mask, with one bit per class rather than per sample: each column also
+carries its values over the classes, and a child's class mask is its parent's
+cut by the column, as its support is.  An expansion looks each child up
+before counting it: a column splits the support exactly when it splits its
+classes, and a child found in the cache already holds its sample, label-1
+and reference-mistake counts, so the other side's are the support's minus
+these.  Only when neither side is found are the samples counted, on sample
+masks.  A record keeps its support's sample mask only until it is solved,
+and a terminal record (see below) also gives up its parent links.
+
+A record's splits are entries (column, left, right).  A side is the child
+record, or, for a one-sample side, the int units of that forced leaf.  An
+unexpanded record holds the empty tuple; a terminal record holds at most
+one entry, both of its sides leaves.
+
+Records point at their parents (for bounds, below) and paired siblings at
+each other, so the graph has cycles while the search runs.  When it ends,
+optimize drops the cache and every record's class mask, parent links and
+sibling pairing, before extraction.  What is left is the split DAG below the
+root, which reference counting frees when optimize returns.  The search
+itself makes no cyclic garbage (every record stays in the cache until the
+end, and everything else is freed by reference counting), so optimize
+pauses the cyclic collector around the search and extraction, which would
+otherwise walk every live record on each pass.
 
 Exploration pops the smallest current lower bound first, FIFO on ties.
 Children whose bound sum cannot beat the parent incumbent are pruned at
@@ -75,6 +93,7 @@ no split is lost, and the list always holds the column that made the child.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import numbers
@@ -109,6 +128,11 @@ class Regularizer:
             raise ValueError(f"cannot parse regularization {text!r}: {e}") from None
         if lam < 0:
             raise ValueError("regularization must be >= 0")
+        # reports give the objective as a float too
+        try:
+            float(lam)
+        except OverflowError:
+            raise ValueError(f"regularization {text!r} is too large for a float") from None
         if n_samples < 1:
             raise ValueError("need at least one sample")
         return cls(lam.numerator, lam.denominator, n_samples)
@@ -217,18 +241,22 @@ class _Rec:
 
     def __init__(self, bits, cbits, depth, n, pos, leaf_units, true_floor, guess_floor, scan):
         self.bits = bits          # the support over samples; None once solved
-        self.cbits = cbits        # the classes the support meets: with depth, the cache key
+        self.cbits = cbits        # the classes the support meets: its key in the cache of its
+                                  # depth; None once the search ends
         self.depth = depth
-        self.n = n
+        self.n = n                # sample and label-1 counts: a cache hit reads them
         self.pos = pos
         self.leaf_units = leaf_units
         self.true_floor = true_floor
-        self.guess_floor = guess_floor
+        self.guess_floor = guess_floor  # pen + q * reference mistakes, or None without a guess
         self.lower = true_floor if guess_floor is None else max(true_floor, guess_floor)
         self.upper = leaf_units
-        self.splits = []          # (col, left, right, exactL, exactR); child None = forced leaf
+        # () until expanded, then a list of (column, left, right), or after a
+        # terminal expansion one such entry in a tuple; a side is the child
+        # _Rec, or the int units of a forced one-sample leaf
+        self.splits = ()
         self.parents = {}         # parent _Rec -> split index or list of them, insertion ordered;
-                                  # None once a terminal record is expanded
+                                  # None once a terminal record is expanded or the search ends
         self.solved = False
         # set from a non-terminal expansion until solved:
         self.dirty = None         # indices of splits whose children changed since the last refresh
@@ -238,7 +266,8 @@ class _Rec:
         # a terminal record paired with its sibling: (sibling, the depth-2
         # parent's scan list, the parent's agreement counts over it) until
         # either is expanded; (None, split or None) once the sibling has
-        # derived this record's outcome; see _expand_terminal
+        # derived this record's outcome; see _expand_terminal.  None once
+        # the search ends
         self.sib = None
 
 
@@ -250,7 +279,7 @@ class _Search:
         self.q = cfg.regularizer.denom
         self.pos_bits = bin_data.pos_mask
         self.counters = Counters()
-        self.recs: dict = {}
+        self.recs: dict = {}    # depth -> {class mask: record}
         self.heap: list = []
         self.root_bits = root_bits
         self.bounded = cfg.depth_limit is not None
@@ -287,19 +316,14 @@ class _Search:
 
     # ---------------- record lifecycle
 
-    def _create(self, bits, cbits, depth, n, pos, miss, scan):
-        """The record of the support bits at depth, made on first use and
-        found again by its class mask cbits.  n, pos and miss are the
-        support's sample, label-1 and reference-mistake counts (miss is None
-        without a guess); every caller has already taken them.  scan is the
-        column list the record will scan, in column order, holding at least
-        every column not constant on bits; a cache hit keeps the list of its
-        first creator."""
-        key = (cbits, depth)
-        rec = self.recs.get(key)
-        if rec is not None:
-            self.counters.cache_hits += 1
-            return rec
+    def _create(self, level, bits, cbits, depth, n, pos, miss, scan):
+        """Make the record of the support bits at depth and file it in level,
+        the cache of that depth, under its class mask cbits; the caller has
+        found no record there.  n, pos and miss are the support's sample,
+        label-1 and reference-mistake counts (miss is None without a guess);
+        every caller has already taken them.  scan is the column list the
+        record will scan, in column order, holding at least every column not
+        constant on bits."""
         leaf_units = self.q * min(pos, n - pos) + self.pen
         # Every support here is the root cut by indicator columns, and columns
         # are constant on an equivalence class, so a support holds all of a
@@ -308,14 +332,15 @@ class _Search:
         true_floor = self.pen + self.q * (bits & self.minority).bit_count()
         guess_floor = None if miss is None else self.pen + self.q * miss
         rec = _Rec(bits, cbits, depth, n, pos, leaf_units, true_floor, guess_floor, scan)
-        self.counters.created += 1
+        counters = self.counters
+        counters.created += 1
+        level[cbits] = rec
         # a one-sample support, which only a root can be, closes here: its
         # leaf costs pen, no more than any floor
         if rec.upper <= rec.lower:
             self._close(rec)
-        self.recs[key] = rec
-        if not rec.solved:
-            heapq.heappush(self.heap, (rec.lower, len(self.recs), rec))  # creation index breaks ties
+        else:
+            heapq.heappush(self.heap, (rec.lower, counters.created, rec))  # creation index breaks ties
         return rec
 
     @staticmethod
@@ -346,8 +371,11 @@ class _Search:
             miss = (bits & inc_bits).bit_count()
         create, link, pair = self._create, self._link, self._pair
         child_depth = rec.depth - 1 if self.bounded else None
-        splits = rec.splits
+        level = self.recs.setdefault(child_depth, {})
+        find = level.get
+        splits = rec.splits = []
         upper = rec.upper
+        hits = 0
         # the columns that split bits: a column constant here is constant on
         # every child, so the children scan only these.  The list fills
         # while they are created, and none is expanded before it is complete
@@ -358,13 +386,32 @@ class _Search:
         neg = n - pos
         for col in rec.scan:
             j, c, _, cc = col
-            bl = bits & c
-            nl = bl.bit_count()
-            if nl == 0 or nl == n:
+            # the support holds whole classes, so a column is constant on it
+            # exactly when it is constant on its classes
+            cbl = cbits & cc
+            if cbl == 0 or cbl == cbits:
                 continue
             keep.append(col)
+            cbr = cbits ^ cbl
+            # a side found in the cache holds its counts, and the other
+            # side's are the support's minus these: only when neither is
+            # there are the samples counted
+            cl, cr, bl = find(cbl), find(cbr), None
+            if cl is not None:
+                nl, posl = cl.n, cl.pos
+                if miss is not None:
+                    missl = (cl.guess_floor - pen) // q
+            elif cr is not None:
+                nl, posl = n - cr.n, pos - cr.pos
+                if miss is not None:
+                    missl = miss - (cr.guess_floor - pen) // q
+            else:
+                bl = bits & c
+                nl = bl.bit_count()
+                posl = (bl & pos_bits).bit_count()
+                if miss is not None:
+                    missl = (bl & inc_bits).bit_count()
             nr = n - nl
-            posl = (bl & pos_bits).bit_count()
             if agree is not None:
                 agree.append(2 * posl - nl + neg)
             posr = pos - posl
@@ -376,7 +423,6 @@ class _Search:
             # equivalence-points term when created
             low_l = low_r = pen
             if miss is not None:
-                missl = (bl & inc_bits).bit_count()
                 missr = miss - missl
                 low_l += q * missl
                 low_r += q * missr
@@ -386,21 +432,35 @@ class _Search:
                 low_r = vr
             if low_l + low_r >= upper:
                 continue
+            # a one-sample side is a forced leaf, kept as its units; no
+            # record but the root has one sample, so the cache never has it
             i = len(splits)
-            cl = cr = None
-            cbl = cbits & cc
+            left, right = vl, vr
             if nl != 1:
-                cl = create(bl, cbl, child_depth, nl, posl, missl, keep)
+                if cl is None:
+                    if bl is None:
+                        bl = bits & c
+                    cl = create(level, bl, cbl, child_depth, nl, posl, missl, keep)
+                else:
+                    hits += 1
                 link(cl, rec, i)
+                left = cl
             if nr != 1:
-                cr = create(bits ^ bl, cbits ^ cbl, child_depth, nr, posr, missr, keep)
+                if cr is None:
+                    if bl is None:
+                        bl = bits & c
+                    cr = create(level, bits ^ bl, cbr, child_depth, nr, posr, missr, keep)
+                else:
+                    hits += 1
                 link(cr, rec, i)
-                if agree is not None and cl is not None:
+                right = cr
+                if agree is not None and nl != 1:
                     pair(cl, cr, keep, agree)
-            splits.append((j, cl, cr, vl, vr))
+            splits.append((j, left, right))
             # splitting j into two majority leaves is an incumbent
             if vl + vr < upper:
                 upper = vl + vr
+        self.counters.cache_hits += hits
         if upper < rec.upper:
             # parents see this at their next refresh, but it does not wake them
             rec.upper = upper
@@ -456,8 +516,8 @@ class _Search:
             scan = rec.scan
             split = self._two_leaves(rec, scan, [(bits & e).bit_count() for _, _, e, _ in scan])
         if split is not None:
-            rec.splits.append(split)
-            rec.upper = split[3] + split[4]
+            rec.splits = (split,)
+            rec.upper = split[1] + split[2]
         self._close(rec)
         self._mark_parents(rec)
         self._propagate(rec)
@@ -465,7 +525,7 @@ class _Search:
         rec.parents = None
 
     def _two_leaves(self, rec, scan, agree):
-        """The split (j, None, None, vl, vr) of rec into two majority leaves
+        """The split (j, left units, right units) of rec into two majority leaves
         of least loss, the first such column in scan, when it beats rec's
         upper bound; else None.  agree holds |rec.bits & e| for each
         column's agreement mask e.
@@ -503,7 +563,7 @@ class _Search:
         posl = (nl + agree[i] - (n - pos)) // 2
         negl, posr = nl - posl, pos - posl
         negr = n - nl - posr
-        return (j, None, None,
+        return (j,
                 q * (posl if posl < negl else negl) + pen,
                 q * (posr if posr < negr else negr) + pen)
 
@@ -521,11 +581,14 @@ class _Search:
         k = len(splits)
         upper = rec.upper
         for i in rec.dirty:
-            _, cl, cr, ul, ur = splits[i]
-            ll, lr = ul, ur
-            if cl is not None:
+            _, cl, cr = splits[i]
+            if type(cl) is int:
+                ul = ll = cl
+            else:
                 ul, ll = cl.upper, cl.lower
-            if cr is not None:
+            if type(cr) is int:
+                ur = lr = cr
+            else:
                 ur, lr = cr.upper, cr.lower
             if ul + ur < upper:
                 upper = ul + ur
@@ -594,10 +657,10 @@ class _Search:
         budgets between expansions.  Returns the root record and the budget
         that stopped the search, "time-limit" or "record-limit", or None."""
         t0 = time.monotonic()
-        bits = self.root_bits
+        bits, depth = self.root_bits, self.cfg.depth_limit
         miss = (bits & self.inc_bits).bit_count() if self.guessing else None
-        root = self._create(bits, self.root_cbits, self.cfg.depth_limit, bits.bit_count(),
-                            (bits & self.pos_bits).bit_count(), miss, self.cols)
+        root = self._create(self.recs.setdefault(depth, {}), bits, self.root_cbits, depth,
+                            bits.bit_count(), (bits & self.pos_bits).bit_count(), miss, self.cols)
         time_limit_s, max_records = self.cfg.time_limit_s, self.cfg.max_records
         while not root.solved and self.heap:
             if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
@@ -606,6 +669,17 @@ class _Search:
                 return root, "record-limit"
             self._expand(heapq.heappop(self.heap)[2])
         return root, None
+
+    def release(self):
+        """Once the search has ended, drop the cache and every record's class
+        mask, parent links and sibling pairing.  What stays is the split DAG
+        below the root, where no record points back up, so reference
+        counting frees it.  A method, so that no loop variable outlives it
+        holding a level of the cache."""
+        for level in self.recs.values():
+            for rec in level.values():
+                rec.cbits = rec.parents = rec.sib = None
+        self.recs = None
 
     # ---------------- extraction
 
@@ -621,14 +695,14 @@ class _Search:
         key, choice = (rec.leaf_units, 1, 0, _LEAF_KEY), None
         prune = not self.guessing
         for s in rec.splits:
-            j, cl, cr, vl, vr = s
+            j, cl, cr = s
+            lint, rint = type(cl) is int, type(cr) is int
             # certified lowers: a split whose children cannot reach key's
             # units cannot win; on a tie it still may, by leaves or depth
-            if prune and ((vl if cl is None else cl.lower)
-                          + (vr if cr is None else cr.lower)) > key[0]:
+            if prune and ((cl if lint else cl.lower) + (cr if rint else cr.lower)) > key[0]:
                 continue
-            lu, ll, ld, ls = self.best(cl, memo)[0] if cl is not None else (vl, 1, 0, _LEAF_KEY)
-            ru, rl, rd, rs = self.best(cr, memo)[0] if cr is not None else (vr, 1, 0, _LEAF_KEY)
+            lu, ll, ld, ls = (cl, 1, 0, _LEAF_KEY) if lint else self.best(cl, memo)[0]
+            ru, rl, rd, rs = (cr, 1, 0, _LEAF_KEY) if rint else self.best(cr, memo)[0]
             cand = (lu + ru, ll + rl, 1 + (ld if ld > rd else rd), (j, ls, rs))
             if cand < key:
                 key, choice = cand, s
@@ -636,15 +710,15 @@ class _Search:
         memo[rec] = got = key, choice
         return got
 
-    def build(self, bits, rec, memo):
+    def build(self, bits, side, memo):
         """The tree of the choices best() made, top-down from the support
-        bits; rec is None for a forced leaf."""
-        choice = None if rec is None else self.best(rec, memo)[1]
+        bits; side is a record, or the units of a forced leaf."""
+        choice = None if type(side) is int else self.best(side, memo)[1]
         if choice is None:
             n = bits.bit_count()
             pos = (bits & self.pos_bits).bit_count()
             return Leaf(1 if pos > n - pos else 0)
-        j, cl, cr, _vl, _vr = choice
+        j, cl, cr = choice
         bl = bits & self.bin.columns[j]
         f, t = self.bin.column_meta[j]
         return Split(self.bin.feature_names[f], t,
@@ -656,7 +730,12 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
 
     root_support is a sample bitmask (bit i set keeps sample i), an int or a
     numpy integer, that restricts the loss to those samples; the leaf
-    penalty still counts all n.  None keeps every sample."""
+    penalty still counts all n.  None keeps every sample.
+
+    The cyclic garbage collector is paused (gc.disable) during the search and
+    the extraction, and afterwards left enabled or disabled as it was found,
+    also when the search raises.  The search makes no cyclic garbage, and the
+    record graph it leaves is freed by reference counting on return."""
     if bin_data.n_columns < 1:
         raise ValueError("dataset has no binary columns")
     if cfg.regularizer.n_samples != bin_data.n_samples:
@@ -680,10 +759,17 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
     if root_bits == 0:
         raise ValueError("empty root support")
     search = _Search(bin_data, cfg, root_bits)
-    root, stopped_by = search.run()
-    memo = {}
-    units, leaves, depth, _ = search.best(root, memo)[0]
-    tree = search.build(root_bits, root, memo)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        root, stopped_by = search.run()
+        search.release()
+        memo = {}
+        units, leaves, depth, _ = search.best(root, memo)[0]
+        tree = search.build(root_bits, root, memo)
+    finally:
+        if collecting:
+            gc.enable()
     reg = cfg.regularizer
     loss_units = units - reg.leaf_penalty_units * leaves
     assert loss_units % reg.denom == 0

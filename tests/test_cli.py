@@ -267,6 +267,7 @@ def _forbid_fitting(monkeypatch):
     ["--max-records", "0"],
     ["--lambda=-1/10"],
     ["--lambda", "nonsense"],
+    ["--lambda", "1e400"],
 ])
 def test_train_checks_solver_options_before_fitting(tmp_path, capsys, monkeypatch, bad):
     data = _write_synthetic(tmp_path / "syn.csv")
@@ -283,6 +284,31 @@ def test_train_checks_solver_options_before_fitting(tmp_path, capsys, monkeypatc
         assert cli.main(argv) == 1, run
         assert "error" in capsys.readouterr().err
     assert not (tmp_path / "r.tree.json").exists()
+
+
+def test_lambda_with_no_finite_float_is_an_input_error(tmp_path):
+    # 1e400 is an exact rational, but the report gives the objective as a
+    # float too: it used to overflow after the whole solve, with a traceback
+    data = _write_synthetic(tmp_path / "syn.csv")
+    cmd = [sys.executable, "-m", "sparsetree.cli"]
+    runs = [
+        ["train", data, "--depth", "2", "--out", str(tmp_path / "run")],
+        ["benchmark", data, "--folds", "2", "--depth", "2", "--out-json", str(tmp_path / "b.json")],
+    ]
+    for run in runs:
+        proc = subprocess.run(cmd + run + ["--lambda", "1e400"],
+                              capture_output=True, text=True, timeout=120, env=_child_env())
+        assert proc.returncode == 1, run
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+    assert not (tmp_path / "run.tree.json").exists()
+    assert not (tmp_path / "b.json").exists()
+    # a large lambda that a float holds still solves: one leaf
+    xor = _write_xor(tmp_path / "xor.csv")
+    assert cli.main(["train", xor, "--lambda", "1e300", "--depth", "2", "--out", str(tmp_path / "big")]) == 0
+    report = json.loads((tmp_path / "big.report.json").read_text())
+    assert report["objective"]["leaves"] == 1
+    assert report["objective"]["float"] == 1e300
 
 
 def test_train_unbounded_depth_flag(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -46,6 +47,10 @@ def test_regularizer_rejections():
         Regularizer.from_text("-1/2", 10)
     with pytest.raises(ValueError, match="sample"):
         Regularizer.from_text("0.1", 0)
+    # an exact rational, but reports give the objective as a float too
+    with pytest.raises(ValueError, match="too large for a float"):
+        Regularizer.from_text("1e400", 10)
+    assert Regularizer.from_text("1e300", 10).value == 10 ** 300
 
 
 # ---------------------------------------------------------------- one-leaf solves
@@ -174,6 +179,11 @@ def test_unbounded_agrees_with_bounded_at_its_depth():
         assert pinned.objective_units == free.objective_units
 
 
+def _records(search):
+    """Every record in the search's cache, depth by depth."""
+    return [rec for level in search.recs.values() for rec in level.values()]
+
+
 def _supports(search, root_rec):
     """Each record's support over samples, walked down the recorded splits
     from the root: every record is created as one side of some split, and a
@@ -185,17 +195,17 @@ def _supports(search, root_rec):
     while todo:
         rec = todo.pop()
         bits = got[rec]
-        for j, cl, cr, _, _ in rec.splits:
+        for j, cl, cr in rec.splits:
             bl = bits & columns[j]
             for child, side in ((cl, bl), (cr, bits ^ bl)):
-                if child is None:
+                if type(child) is int:  # a forced leaf's units
                     continue
                 if child in got:
                     assert got[child] == side
                 else:
                     got[child] = side
                     todo.append(child)
-    assert len(got) == len(search.recs)
+    assert len(got) == len(_records(search))
     return got
 
 
@@ -209,7 +219,7 @@ def test_cache_holds_subproblem_optima():
     root_rec, _ = search.run()
     support = _supports(search, root_rec)
     checked = 0
-    for rec in search.recs.values():
+    for rec in _records(search):
         bits, depth = support[rec], rec.depth
         if not rec.solved or depth is None or depth < 1 or bits == 0:
             continue
@@ -480,12 +490,14 @@ def test_search_counters_are_pinned():
 
 
 def _split_sums(split):
-    """(upper sum, lower sum) of one recorded split from its children now."""
-    _col, left, right, ul, ur = split
-    ll, lr = ul, ur
-    if left is not None:
+    """(upper sum, lower sum) of one recorded split from its children now;
+    a forced leaf's side is its units."""
+    _col, left, right = split
+    ul = ll = left
+    ur = lr = right
+    if type(left) is not int:
         ul, ll = left.upper, left.lower
-    if right is not None:
+    if type(right) is not int:
         ur, lr = right.upper, right.lower
     return ul + ur, ll + lr
 
@@ -506,7 +518,7 @@ def _check_bounds_against_full_rescan(search):
     marked on the parent without waking it, so those marks are folded in
     here as the next wake would fold them.  Such marks carry no change of
     a lower sum, so the heap must already hold the full lower bound."""
-    for rec in search.recs.values():
+    for rec in _records(search):
         if rec.dirty is None:  # unexpanded, terminal or solved
             continue
         sums = [_split_sums(s) for s in rec.splits]
@@ -600,7 +612,7 @@ def test_terminal_expansion_matches_a_column_scan():
         root_rec, _ = search.run()
         support = _supports(search, root_rec)
         kept = empty = 0
-        for rec in search.recs.values():
+        for rec in _records(search):
             if rec not in expanded or rec.depth != 1:
                 continue
             assert rec in how, name
@@ -608,11 +620,11 @@ def test_terminal_expansion_matches_a_column_scan():
             scan = _two_leaf_scan(bin_data, reg, support[rec])
             if scan is not None and scan[0] < rec.leaf_units:
                 units, j, (vl, vr) = scan
-                assert rec.splits == [(j, None, None, vl, vr)], name
+                assert rec.splits == ((j, vl, vr),), name
                 assert rec.upper == units, name
                 kept += 1
             else:
-                assert rec.splits == [], name
+                assert rec.splits == (), name
                 assert rec.upper == rec.leaf_units, name
                 empty += 1
         assert len(how) == kept + empty, name
@@ -645,10 +657,11 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
             expand(rec)
 
         def note_create(*args):
-            known = len(search.recs)
+            known = search.counters.created
             rec = create(*args)
-            if len(search.recs) > known:
-                creator[rec] = expanding[0]
+            # the expansion looks a child up first, so every call creates
+            assert search.counters.created == known + 1, name
+            creator[rec] = expanding[0]
             return rec
 
         search._expand, search._create = note_expand, note_create
@@ -662,7 +675,7 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
             return [j for j, c, _, _ in search.cols if 0 < (support[rec] & c).bit_count() < rec.n]
 
         dropped = 0
-        for rec in search.recs.values():
+        for rec in _records(search):
             scan = [j for j, _, _, _ in rec.scan]
             assert scan and scan == sorted(scan), name
             assert set(splitting(rec)) <= set(scan), name
@@ -685,9 +698,9 @@ def _unpruned_best(rec, memo):
         leaf = (1, 0, solver._LEAF_KEY)
         key, choice = (rec.leaf_units, *leaf), None
         for split in rec.splits:
-            j, cl, cr, vl, vr = split
-            lu, ll, ld, ls = _unpruned_best(cl, memo)[0] if cl is not None else (vl, *leaf)
-            ru, rl, rd, rs = _unpruned_best(cr, memo)[0] if cr is not None else (vr, *leaf)
+            j, cl, cr = split
+            lu, ll, ld, ls = (cl, *leaf) if type(cl) is int else _unpruned_best(cl, memo)[0]
+            ru, rl, rd, rs = (cr, *leaf) if type(cr) is int else _unpruned_best(cr, memo)[0]
             cand = (lu + ru, ll + rl, 1 + max(ld, rd), (j, ls, rs))
             if cand < key:
                 key, choice = cand, split
@@ -861,7 +874,7 @@ def test_floor_matches_a_per_group_recount():
         pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
         ref = cfg.reference
         paid = 0
-        for rec in search.recs.values():
+        for rec in _records(search):
             if ref is None:
                 assert rec.guess_floor is None, name
             else:
@@ -897,18 +910,96 @@ def test_cache_is_keyed_by_class_masks():
         support = _supports(search, root_rec)
         ids = sparsetree.equivalence_classes(bin_data).ids
         seen = set()
-        for (cbits, depth), rec in search.recs.items():
-            assert (cbits, depth) == (rec.cbits, rec.depth), name
-            meets = {int(ids[i]) for i in range(bin_data.n_samples) if support[rec] >> i & 1}
-            assert cbits == sum(1 << k for k in meets), name
-            seen.add((support[rec], depth))
-            assert rec.bits == (None if rec.solved else support[rec]), name
-        assert len(seen) == len(search.recs), name
+        for depth, level in search.recs.items():
+            for cbits, rec in level.items():
+                assert (cbits, depth) == (rec.cbits, rec.depth), name
+                meets = {int(ids[i]) for i in range(bin_data.n_samples) if support[rec] >> i & 1}
+                assert cbits == sum(1 << k for k in meets), name
+                seen.add((support[rec], depth))
+                assert rec.bits == (None if rec.solved else support[rec]), name
+        assert len(seen) == len(_records(search)), name
         assert all(rec.parents is None for rec in terminal), name
         assert terminal or cfg.depth_limit is None, name
         if name == "halved_classes":
             # this root splits classes, so its key holds fewer sample bits
             assert root_rec.cbits.bit_count() < bits.bit_count(), name
+
+
+def test_stored_counts_match_the_supports():
+    # a cache hit reads the found record's sample, label-1 and reference
+    # mistake counts (the last from its guess floor) in place of counting
+    # the samples again, so each must be its walked support's popcount
+    for name, (bin_data, cfg, root) in _pinned_instances().items():
+        bits = bin_data.full_mask if root is None else root
+        search = solver._Search(bin_data, cfg, bits)
+        root_rec, _ = search.run()
+        support = _supports(search, root_rec)
+        pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
+        ref = cfg.reference
+        for rec in _records(search):
+            got = support[rec]
+            assert rec.n == got.bit_count(), name
+            assert rec.pos == (got & bin_data.pos_mask).bit_count(), name
+            want = None if ref is None else pen + q * (got & ref.incorrect_bits).bit_count()
+            assert rec.guess_floor == want, name
+        assert search.counters.cache_hits > 0, name
+
+
+def _collector_cases():
+    """The pinned solves, plus exact solves cut by a record cap and by a
+    zero time budget."""
+    cases = _pinned_instances()
+    dense, cfg, _ = cases["exact"]
+    cases["record_limit"] = (dense, replace(cfg, max_records=200), None)
+    cases["time_limit"] = (dense, replace(cfg, time_limit_s=0), None)
+    return cases
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_solves_leave_no_cyclic_garbage():
+    # once the search ends no record points back up the graph, so reference
+    # counting frees it all when optimize returns; optimize pauses the
+    # collector and gives it back in the state it found it
+    was = gc.isenabled()
+    try:
+        for name, (bin_data, cfg, root) in _collector_cases().items():
+            gc.collect()
+            gc.disable()
+            res = solver.optimize(bin_data, cfg, root_support=root)
+            assert not gc.isenabled(), name
+            assert gc.collect() == 0, name
+            if name.endswith("_limit"):
+                assert res.status == name.replace("_", "-"), name
+            gc.enable()
+            again = solver.optimize(bin_data, cfg, root_support=root)
+            assert gc.isenabled(), name
+            assert (again.objective_units, repr(again.tree)) == (res.objective_units, repr(res.tree)), name
+    finally:
+        _set_collector(was)
+
+
+def test_a_failing_search_restores_the_collector(monkeypatch):
+    def fail(self):
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(solver._Search, "run", fail)
+    bin_data = _xor_binary()
+    cfg = SolverConfig(Regularizer.from_text("0", 4), depth_limit=2)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            _set_collector(enabled)
+            with pytest.raises(RuntimeError, match="search failed"):
+                solver.optimize(bin_data, cfg)
+            assert gc.isenabled() == enabled
+    finally:
+        _set_collector(was)
 
 
 # ---------------------------------------------------------------- metamorphic relations
