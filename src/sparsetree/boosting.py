@@ -22,7 +22,6 @@ seed is recorded for provenance only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -258,10 +257,6 @@ def predict_class(ens: BoostedEnsemble, x: np.ndarray) -> np.ndarray:
     return (predict_margin(ens, x) > 0.0).astype(np.int8)
 
 
-def correct_count(ens: BoostedEnsemble, x: np.ndarray, y: np.ndarray) -> int:
-    return int((predict_class(ens, x) == np.asarray(y)).sum())
-
-
 # ---------------------------------------------------------------- importances
 
 def _gini(pos: int, n: int) -> float:
@@ -319,8 +314,8 @@ def _node_obj(nd: RegressionNode):
     }
 
 
-def to_json(ens: BoostedEnsemble) -> str:
-    obj = {
+def to_dict(ens: BoostedEnsemble) -> dict:
+    return {
         "initial_score": ens.initial_score,
         "learning_rate": ens.learning_rate,
         "n_estimators": ens.n_estimators,
@@ -329,4 +324,3 @@ def to_json(ens: BoostedEnsemble) -> str:
         "feature_names": list(ens.feature_names),
         "trees": [_node_obj(t) for t in ens.trees],
     }
-    return json.dumps(obj, indent=2)

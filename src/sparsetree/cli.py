@@ -14,13 +14,7 @@ import sys
 import time
 
 from . import boosting, evaluation, guessing, trees
-from .dataset import (
-    binarize_with_thresholds,
-    full_binarize,
-    load_csv,
-    read_binary_csv,
-    write_binary_csv,
-)
+from .dataset import full_binarize, load_csv, read_binary_csv, write_binary_csv
 from .solver import Regularizer, SolverConfig, optimize, run_report
 
 
@@ -64,8 +58,7 @@ def cmd_guess(args) -> int:
         raw, args.n_est, args.max_depth, args.lr, args.seed,
         drop_tolerance=args.drop_tolerance,
     )
-    bin_data = binarize_with_thresholds(raw, trace.thresholds.pairs())
-    write_binary_csv(bin_data, args.out_data)
+    write_binary_csv(trace.data, args.out_data)
     with open(args.out_trace, "w") as fh:
         fh.write(guessing.trace_to_json(trace))
     _log(f"eliminated {len(trace.steps)} thresholds, kept {len(trace.thresholds)} "
@@ -96,11 +89,11 @@ def cmd_train(args) -> int:
                 raw, args.n_est, args.max_depth, args.lr, args.seed,
                 drop_tolerance=args.drop_tolerance,
             )
-            bin_data = binarize_with_thresholds(raw, trace.thresholds.pairs())
+            bin_data = trace.data
             _log(f"threshold guessing kept {bin_data.n_columns} columns "
                  f"(removed {len(trace.steps)})")
             if args.lb_guess:
-                cfg.reference = guessing.reference_labels(trace.ensemble, bin_data)
+                cfg.reference = trace.reference
         else:
             bin_data = full_binarize(raw)
             if args.lb_guess:

@@ -89,11 +89,12 @@ def make_raw(features, labels, feature_names=None) -> RawDataset:
 def load_csv(path) -> RawDataset:
     """Load a CSV of numeric feature columns; the last column is the 0/1 label.
 
-    Row positions in error messages are 1-based over data rows (the header
-    is not counted); columns are 1-based.
+    The file is UTF-8, with or without a leading byte-order mark.  Row
+    positions in error messages are 1-based over data rows (the header is
+    not counted); columns are 1-based.
     """
     try:
-        fh = open(path, "r", newline="")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as e:
         raise DataFormatError(f"cannot open {path}: {e}") from e
     with fh:
@@ -240,9 +241,11 @@ def write_binary_csv(bin_data: BinaryDataset, path) -> None:
 
 
 def read_binary_csv(path) -> BinaryDataset:
-    """Inverse of write_binary_csv; headers must follow the feature<idx><=<t> convention."""
+    """Inverse of write_binary_csv; headers must follow the feature<idx><=<t>
+    convention, each (feature, threshold) at most once, and the file is UTF-8,
+    with or without a leading byte-order mark."""
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as e:
         raise DataFormatError(f"cannot open {path}: {e}") from e
     with fh:
@@ -255,7 +258,7 @@ def read_binary_csv(path) -> BinaryDataset:
             raise DataFormatError("empty header line")
         if header[-1].strip() != "label":
             raise DataFormatError("last header cell must be 'label'")
-        meta = []
+        meta, first = [], {}
         for c, cell in enumerate(header[:-1], start=1):
             text = cell.strip()
             if "≤" not in text or not text.startswith("feature"):
@@ -267,6 +270,12 @@ def read_binary_csv(path) -> BinaryDataset:
                     raise ValueError("negative feature index")
             except ValueError:
                 raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>") from None
+            # a tree names its columns by (feature, threshold), so a repeat
+            # would make it point at the wrong one
+            if (idx, thr) in first:
+                raise DataFormatError(
+                    f"header columns {first[(idx, thr)]} and {c} are both {indicator_header(idx, thr)}")
+            first[(idx, thr)] = c
             meta.append((idx, thr))
         rows, labels = [], []
         for r, rec in enumerate(reader, start=1):

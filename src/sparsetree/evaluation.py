@@ -287,9 +287,8 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig,
         train, cfg.n_estimators, cfg.max_depth, cfg.learning_rate, cfg.seed,
         drop_tolerance=cfg.drop_tolerance,
     )
-    pairs = trace.thresholds.pairs()
-    bin_train = binarize_with_thresholds(train, pairs)
-    ref = guessing.reference_labels(trace.ensemble, bin_train) if cfg.use_lb_guess else None
+    bin_train = trace.data
+    ref = trace.reference if cfg.use_lb_guess else None
     fold_cfg = replace(solver_cfg, reference=ref,
                        regularizer=Regularizer.from_text(cfg.regularization, train.n_samples))
     result = optimize(bin_train, fold_cfg)
@@ -300,7 +299,7 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig,
             plain = optimize(bin_train, replace(fold_cfg, reference=None))
         out.counters_no_guess = asdict(plain.counters)
     out.train_accuracy = 1.0 - result.loss_count / train.n_samples
-    bin_test = binarize_with_thresholds(test, pairs)
+    bin_test = binarize_with_thresholds(test, trace.thresholds.pairs())
     n_test = test.n_samples
     out.test_accuracy = (n_test - trees.misclassified_count(result.tree, bin_test)) / n_test
     out.objective = str(result.objective)

@@ -83,12 +83,19 @@ def min_depth_for_ensemble(n_estimators: int, vc_weak: int) -> tuple[int, float]
 
 @dataclass(frozen=True)
 class EliminationTrace:
+    """What column elimination did, and the inputs of a guessed solve: data,
+    the surviving indicator columns the accepted ensemble was fit on (the
+    first fit rewritten onto them in the translated fallback), and reference,
+    that ensemble's labels on data."""
+
     initial_correct: int
     stopping_bar: int
     steps: tuple[tuple[tuple[int, float], int], ...]
     thresholds: ThresholdSet
     ensemble: BoostedEnsemble
     fallback_translated: bool
+    data: BinaryDataset
+    reference: ReferenceLabels
 
 
 def indicator_raw(bin_data: BinaryDataset) -> RawDataset:
@@ -169,12 +176,13 @@ def column_eliminate(
     survivors = sorted(ts0.pairs())  # in column order: a refit's column c is survivors[c]
     ranking = {(f, t): v for f, t, v in ts0.entries}
     steps: list[tuple[tuple[int, float], int]] = []
-    accepted: BoostedEnsemble | None = None
+    accepted = None  # (ensemble, data, reference) of the last refit kept
 
     def refit_on(pairs):
-        ind = indicator_raw(binarize_with_thresholds(raw, pairs))
-        refit = boosting.fit(ind, n_estimators, max_depth, learning_rate, seed)
-        return refit, boosting.correct_count(refit, ind.features, ind.labels)
+        data = binarize_with_thresholds(raw, pairs)
+        refit = boosting.fit(indicator_raw(data), n_estimators, max_depth, learning_rate, seed)
+        ref = reference_labels(refit, data)
+        return (refit, data, ref), raw.n_samples - ref.incorrect_count
 
     while survivors:
         # drop the least important; on ties, the larger (feature, threshold)
@@ -186,7 +194,7 @@ def column_eliminate(
         steps.append((victim, c))
         survivors = candidate
         accepted = refit
-        ranking = _importance_by_pair(refit, survivors)
+        ranking = _importance_by_pair(refit[0], survivors)
 
     fallback = False
     if accepted is None:
@@ -194,18 +202,22 @@ def column_eliminate(
         if c >= bar:
             accepted = refit
         else:
-            accepted = translate_to_indicators(ens0, survivors)
+            translated = translate_to_indicators(ens0, survivors)
+            accepted = translated, refit[1], reference_labels(translated, refit[1])
             fallback = True
-        ranking = _importance_by_pair(accepted, survivors)
+        ranking = _importance_by_pair(accepted[0], survivors)
 
     entries = sorted(((f, t, ranking[(f, t)]) for f, t in survivors), key=lambda e: (-e[2], e[0], e[1]))
+    ensemble, data, reference = accepted
     return EliminationTrace(
         initial_correct=initial_correct,
         stopping_bar=bar,
         steps=tuple(steps),
         thresholds=ThresholdSet(tuple(entries)),
-        ensemble=accepted,
+        ensemble=ensemble,
         fallback_translated=fallback,
+        data=data,
+        reference=reference,
     )
 
 
@@ -220,6 +232,6 @@ def trace_to_json(trace: EliminationTrace) -> str:
         "thresholds": [
             {"feature": f, "threshold": t, "importance": v} for f, t, v in trace.thresholds.entries
         ],
-        "ensemble": json.loads(boosting.to_json(trace.ensemble)),
+        "ensemble": boosting.to_dict(trace.ensemble),
     }
     return json.dumps(obj, indent=2)

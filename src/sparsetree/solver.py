@@ -22,8 +22,10 @@ before counting it: a column splits the support exactly when it splits its
 classes, and a child found in the cache already holds its sample, label-1
 and reference-mistake counts, so the other side's are the support's minus
 these.  Only when neither side is found are the samples counted, on sample
-masks.  A record keeps its support's sample mask only until it is solved,
-and a terminal record (see below) also gives up its parent links.
+masks, and a found left side leaves the right one to be looked up only if
+the split passes the prune check.  A record keeps its support's sample mask
+only until it is solved, and its parent links only until its close has
+reached its parents.
 
 A record's splits are entries (column, left, right).  A side is the child
 record, or, for a one-sample side, the int units of that forced leaf.  An
@@ -32,13 +34,14 @@ one entry, both of its sides leaves.
 
 Records point at their parents (for bounds, below) and paired siblings at
 each other, so the graph has cycles while the search runs.  When it ends,
-optimize drops the cache and every record's class mask, parent links and
-sibling pairing, before extraction.  What is left is the split DAG below the
-root, which reference counting frees when optimize returns.  The search
-itself makes no cyclic garbage (every record stays in the cache until the
-end, and everything else is freed by reference counting), so optimize
-pauses the cyclic collector around the search and extraction, which would
-otherwise walk every live record on each pass.
+optimize drops the cache and every record's class mask, remaining parent
+links (an unsolved record's) and sibling pairing, before extraction.  What
+is left is the split DAG below the root, which reference counting frees
+when optimize returns.  The search itself makes no cyclic garbage (every
+record stays in the cache until the end, and everything else is freed by
+reference counting), so optimize pauses the cyclic collector around the
+search and extraction, which would otherwise walk every live record on each
+pass.
 
 Exploration pops the smallest current lower bound first, FIFO on ties.
 Children whose bound sum cannot beat the parent incumbent are pruned at
@@ -256,7 +259,8 @@ class _Rec:
         # _Rec, or the int units of a forced one-sample leaf
         self.splits = ()
         self.parents = {}         # parent _Rec -> split index or list of them, insertion ordered;
-                                  # None once a terminal record is expanded or the search ends
+                                  # () once the record is solved and its close has
+                                  # propagated; None once the search ends
         self.solved = False
         # set from a non-terminal expansion until solved:
         self.dirty = None         # indices of splits whose children changed since the last refresh
@@ -395,13 +399,14 @@ class _Search:
             cbr = cbits ^ cbl
             # a side found in the cache holds its counts, and the other
             # side's are the support's minus these: only when neither is
-            # there are the samples counted
-            cl, cr, bl = find(cbl), find(cbr), None
+            # there are the samples counted.  After a left hit the right
+            # side is looked up only if the split passes the prune check
+            cl, cr, bl = find(cbl), None, None
             if cl is not None:
                 nl, posl = cl.n, cl.pos
                 if miss is not None:
                     missl = (cl.guess_floor - pen) // q
-            elif cr is not None:
+            elif (cr := find(cbr)) is not None:
                 nl, posl = n - cr.n, pos - cr.pos
                 if miss is not None:
                     missl = miss - (cr.guess_floor - pen) // q
@@ -436,6 +441,8 @@ class _Search:
             # record but the root has one sample, so the cache never has it
             i = len(splits)
             left, right = vl, vr
+            if cl is not None and nr != 1:
+                cr = find(cbr)
             if nl != 1:
                 if cl is None:
                     if bl is None:
@@ -521,8 +528,6 @@ class _Search:
         self._close(rec)
         self._mark_parents(rec)
         self._propagate(rec)
-        # it has no child records, so nothing wakes it again
-        rec.parents = None
 
     def _two_leaves(self, rec, scan, agree):
         """The split (j, left units, right units) of rec into two majority leaves
@@ -644,11 +649,18 @@ class _Search:
                 p.dirty.extend(i)
 
     def _propagate(self, rec):
+        """Wake the parents of rec, which has changed, breadth-first.  A
+        solved record never changes again, so once it has woken its parents
+        it forgets them: its links become the empty tuple, not None, as one
+        wave may queue a record twice."""
         work = deque([rec])
         while work:
-            for p in work.popleft().parents:
+            r = work.popleft()
+            for p in r.parents:
                 if not p.solved and self._settle(p, *self._refresh(p)):
                     work.append(p)
+            if r.solved:
+                r.parents = ()
 
     # ---------------- main loop
 
@@ -672,9 +684,9 @@ class _Search:
 
     def release(self):
         """Once the search has ended, drop the cache and every record's class
-        mask, parent links and sibling pairing.  What stays is the split DAG
-        below the root, where no record points back up, so reference
-        counting frees it.  A method, so that no loop variable outlives it
+        mask, parent links (left only on unsolved records) and sibling
+        pairing.  What stays is the split DAG below the root, where
+        no record points back up, so reference counting frees it.  A method, so that no loop variable outlives it
         holding a level of the cache."""
         for level in self.recs.values():
             for rec in level.values():

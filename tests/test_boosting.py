@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -82,7 +83,7 @@ def test_perfect_separation_one_feature():
     y = (x[:, 0] > 0.5).astype(int)
     raw = sparsetree.make_raw(x, y)
     ens = boosting.fit(raw, 5, 1, 0.1, seed=0)
-    assert boosting.correct_count(ens, raw.features, raw.labels) == 6
+    assert guessing.reference_labels(ens, raw).incorrect_count == 0
     assert np.array_equal(boosting.predict_class(ens, x), y)
 
 
@@ -92,7 +93,7 @@ def test_degenerate_constant_labels():
     assert ens.trees == []
     assert list(boosting.predict_class(ens, np.array([[5.0], [-5.0]]))) == [0, 0]
     assert len(boosting.extract_thresholds(ens)) == 0
-    assert boosting.correct_count(ens, raw.features, raw.labels) == raw.n_samples
+    assert guessing.reference_labels(ens, raw).incorrect_count == 0
 
 
 def test_degenerate_on_balanced_labels_scores_half():
@@ -101,7 +102,7 @@ def test_degenerate_on_balanced_labels_scores_half():
         initial_score=-4.0, learning_rate=0.1, n_estimators=1, max_depth=1,
         seed=0, feature_names=raw.feature_names, trees=[],
     )
-    assert boosting.correct_count(all_zero, raw.features, raw.labels) == 2
+    assert guessing.reference_labels(all_zero, raw).incorrect_count == 2
 
 
 def test_fit_matches_sklearn_margins():
@@ -146,7 +147,7 @@ def test_fit_deterministic():
     raw = random_raw(rng, 40, 3)
     a = boosting.fit(raw, 5, 2, 0.1, seed=7)
     b = boosting.fit(raw, 5, 2, 0.1, seed=7)
-    assert boosting.to_json(a) == boosting.to_json(b)
+    assert json.dumps(boosting.to_dict(a)) == json.dumps(boosting.to_dict(b))
 
 
 # ---------------------------------------------------------------- importances
@@ -428,8 +429,8 @@ def test_fit_matches_the_sorted_prefix_algorithm():
             raw.labels,
         )
         for data in (ind, mixed):
-            got = boosting.to_json(boosting.fit(data, 8, 3, 0.2, seed))
-            assert got == boosting.to_json(_seed_fit(data, 8, 3, 0.2, seed)), seed
+            got = json.dumps(boosting.to_dict(boosting.fit(data, 8, 3, 0.2, seed)))
+            assert got == json.dumps(boosting.to_dict(_seed_fit(data, 8, 3, 0.2, seed))), seed
 
 
 def test_fit_parameter_validation():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import sparsetree
-from sparsetree import cli
+from sparsetree import cli, evaluation, solver
 from sparsetree.evaluation import kfold
 
 
@@ -225,6 +226,37 @@ def test_binary_csv_is_utf8_under_an_ascii_locale(tmp_path):
     assert '"status": "optimal"' in report
 
 
+def test_raw_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    # a raw header may name a feature outside ASCII, with or without a
+    # byte-order mark ahead of it
+    rows = "".join(f"{i % 4},{i % 3},{int(i % 4 >= 2)}\n" for i in range(12))
+    env = _child_env(LC_ALL="POSIX", PYTHONUTF8="0")
+    cmd = [sys.executable, "-m", "sparsetree.cli"]
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        data = tmp_path / f"{name}.csv"
+        data.write_text(f"{bom}âge,x1,label\n{rows}", encoding="utf-8")
+        runs = [
+            ["binarize", str(data), "--out", str(tmp_path / f"{name}.bin.csv")],
+            ["train", str(data), "--lambda", "1/100", "--depth", "2",
+             "--out", str(tmp_path / name)],
+        ]
+        for argv in runs:
+            proc = subprocess.run(cmd + argv, capture_output=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert json.loads((tmp_path / f"{name}.tree.json").read_text())["feature"] == "âge"
+
+
+def test_train_rejects_a_repeated_indicator_header(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("feature0≤0.5,feature0≤0.5,label\n"
+                    "1,0,1\n1,0,1\n0,1,0\n0,1,0\n1,1,1\n0,0,0\n", encoding="utf-8")
+    rc = cli.main(["train", str(data), "--pre-binarized", "--lambda", "1/100",
+                   "--depth", "2", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: header columns 1 and 2 are both ")
+    assert not (tmp_path / "run.tree.json").exists()
+
+
 def test_train_flag_conflict_exits_2(tmp_path, capsys):
     data = _write_xor(tmp_path / "xor.csv")
     with pytest.raises(SystemExit) as e:
@@ -337,6 +369,31 @@ def test_benchmark_cli_round_trip(tmp_path):
     assert (tmp_path / "bench.csv").read_text().startswith("fold,")
     assert cli.main(args) == 0
     assert (tmp_path / "bench.json").read_bytes() == first
+
+
+def test_benchmark_no_compare_solves_once_per_guessed_fold(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solver.optimize(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "optimize", counting)
+    data = _write_synthetic(tmp_path / "raw.csv")
+    assert cli.main([
+        "benchmark", data, "--folds", "3", "--n-est", "5", "--max-depth", "2",
+        "--lr", "0.3", "--lambda", "1/100", "--depth", "2", "--no-compare",
+        "--out-json", str(tmp_path / "bench.json"), "--out-csv", str(tmp_path / "bench.csv"),
+    ]) == 0
+    folds = json.loads((tmp_path / "bench.json").read_text())["folds"]
+    # every fold's guess is active, so only --no-compare spares its plain solve
+    assert [f["status"] for f in folds] == ["guess-certified"] * 3
+    assert len(calls) == 3
+    assert [f["counters_no_guess"] for f in folds] == [None] * 3
+    with open(tmp_path / "bench.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))[:3]
+    assert [r["fold"] for r in rows] == ["0", "1", "2"]
+    assert all(r["expanded"] and r["expanded_no_guess"] == "" for r in rows)
 
 
 def test_benchmark_cli_fails_on_failed_fold(tmp_path, capsys):

@@ -233,13 +233,26 @@ def test_binary_csv_round_trip(tmp_path):
     ("feature0≤0.5,label\n2,0\n", "non-binary cell at row 1"),
     ("feature0≤0.5,label\n1,0\n0,2\n", "label outside"),
     ("feature0≤0.5,label\n", "no samples"),
+    # a tree names a column by (feature, threshold), so with two copies it
+    # would name the later one, not necessarily the one the solve split
+    ("feature0≤0.5,feature1≤2.5,feature0≤0.50,label\n1,0,1,1\n",
+     "header columns 1 and 3 are both feature0≤0.5$"),
 ], ids=["empty-file", "blank-header", "no-label-cell", "not-a-feature", "bad-threshold",
-        "negative-index", "short-row", "non-binary-cell", "bad-label", "no-rows"])
+        "negative-index", "short-row", "non-binary-cell", "bad-label", "no-rows",
+        "repeated-indicator"])
 def test_read_binary_csv_rejections(tmp_path, text, message):
     p = tmp_path / "b.csv"
     p.write_text(text)
     with pytest.raises(DataFormatError, match=message):
         read_binary_csv(p)
+
+
+def test_csv_readers_skip_a_byte_order_mark(tmp_path):
+    raw_path, bin_path = tmp_path / "d.csv", tmp_path / "b.csv"
+    raw_path.write_text("\ufeffâge,label\n1,0\n2,1\n", encoding="utf-8")
+    bin_path.write_text("\ufefffeature0≤1.5,label\n1,0\n0,1\n", encoding="utf-8")
+    assert sparsetree.load_csv(raw_path).feature_names == ("âge",)
+    assert read_binary_csv(bin_path).column_meta == ((0, 1.5),)
 
 
 # ---------------------------------------------------------------- equivalence

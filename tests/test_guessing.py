@@ -126,6 +126,19 @@ def _noisy_signal_raw():
     return sparsetree.make_raw(x, y)
 
 
+def _check_solve_inputs(raw, tr):
+    """The trace's data and reference are what a caller would rebuild from
+    its thresholds and ensemble."""
+    again = sparsetree.binarize_with_thresholds(raw, tr.thresholds.pairs())
+    assert tr.data.columns == again.columns
+    assert tr.data.column_meta == again.column_meta
+    assert tr.data.pos_mask == again.pos_mask
+    ref = guessing.reference_labels(tr.ensemble, tr.data)
+    assert np.array_equal(tr.reference.predictions, ref.predictions)
+    assert tr.reference.incorrect_bits == ref.incorrect_bits
+    assert tr.reference.single_class == ref.single_class
+
+
 def test_eliminate_distills_single_signal():
     raw = _single_signal_raw()
     tr = guessing.column_eliminate(raw, 10, 2, 0.1, seed=0)
@@ -133,6 +146,7 @@ def test_eliminate_distills_single_signal():
     assert tr.initial_correct == 40
     assert tr.stopping_bar == 40
     assert not tr.fallback_translated
+    _check_solve_inputs(raw, tr)
 
 
 def test_eliminate_retains_joint_signal():
@@ -167,6 +181,7 @@ def test_eliminate_full_tolerance_removes_everything():
     assert tr.stopping_bar == 0
     assert len(tr.thresholds) == 0
     assert len(tr.steps) == initial
+    _check_solve_inputs(raw, tr)
 
 
 def test_eliminate_zero_tolerance_never_loses_accuracy():
@@ -197,6 +212,7 @@ def test_eliminate_fallback_keeps_the_first_fit():
         guessing.reference_labels(tr.ensemble, bin_data).predictions,
         boosting.predict_class(first, raw.features),
     )
+    _check_solve_inputs(raw, tr)
 
 
 def test_eliminate_parameter_guards():

@@ -891,8 +891,9 @@ def test_floor_matches_a_per_group_recount():
 
 
 def test_cache_is_keyed_by_class_masks():
-    # a record is found by the classes its support meets; solved records
-    # keep no sample mask, and expanded terminal records no parent links
+    # a record is found by the classes its support meets; solved records,
+    # expanded terminal ones among them, keep no sample mask and no parent
+    # links
     cases = _pinned_instances()
     cases["halved_classes"] = _floor_instances()["halved_classes"]
     for name, (bin_data, cfg, root) in cases.items():
@@ -918,7 +919,8 @@ def test_cache_is_keyed_by_class_masks():
                 seen.add((support[rec], depth))
                 assert rec.bits == (None if rec.solved else support[rec]), name
         assert len(seen) == len(_records(search)), name
-        assert all(rec.parents is None for rec in terminal), name
+        assert all(rec.solved for rec in terminal), name
+        assert not any(rec.parents for rec in _records(search) if rec.solved), name
         assert terminal or cfg.depth_limit is None, name
         if name == "halved_classes":
             # this root splits classes, so its key holds fewer sample bits
