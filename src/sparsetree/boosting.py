@@ -77,6 +77,12 @@ class ThresholdSet:
 
     entries: tuple[tuple[int, float, float], ...]
 
+    @classmethod
+    def ranked(cls, importance: dict[tuple[int, float], float]) -> "ThresholdSet":
+        """The (feature, threshold) -> importance map, in the entries' order."""
+        entries = sorted(((f, t, v) for (f, t), v in importance.items()), key=lambda e: (-e[2], e[0], e[1]))
+        return cls(tuple(entries))
+
     def pairs(self) -> list[tuple[int, float]]:
         return [(f, t) for f, t, _ in self.entries]
 
@@ -198,39 +204,33 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
     y = raw.labels.astype(np.float64)
     n = len(y)
     p_bar = float(y.mean())
-    if p_bar in (0.0, 1.0):
-        return BoostedEnsemble(
-            initial_score=SCORE_CLAMP if p_bar == 1.0 else -SCORE_CLAMP,
-            learning_rate=learning_rate,
-            n_estimators=n_estimators,
-            max_depth=max_depth,
-            seed=seed,
-            feature_names=raw.feature_names,
-            trees=[],
-        )
-    plan = _split_plan(x)
-    margin = np.full(n, math.log(p_bar / (1.0 - p_bar)))
-    everyone = np.ones(n, dtype=bool)
-    out = np.empty(n, dtype=np.float64)
     trees = []
-    for _ in range(n_estimators):
-        prob = 1.0 / (1.0 + np.exp(-margin))
-        g = y - prob
-        h = prob * (1.0 - prob)
-        leaves = []
-        root = _grow(x, g, plan, everyone, 0, max_depth, raw.labels, leaves)
-        # the leaves partition the rows as _tree_predict routes them; each
-        # leaf's Newton step sums its members in index order
-        for node, idx in leaves:
-            num = float(g[idx].sum())
-            den = float(h[idx].sum())
-            v = num / den if den > _MIN_HESS else 0.0
-            node.value = float(np.clip(v, -SCORE_CLAMP, SCORE_CLAMP))
-            out[idx] = node.value
-        margin = margin + learning_rate * out
-        trees.append(root)
+    if p_bar in (0.0, 1.0):
+        initial_score = SCORE_CLAMP if p_bar == 1.0 else -SCORE_CLAMP
+    else:
+        initial_score = math.log(p_bar / (1.0 - p_bar))
+        plan = _split_plan(x)
+        margin = np.full(n, initial_score)
+        everyone = np.ones(n, dtype=bool)
+        out = np.empty(n, dtype=np.float64)
+        for _ in range(n_estimators):
+            prob = 1.0 / (1.0 + np.exp(-margin))
+            g = y - prob
+            h = prob * (1.0 - prob)
+            leaves = []
+            root = _grow(x, g, plan, everyone, 0, max_depth, raw.labels, leaves)
+            # the leaves partition the rows as _tree_predict routes them; each
+            # leaf's Newton step sums its members in index order
+            for node, idx in leaves:
+                num = float(g[idx].sum())
+                den = float(h[idx].sum())
+                v = num / den if den > _MIN_HESS else 0.0
+                node.value = float(np.clip(v, -SCORE_CLAMP, SCORE_CLAMP))
+                out[idx] = node.value
+            margin = margin + learning_rate * out
+            trees.append(root)
     return BoostedEnsemble(
-        initial_score=float(math.log(p_bar / (1.0 - p_bar))),
+        initial_score=initial_score,
         learning_rate=learning_rate,
         n_estimators=n_estimators,
         max_depth=max_depth,
@@ -294,9 +294,7 @@ def split_importance(ens: BoostedEnsemble) -> dict[tuple[int, float], float]:
 
 def extract_thresholds(ens: BoostedEnsemble) -> ThresholdSet:
     """Deduplicated thresholds ranked by importance desc, ties (feature, threshold) asc."""
-    imp = split_importance(ens)
-    entries = sorted(((f, t, v) for (f, t), v in imp.items()), key=lambda e: (-e[2], e[0], e[1]))
-    return ThresholdSet(tuple(entries))
+    return ThresholdSet.ranked(split_importance(ens))
 
 
 # ---------------------------------------------------------------- serialization

@@ -9,6 +9,7 @@ timing enters JSON reports only behind --timing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -35,9 +36,11 @@ def _depth_arg(text: str):
 
 
 def _add_reference_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-est", type=int, default=20, help="reference ensemble stages")
+    p.add_argument("--n-est", dest="n_estimators", metavar="N_EST", type=int, default=20,
+                   help="reference ensemble stages")
     p.add_argument("--max-depth", type=int, default=3, help="reference weak-tree depth")
-    p.add_argument("--lr", type=float, default=0.1, help="reference learning rate")
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=0.1,
+                   help="reference learning rate")
     p.add_argument("--seed", type=int, default=0, help="reference fit seed (recorded)")
     p.add_argument("--drop-tolerance", type=float, default=0.0,
                    help="allowed training correct-count drop share during elimination")
@@ -52,12 +55,14 @@ def cmd_binarize(args) -> int:
     return 0
 
 
+def _eliminate(args, raw):
+    return guessing.column_eliminate(raw, args.n_estimators, args.max_depth, args.learning_rate,
+                                     args.seed, drop_tolerance=args.drop_tolerance)
+
+
 def cmd_guess(args) -> int:
     raw = load_csv(args.data)
-    trace = guessing.column_eliminate(
-        raw, args.n_est, args.max_depth, args.lr, args.seed,
-        drop_tolerance=args.drop_tolerance,
-    )
+    trace = _eliminate(args, raw)
     write_binary_csv(trace.data, args.out_data)
     with open(args.out_trace, "w") as fh:
         fh.write(guessing.trace_to_json(trace))
@@ -79,16 +84,13 @@ def cmd_train(args) -> int:
     if args.pre_binarized:
         bin_data = data
         if args.lb_guess:
-            ens = boosting.fit(guessing.indicator_raw(bin_data), args.n_est,
-                               args.max_depth, args.lr, args.seed)
-            cfg.reference = guessing.reference_labels(ens, bin_data)
+            x = guessing.indicator_raw(bin_data)
+            ens = boosting.fit(x, args.n_estimators, args.max_depth, args.learning_rate, args.seed)
+            cfg.reference = guessing.reference_labels(ens, x)
     else:
         raw = data
         if args.guess_thresholds:
-            trace = guessing.column_eliminate(
-                raw, args.n_est, args.max_depth, args.lr, args.seed,
-                drop_tolerance=args.drop_tolerance,
-            )
+            trace = _eliminate(args, raw)
             bin_data = trace.data
             _log(f"threshold guessing kept {bin_data.n_columns} columns "
                  f"(removed {len(trace.steps)})")
@@ -97,12 +99,18 @@ def cmd_train(args) -> int:
         else:
             bin_data = full_binarize(raw)
             if args.lb_guess:
-                ens = boosting.fit(raw, args.n_est, args.max_depth, args.lr, args.seed)
+                ens = boosting.fit(raw, args.n_estimators, args.max_depth, args.learning_rate, args.seed)
                 cfg.reference = guessing.reference_labels(ens, raw)
 
     t0 = time.monotonic()
     result = optimize(bin_data, cfg)
     wall = time.monotonic() - t0
+    # score the tree as a reader of the artifact would, by feature name and
+    # threshold; a mismatch is a bug, and its artifact would mislead
+    scored = trees.objective(result.tree, bin_data, cfg.regularizer)
+    if scored != result.objective:
+        raise ValueError(f"the tree scores {scored}, not the reported objective "
+                         f"{result.objective}; nothing written")
     if result.refused_lb_guess:
         _log("lb guessing refused: reference predicts a single class")
     report = run_report(result)
@@ -140,19 +148,9 @@ def cmd_depth_bound(args) -> int:
 
 def cmd_benchmark(args) -> int:
     raw = load_csv(args.data)
+    # every config field is a flag of the same dest
     cfg = evaluation.BenchmarkConfig(
-        folds=args.folds,
-        seed=args.seed,
-        n_estimators=args.n_est,
-        max_depth=args.max_depth,
-        learning_rate=args.lr,
-        regularization=args.lam,
-        depth_limit=args.depth,
-        drop_tolerance=args.drop_tolerance,
-        use_lb_guess=not args.no_lb_guess,
-        compare_no_guess=not args.no_compare,
-        time_limit_s=args.time_limit_s,
-    )
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(evaluation.BenchmarkConfig)})
     report = evaluation.run_benchmark(raw, cfg)
     with open(args.out_json, "w") as fh:
         fh.write(evaluation.report_to_json(report, include_timing=args.timing))
@@ -223,10 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--folds", type=int, default=5)
     _add_reference_args(p)
-    p.add_argument("--lambda", dest="lam", default="0.001")
-    p.add_argument("--depth", type=_depth_arg, default=3)
-    p.add_argument("--no-lb-guess", action="store_true")
-    p.add_argument("--no-compare", action="store_true",
+    p.add_argument("--lambda", dest="regularization", metavar="LAM", default="0.001")
+    p.add_argument("--depth", dest="depth_limit", metavar="DEPTH", type=_depth_arg, default=3)
+    p.add_argument("--no-lb-guess", dest="use_lb_guess", action="store_false")
+    p.add_argument("--no-compare", dest="compare_no_guess", action="store_false",
                    help="skip the paired solve without lb guessing")
     p.add_argument("--time-limit-s", type=float, default=None)
     p.add_argument("--timing", action="store_true")

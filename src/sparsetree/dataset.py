@@ -156,7 +156,8 @@ class BinaryDataset:
     labels: np.ndarray
     feature_names: tuple[str, ...]
     pos_mask: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # not an init field, so a dataclasses.replace copy starts with its own
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_columns(self) -> int:
@@ -242,7 +243,7 @@ def write_binary_csv(bin_data: BinaryDataset, path) -> None:
 
 def read_binary_csv(path) -> BinaryDataset:
     """Inverse of write_binary_csv; headers must follow the feature<idx><=<t>
-    convention, each (feature, threshold) at most once, and the file is UTF-8,
+    convention with a finite t, each (feature, threshold) at most once, and the file is UTF-8,
     with or without a leading byte-order mark."""
     try:
         fh = open(path, "r", newline="", encoding="utf-8-sig")
@@ -270,6 +271,9 @@ def read_binary_csv(path) -> BinaryDataset:
                     raise ValueError("negative feature index")
             except ValueError:
                 raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>") from None
+            # nan would also slip past the repeat check below, as nan != nan
+            if not math.isfinite(thr):
+                raise DataFormatError(f"header column {c} has a non-finite threshold {right!r}")
             # a tree names its columns by (feature, threshold), so a repeat
             # would make it point at the wrong one
             if (idx, thr) in first:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -127,15 +127,8 @@ def translate_to_indicators(ens: BoostedEnsemble, pairs) -> BoostedEnsemble:
     """
     ordered = sorted(set((int(f), float(t)) for f, t in pairs))
     col_of = {p: c for c, p in enumerate(ordered)}
-    return BoostedEnsemble(
-        initial_score=ens.initial_score,
-        learning_rate=ens.learning_rate,
-        n_estimators=ens.n_estimators,
-        max_depth=ens.max_depth,
-        seed=ens.seed,
-        feature_names=tuple(indicator_header(f, t) for f, t in ordered),
-        trees=[_translate_node(t, col_of) for t in ens.trees],
-    )
+    return replace(ens, feature_names=tuple(indicator_header(f, t) for f, t in ordered),
+                   trees=[_translate_node(t, col_of) for t in ens.trees])
 
 
 def _importance_by_pair(refit: BoostedEnsemble, ordered_pairs) -> dict[tuple[int, float], float]:
@@ -171,17 +164,16 @@ def column_eliminate(
     initial_correct = int((preds0 == raw.labels).sum())
     tau = Fraction(str(drop_tolerance))
     bar = initial_correct - math.floor(tau * initial_correct)
-    ts0 = boosting.extract_thresholds(ens0)
-
-    survivors = sorted(ts0.pairs())  # in column order: a refit's column c is survivors[c]
-    ranking = {(f, t): v for f, t, v in ts0.entries}
+    ranking = boosting.split_importance(ens0)
+    survivors = sorted(ranking)  # in column order: a refit's column c is survivors[c]
     steps: list[tuple[tuple[int, float], int]] = []
     accepted = None  # (ensemble, data, reference) of the last refit kept
 
     def refit_on(pairs):
         data = binarize_with_thresholds(raw, pairs)
-        refit = boosting.fit(indicator_raw(data), n_estimators, max_depth, learning_rate, seed)
-        ref = reference_labels(refit, data)
+        x = indicator_raw(data)
+        refit = boosting.fit(x, n_estimators, max_depth, learning_rate, seed)
+        ref = reference_labels(refit, x)
         return (refit, data, ref), raw.n_samples - ref.incorrect_count
 
     while survivors:
@@ -207,13 +199,12 @@ def column_eliminate(
             fallback = True
         ranking = _importance_by_pair(accepted[0], survivors)
 
-    entries = sorted(((f, t, ranking[(f, t)]) for f, t in survivors), key=lambda e: (-e[2], e[0], e[1]))
     ensemble, data, reference = accepted
     return EliminationTrace(
         initial_correct=initial_correct,
         stopping_bar=bar,
         steps=tuple(steps),
-        thresholds=ThresholdSet(tuple(entries)),
+        thresholds=ThresholdSet.ranked(ranking),
         ensemble=ensemble,
         fallback_translated=fallback,
         data=data,

@@ -477,7 +477,7 @@ class _Search:
         rec.dirty = list(range(k))
         rec.sums = [None] * k
         rec.lows = []
-        if self._settle(rec, *self._refresh(rec)):
+        if self._refresh(rec):
             self._propagate(rec)
 
     def _pair(self, a, b, scan, agree):
@@ -574,8 +574,9 @@ class _Search:
 
     # ---------------- bound maintenance
 
-    def _refresh(self, rec):
-        """Fold the dirty splits into rec's bounds: (upper, lower).
+    def _refresh(self, rec) -> bool:
+        """Fold the dirty splits into rec's bounds, closing rec when they meet;
+        True when rec changed and its parents are marked to be woken.
 
         Equal to a full rescan of rec's splits.  Child uppers only fall, so
         the upper is a running min.  Every split's current lower sum sits in
@@ -610,19 +611,11 @@ class _Search:
                     lower = l
                 break
             heapq.heappop(lows)
-        return upper, lower
-
-    def _settle(self, rec, upper, lower) -> bool:
-        """Take refreshed bounds; True when rec changed and its parents must be
-        woken."""
-        changed = False
-        if upper < rec.upper:
-            rec.upper = upper
-            changed = True
-        if lower > rec.lower:
-            rec.lower = lower
-            changed = True
-        if rec.upper <= rec.lower:
+        if lower < rec.lower:
+            lower = rec.lower
+        changed = upper < rec.upper or lower > rec.lower
+        rec.upper, rec.lower = upper, lower
+        if upper <= lower:
             self._close(rec)
             changed = True
         if changed:
@@ -657,7 +650,7 @@ class _Search:
         while work:
             r = work.popleft()
             for p in r.parents:
-                if not p.solved and self._settle(p, *self._refresh(p)):
+                if not p.solved and self._refresh(p):
                     work.append(p)
             if r.solved:
                 r.parents = ()

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,40 @@ def test_train_rejects_a_repeated_indicator_header(tmp_path, capsys):
     assert not (tmp_path / "run.tree.json").exists()
 
 
+def test_train_refuses_a_tree_that_does_not_score_its_objective(tmp_path, capsys, monkeypatch):
+    data = _write_synthetic(tmp_path / "syn.csv")
+
+    def off_by_one_unit(bin_data, cfg):
+        res = solver.optimize(bin_data, cfg)
+        units = res.objective_units + 1
+        return replace(res, objective_units=units, objective=cfg.regularizer.fraction(units))
+
+    monkeypatch.setattr(cli, "optimize", off_by_one_unit)
+    rc = cli.main(["train", data, "--lambda", "1/100", "--depth", "2",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the tree scores ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run.tree.json").exists()
+    assert not (tmp_path / "run.report.json").exists()
+
+
+def test_train_lb_guess_refused_on_a_single_class_reference(tmp_path, capsys):
+    # one stage of a depth-1 weak tree at a small learning rate leaves every
+    # margin on the majority's side, so the reference predicts one class
+    data = tmp_path / "skewed.csv"
+    data.write_text("a,label\n" + "".join(f"{i},{int(i >= 9)}\n" for i in range(12)))
+    rc = cli.main(["train", str(data), "--lb-guess", "--n-est", "1", "--max-depth", "1",
+                   "--lr", "0.1", "--lambda", "1/100", "--depth", "2",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 0
+    assert "lb guessing refused: reference predicts a single class\n" in capsys.readouterr().err
+    report = json.loads((tmp_path / "run.report.json").read_text())
+    assert report["lb_guess"] == {"active": False, "refused_single_class": True}
+    assert report["status"] == "optimal"
+
+
 def test_train_flag_conflict_exits_2(tmp_path, capsys):
     data = _write_xor(tmp_path / "xor.csv")
     with pytest.raises(SystemExit) as e:
@@ -277,7 +312,7 @@ def test_train_input_errors_exit_1(tmp_path, capsys):
     rc = cli.main(["train", data, "--lambda", "nonsense", "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
-    for header in ("", "feature0≤0.5,feature-1≤0.5,label"):
+    for header in ("", "feature0≤0.5,feature-1≤0.5,label", "feature0≤nan,feature0≤nan,label"):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"{header}\n1,0,0\n")
         rc = cli.main(["train", str(bad), "--pre-binarized", "--lambda", "0", "--depth", "2",

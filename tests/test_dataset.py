@@ -237,14 +237,23 @@ def test_binary_csv_round_trip(tmp_path):
     # would name the later one, not necessarily the one the solve split
     ("feature0≤0.5,feature1≤2.5,feature0≤0.50,label\n1,0,1,1\n",
      "header columns 1 and 3 are both feature0≤0.5$"),
+    # nan != nan, so a repeated nan header would pass the repeat check
+    ("feature0≤nan,feature0≤nan,label\n1,0,1\n0,1,0\n", "header column 1 has a non-finite threshold 'nan'"),
+    ("feature0≤inf,label\n1,0\n", "header column 1 has a non-finite threshold 'inf'"),
+    ("feature0≤0.5,feature1≤-inf,label\n1,0,0\n", "header column 2 has a non-finite threshold '-inf'"),
 ], ids=["empty-file", "blank-header", "no-label-cell", "not-a-feature", "bad-threshold",
         "negative-index", "short-row", "non-binary-cell", "bad-label", "no-rows",
-        "repeated-indicator"])
+        "repeated-indicator", "nan-threshold", "inf-threshold", "minus-inf-threshold"])
 def test_read_binary_csv_rejections(tmp_path, text, message):
     p = tmp_path / "b.csv"
     p.write_text(text)
     with pytest.raises(DataFormatError, match=message):
         read_binary_csv(p)
+
+
+def test_read_binary_csv_missing_file(tmp_path):
+    with pytest.raises(DataFormatError, match="cannot open"):
+        read_binary_csv(tmp_path / "absent.csv")
 
 
 def test_csv_readers_skip_a_byte_order_mark(tmp_path):

@@ -1025,10 +1025,6 @@ def _fingerprint(res):
     return res.status, res.objective_units, asdict(res.counters), repr(res.tree)
 
 
-def _rebuilt(bin_data, **fields):
-    return replace(bin_data, _cache={}, **fields)
-
-
 def test_row_permutation_changes_nothing():
     searched = 0
     for rng, raw, ref in _metamorphic_draws():
@@ -1051,7 +1047,7 @@ def test_duplicate_and_complement_columns_change_nothing():
         b = sparsetree.full_binarize(raw)
         c1, c2 = (int(c) for c in rng.choice(b.n_columns, 2, replace=False))
         k = len(b.feature_names)
-        wide = _rebuilt(
+        wide = replace(
             b,
             columns=b.columns + (b.columns[c1], b.full_mask ^ b.columns[c2]),
             column_meta=b.column_meta + ((k, 0.0), (k + 1, 0.0)),
@@ -1061,13 +1057,28 @@ def test_duplicate_and_complement_columns_change_nothing():
             assert _fingerprint(_solve(b, ref=r)) == _fingerprint(_solve(wide, ref=r))
 
 
+def test_a_replaced_dataset_has_its_own_caches():
+    # a copy whose columns are reversed must not reuse the original's row
+    # matrix, column lookup or equivalence classes
+    rng = np.random.default_rng(0)
+    raw = sparsetree.make_raw(rng.integers(0, 4, size=(30, 2)), rng.integers(0, 2, size=30))
+    b = sparsetree.full_binarize(raw)
+    reg = Regularizer.from_text("1/30", 30)
+    res = _solve(b, "1/30", 2)
+    assert trees.objective(res.tree, b, reg) == res.objective
+    c = replace(b, columns=b.columns[::-1], column_meta=b.column_meta[::-1])
+    res = _solve(c, "1/30", 2)
+    assert trees.objective(res.tree, c, reg) == res.objective == Fraction(2, 5)
+    assert (c.rows_matrix() == b.rows_matrix()[:, ::-1]).all()
+
+
 def test_column_permutation_keeps_the_exact_objective():
     # exact runs only: a guessed run's objective depends on which subproblems
     # the guess closes first, and column order changes that
     for rng, raw, _ in _metamorphic_draws():
         b = sparsetree.full_binarize(raw)
         order = rng.permutation(b.n_columns)
-        shuffled = _rebuilt(
+        shuffled = replace(
             b,
             columns=tuple(b.columns[c] for c in order),
             column_meta=tuple(b.column_meta[c] for c in order),
@@ -1078,7 +1089,7 @@ def test_column_permutation_keeps_the_exact_objective():
 def test_flipping_every_label_keeps_the_objective():
     for _, raw, _ in _metamorphic_draws():
         b = sparsetree.full_binarize(raw)
-        flipped = _rebuilt(b, labels=(1 - b.labels).astype(np.int8), pos_mask=b.full_mask ^ b.pos_mask)
+        flipped = replace(b, labels=(1 - b.labels).astype(np.int8), pos_mask=b.full_mask ^ b.pos_mask)
         for lam in ("0", "1/100", "1/20"):
             assert _solve(b, lam).objective_units == _solve(flipped, lam).objective_units, lam
 
