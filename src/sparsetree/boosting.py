@@ -16,8 +16,7 @@ two-valued feature both kernels add the same gradients in the same order
 (index order within the low value), so the gains agree bit for bit and the
 fitted trees do not depend on which kernel ran.
 
-Fitting is fully deterministic: exact greedy search needs no randomness, the
-seed is recorded for provenance only.
+Fitting is fully deterministic: exact greedy search needs no randomness.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import RawDataset
+from .dataset import RawDataset, midpoint
 
 SCORE_CLAMP = 4.0
 _MIN_GAIN = 1e-12
@@ -66,7 +65,6 @@ class BoostedEnsemble:
     learning_rate: float
     n_estimators: int
     max_depth: int
-    seed: int
     feature_names: tuple[str, ...]
     trees: list[RegressionNode]
 
@@ -111,7 +109,7 @@ def _sorted_split(xj, g, order, g_tot, base):
     nr = n_tot - nl
     gains = gl * gl / nl + gr * gr / nr - base
     k = int(np.argmax(gains))
-    return float(gains[k]), float((vals[cut[k]] + vals[cut[k] + 1]) / 2.0)
+    return float(gains[k]), midpoint(vals[cut[k]], vals[cut[k] + 1])
 
 
 def _two_valued_gain(low, g_node, g_tot, base):
@@ -189,13 +187,13 @@ def _split_plan(x):
         lo, hi = col.min(), col.max()
         low = col == lo
         if lo < hi and np.all(col[~low] == hi):
-            plan.append((None, low, float((lo + hi) / 2.0)))
+            plan.append((None, low, midpoint(lo, hi)))
         else:
             plan.append((np.argsort(col, kind="stable"), None, None))
     return plan
 
 
-def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float, seed: int) -> BoostedEnsemble:
+def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float) -> BoostedEnsemble:
     if n_estimators < 1 or max_depth < 1:
         raise ValueError("n_estimators and max_depth must be >= 1")
     if not 0.0 < learning_rate <= 1.0:
@@ -234,7 +232,6 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
         learning_rate=learning_rate,
         n_estimators=n_estimators,
         max_depth=max_depth,
-        seed=seed,
         feature_names=raw.feature_names,
         trees=trees,
     )
@@ -318,7 +315,6 @@ def to_dict(ens: BoostedEnsemble) -> dict:
         "learning_rate": ens.learning_rate,
         "n_estimators": ens.n_estimators,
         "max_depth": ens.max_depth,
-        "seed": ens.seed,
         "feature_names": list(ens.feature_names),
         "trees": [_node_obj(t) for t in ens.trees],
     }

@@ -35,13 +35,14 @@ def _depth_arg(text: str):
     return v
 
 
-def _add_reference_args(p: argparse.ArgumentParser) -> None:
+def _add_reference_args(p: argparse.ArgumentParser, fold_seed: bool = False) -> None:
     p.add_argument("--n-est", dest="n_estimators", metavar="N_EST", type=int, default=20,
                    help="reference ensemble stages")
     p.add_argument("--max-depth", type=int, default=3, help="reference weak-tree depth")
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=0.1,
                    help="reference learning rate")
-    p.add_argument("--seed", type=int, default=0, help="reference fit seed (recorded)")
+    if fold_seed:  # benchmark's, listed here to keep its place in --help
+        p.add_argument("--seed", type=int, default=0, help="fold shuffle seed")
     p.add_argument("--drop-tolerance", type=float, default=0.0,
                    help="allowed training correct-count drop share during elimination")
 
@@ -57,7 +58,7 @@ def cmd_binarize(args) -> int:
 
 def _eliminate(args, raw):
     return guessing.column_eliminate(raw, args.n_estimators, args.max_depth, args.learning_rate,
-                                     args.seed, drop_tolerance=args.drop_tolerance)
+                                     drop_tolerance=args.drop_tolerance)
 
 
 def cmd_guess(args) -> int:
@@ -85,7 +86,7 @@ def cmd_train(args) -> int:
         bin_data = data
         if args.lb_guess:
             x = guessing.indicator_raw(bin_data)
-            ens = boosting.fit(x, args.n_estimators, args.max_depth, args.learning_rate, args.seed)
+            ens = boosting.fit(x, args.n_estimators, args.max_depth, args.learning_rate)
             cfg.reference = guessing.reference_labels(ens, x)
     else:
         raw = data
@@ -99,7 +100,7 @@ def cmd_train(args) -> int:
         else:
             bin_data = full_binarize(raw)
             if args.lb_guess:
-                ens = boosting.fit(raw, args.n_estimators, args.max_depth, args.learning_rate, args.seed)
+                ens = boosting.fit(raw, args.n_estimators, args.max_depth, args.learning_rate)
                 cfg.reference = guessing.reference_labels(ens, raw)
 
     t0 = time.monotonic()
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="k-fold pipeline with per-fold medians")
     p.add_argument("data")
     p.add_argument("--folds", type=int, default=5)
-    _add_reference_args(p)
+    _add_reference_args(p, fold_seed=True)
     p.add_argument("--lambda", dest="regularization", metavar="LAM", default="0.001")
     p.add_argument("--depth", dest="depth_limit", metavar="DEPTH", type=_depth_arg, default=3)
     p.add_argument("--no-lb-guess", dest="use_lb_guess", action="store_false")

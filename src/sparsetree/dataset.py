@@ -3,8 +3,8 @@
 A raw dataset holds continuous (or already 0/1) feature columns plus 0/1
 labels.  Binarization turns every threshold into an indicator column
 (bit = 1 iff value <= threshold); thresholds sit halfway between consecutive
-distinct values of a feature.  Binary columns are stored as integer bitmasks
-over samples, which is what the solver operates on.
+distinct values of a feature (see midpoint).  Binary columns are stored as
+integer bitmasks over samples, which is what the solver operates on.
 """
 
 from __future__ import annotations
@@ -138,6 +138,15 @@ def load_csv(path) -> RawDataset:
 
 # ---------------------------------------------------------------- binarization
 
+def midpoint(a: float, b: float) -> float:
+    """A threshold t with a <= t < b, for a < b: their mean, or a where the
+    mean rounds onto b.  Halving each first keeps a sum near the float
+    maximum finite; elsewhere, halving a normal float is exact, so t is
+    (a + b) / 2 bit for bit."""
+    t = float(a / 2 + b / 2)
+    return t if a <= t < b else float(a)
+
+
 def indicator_header(feature: int, threshold: float) -> str:
     return f"feature{feature}≤{threshold!r}"
 
@@ -216,7 +225,7 @@ def full_binarize(raw: RawDataset) -> BinaryDataset:
     for j in range(raw.n_features):
         u = np.unique(raw.features[:, j])
         for a, b in zip(u[:-1], u[1:]):
-            pairs.append((j, float((a + b) / 2.0)))
+            pairs.append((j, midpoint(a, b)))
     return _make_columns(raw, pairs)
 
 
@@ -243,8 +252,9 @@ def write_binary_csv(bin_data: BinaryDataset, path) -> None:
 
 def read_binary_csv(path) -> BinaryDataset:
     """Inverse of write_binary_csv; headers must follow the feature<idx><=<t>
-    convention with a finite t, each (feature, threshold) at most once, and the file is UTF-8,
-    with or without a leading byte-order mark."""
+    convention with idx in ASCII digits and no leading zero, as the writer
+    puts it, and a finite t, each (feature, threshold) at most once, and the
+    file is UTF-8, with or without a leading byte-order mark."""
     try:
         fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as e:
@@ -267,8 +277,10 @@ def read_binary_csv(path) -> BinaryDataset:
             left, right = text.split("≤", 1)
             try:
                 idx, thr = int(left[len("feature"):]), float(right)
-                if idx < 0:
-                    raise ValueError("negative feature index")
+                # int() also takes 01, 1_0, +1 and non-ASCII digits, but a
+                # tree names the column feature<idx>, which the input does not
+                if idx < 0 or left != f"feature{idx}":
+                    raise ValueError("feature index not as the writer puts it")
             except ValueError:
                 raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>") from None
             # nan would also slip past the repeat check below, as nan != nan
@@ -349,13 +361,6 @@ def _partition(bin_data: BinaryDataset) -> EquivalenceClasses:
     by_class = np.packbits(rows[first].T, axis=1, bitorder="little")
     columns = tuple(int.from_bytes(c.tobytes(), "little") for c in by_class)
     return EquivalenceClasses(ids, len(uniq), bin_data.labels, columns)
-
-
-def class_bits(eq: EquivalenceClasses, support: int) -> int:
-    """Bitmask over classes of those with a member inside the support
-    bitmask."""
-    inside = bits_to_bools(support, len(eq.ids))
-    return bools_to_bits(np.bincount(eq.ids[inside], minlength=eq.n_classes) > 0)
 
 
 def minority_bits(eq: EquivalenceClasses, support: int) -> int:

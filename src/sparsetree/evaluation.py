@@ -284,7 +284,7 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig,
     train = raw.subset(plan.train_indices(fold))
     test = raw.subset(plan.test_indices[fold])
     trace = guessing.column_eliminate(
-        train, cfg.n_estimators, cfg.max_depth, cfg.learning_rate, cfg.seed,
+        train, cfg.n_estimators, cfg.max_depth, cfg.learning_rate,
         drop_tolerance=cfg.drop_tolerance,
     )
     bin_train = trace.data

@@ -143,7 +143,6 @@ def column_eliminate(
     n_estimators: int,
     max_depth: int,
     learning_rate: float,
-    seed: int,
     drop_tolerance: float = 0.0,
 ) -> EliminationTrace:
     """Iteratively drop the globally least-important (feature, threshold).
@@ -155,7 +154,7 @@ def column_eliminate(
     """
     if not 0.0 <= drop_tolerance <= 1.0:
         raise ValueError("drop_tolerance must be in [0, 1]")
-    ens0 = boosting.fit(raw, n_estimators, max_depth, learning_rate, seed)
+    ens0 = boosting.fit(raw, n_estimators, max_depth, learning_rate)
     # an ensemble with no trees, or whose trees are all leaves, gives every
     # row the same margin, so this also covers an empty threshold set
     preds0 = boosting.predict_class(ens0, raw.features)
@@ -172,7 +171,7 @@ def column_eliminate(
     def refit_on(pairs):
         data = binarize_with_thresholds(raw, pairs)
         x = indicator_raw(data)
-        refit = boosting.fit(x, n_estimators, max_depth, learning_rate, seed)
+        refit = boosting.fit(x, n_estimators, max_depth, learning_rate)
         ref = reference_labels(refit, x)
         return (refit, data, ref), raw.n_samples - ref.incorrect_count
 

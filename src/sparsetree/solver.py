@@ -8,12 +8,12 @@ floor, equivalence-points bound) optionally raised by the reference-model
 guess; a record is solved once its incumbent meets its lower bound, so a
 guessed bound may close a subproblem before it is provably optimal.
 
-Every support the search creates is the root cut by indicator columns, which
-are constant on each equivalence class (group of samples with identical column
-values), so it holds a class's members inside the root either all or none.
+Every support the search creates is the whole dataset cut by indicator
+columns, which are constant on each equivalence class (group of samples with
+identical column values), so it holds a class's members either all or none.
 Two consequences.  The equivalence-points bound (GOSDT), which counts per class
 the rarer label inside the support, is one popcount of the support against a
-minority mask of the root, built once per solve.  And the classes a support
+minority mask of the dataset, built once per solve.  And the classes a support
 meets fix it, so the subproblem cache is one dict per depth, keyed by the
 class mask, with one bit per class rather than per sample: each column also
 carries its values over the classes, and a child's class mask is its parent's
@@ -100,14 +100,13 @@ import gc
 import heapq
 import math
 import numbers
-import operator
 import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dataset import BinaryDataset, class_bits, equivalence_classes, minority_bits
+from .dataset import BinaryDataset, equivalence_classes, minority_bits
 # Not called here: bench/tracing.py rebinds solver.minority_total to trace it,
 # and tests/test_bench_hooks.py checks the name is still bound.
 from .dataset import minority_total  # noqa: F401
@@ -276,7 +275,7 @@ class _Rec:
 
 
 class _Search:
-    def __init__(self, bin_data: BinaryDataset, cfg: SolverConfig, root_bits: int):
+    def __init__(self, bin_data: BinaryDataset, cfg: SolverConfig):
         self.bin = bin_data
         self.cfg = cfg
         self.pen = cfg.regularizer.leaf_penalty_units
@@ -285,7 +284,6 @@ class _Search:
         self.counters = Counters()
         self.recs: dict = {}    # depth -> {class mask: record}
         self.heap: list = []
-        self.root_bits = root_bits
         self.bounded = cfg.depth_limit is not None
 
         ref = cfg.reference
@@ -297,10 +295,10 @@ class _Search:
         self.guessing = self.inc_bits is not None
 
         eq = equivalence_classes(bin_data)
-        # rarer-label members of each equivalence class inside the root; see _create
-        self.minority = minority_bits(eq, root_bits)
-        # the classes meeting the root: the root's cache key with its depth
-        self.root_cbits = class_bits(eq, root_bits)
+        # rarer-label members of each equivalence class; see _create
+        self.minority = minority_bits(eq, bin_data.full_mask)
+        # the root meets every class: its cache key with its depth
+        self.root_cbits = (1 << eq.n_classes) - 1
 
         # (index, bits, agreement mask, class bits) of each column, dropping
         # duplicates (same or complementary partition); earlier indices win
@@ -329,10 +327,10 @@ class _Search:
         record will scan, in column order, holding at least every column not
         constant on bits."""
         leaf_units = self.q * min(pos, n - pos) + self.pen
-        # Every support here is the root cut by indicator columns, and columns
-        # are constant on an equivalence class, so a support holds all of a
-        # class's members inside the root or none.  Its minority count is
-        # therefore the popcount of the root's minority mask inside it.
+        # Every support here is the dataset cut by indicator columns, and
+        # columns are constant on an equivalence class, so a support holds all
+        # of a class's members or none.  Its minority count is therefore the
+        # popcount of the dataset's minority mask inside it.
         true_floor = self.pen + self.q * (bits & self.minority).bit_count()
         guess_floor = None if miss is None else self.pen + self.q * miss
         rec = _Rec(bits, cbits, depth, n, pos, leaf_units, true_floor, guess_floor, scan)
@@ -662,7 +660,7 @@ class _Search:
         budgets between expansions.  Returns the root record and the budget
         that stopped the search, "time-limit" or "record-limit", or None."""
         t0 = time.monotonic()
-        bits, depth = self.root_bits, self.cfg.depth_limit
+        bits, depth = self.bin.full_mask, self.cfg.depth_limit
         miss = (bits & self.inc_bits).bit_count() if self.guessing else None
         root = self._create(self.recs.setdefault(depth, {}), bits, self.root_cbits, depth,
                             bits.bit_count(), (bits & self.pos_bits).bit_count(), miss, self.cols)
@@ -730,12 +728,8 @@ class _Search:
                      self.build(bl, cl, memo), self.build(bits ^ bl, cr, memo))
 
 
-def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[int] = None) -> SolveResult:
+def optimize(bin_data: BinaryDataset, cfg: SolverConfig) -> SolveResult:
     """Minimize loss/n + penalty*leaves over trees on the dataset's columns.
-
-    root_support is a sample bitmask (bit i set keeps sample i), an int or a
-    numpy integer, that restricts the loss to those samples; the leaf
-    penalty still counts all n.  None keeps every sample.
 
     The cyclic garbage collector is paused (gc.disable) during the search and
     the extraction, and afterwards left enabled or disabled as it was found,
@@ -747,23 +741,7 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
         raise ValueError("regularizer sample count does not match dataset")
     if cfg.reference is not None and len(cfg.reference.predictions) != bin_data.n_samples:
         raise ValueError("reference prediction count does not match dataset")
-    if root_support is None:
-        root_bits = bin_data.full_mask
-    else:
-        # a numpy integer becomes the int it holds; bool is an int subclass,
-        # but True is no sample mask
-        try:
-            root_bits = operator.index(root_support)
-        except TypeError:
-            root_bits = None
-        if root_bits is None or isinstance(root_support, bool):
-            raise ValueError(
-                f"root support must be an int bitmask, not {type(root_support).__name__}")
-    if root_bits < 0 or root_bits > bin_data.full_mask:
-        raise ValueError("root support holds samples outside the dataset")
-    if root_bits == 0:
-        raise ValueError("empty root support")
-    search = _Search(bin_data, cfg, root_bits)
+    search = _Search(bin_data, cfg)
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -771,7 +749,7 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig, root_support: Optional[
         search.release()
         memo = {}
         units, leaves, depth, _ = search.best(root, memo)[0]
-        tree = search.build(root_bits, root, memo)
+        tree = search.build(bin_data.full_mask, root, memo)
     finally:
         if collecting:
             gc.enable()

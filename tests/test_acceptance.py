@@ -68,11 +68,11 @@ def test_criterion_1_exact_solves_match_brute_force(corpus, brute_cache):
           f"exactly in {elapsed:.1f}s")
 
 
-def _pipeline_holds_reference_bound(raw, lam, seed):
+def _pipeline_holds_reference_bound(raw, lam):
     """Run eliminate -> replicate -> solve; True when a usable pipeline ran."""
     n = raw.n_samples
     try:
-        trace = guessing.column_eliminate(raw, 4, 2, 0.3, seed=seed)
+        trace = guessing.column_eliminate(raw, 4, 2, 0.3)
     except DegenerateModelError:
         return False
     pairs = trace.thresholds.pairs()
@@ -109,7 +109,7 @@ def test_criterion_2_pipeline_never_worse_than_its_reference_tree():
         y[flips] ^= 1
         raw = sparsetree.make_raw(x, y)
         lam = ("1/100", "1/64", "1/20")[done % 3]
-        if _pipeline_holds_reference_bound(raw, lam, seed=draws):
+        if _pipeline_holds_reference_bound(raw, lam):
             done += 1
     assert done >= 50
 
@@ -120,7 +120,7 @@ def test_criterion_2_pipeline_never_worse_than_its_reference_tree():
         for k in range(10):
             idx = sub_rng.choice(full.n_samples, size=min(500, full.n_samples), replace=False)
             sub = full.subset(sorted(int(i) for i in idx))
-            if _pipeline_holds_reference_bound(sub, "1/100", seed=k):
+            if _pipeline_holds_reference_bound(sub, "1/100"):
                 extra += 1
     print(f"criterion 2: {done + extra} pipelines ended at or below their "
           f"reference tree's bound (exact comparison)")
@@ -189,7 +189,7 @@ def _paired_expansion_counts(raw, reg_text, n_est, max_depth, lr, drop_tolerance
     reg = Regularizer.from_text(reg_text, raw.n_samples)
     plain = solver.optimize(full, SolverConfig(reg, depth_limit=3))
     trace = guessing.column_eliminate(
-        raw, n_est, max_depth, lr, seed=0, drop_tolerance=drop_tolerance
+        raw, n_est, max_depth, lr, drop_tolerance=drop_tolerance
     )
     red = sparsetree.binarize_with_thresholds(raw, trace.thresholds.pairs())
     ref = guessing.reference_labels(trace.ensemble, red)

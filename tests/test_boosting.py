@@ -29,7 +29,6 @@ def _ensemble(trees, initial=0.0, lr=1.0, names=("x0",)):
         learning_rate=lr,
         n_estimators=len(trees),
         max_depth=1,
-        seed=0,
         feature_names=names,
         trees=trees,
     )
@@ -51,7 +50,7 @@ def test_zero_margin_predicts_zero():
 def test_margin_is_summed_tree_outputs():
     rng = np.random.default_rng(0)
     raw = random_raw(rng, 50, 3)
-    ens = boosting.fit(raw, 6, 2, 0.1, seed=1)
+    ens = boosting.fit(raw, 6, 2, 0.1)
     x = raw.features
     expect = np.full(50, ens.initial_score)
     for t in ens.trees:
@@ -71,7 +70,7 @@ def _walk(node, row):
 def test_width_mismatch_rejected():
     rng = np.random.default_rng(1)
     raw = random_raw(rng, 20, 3)
-    ens = boosting.fit(raw, 2, 1, 0.1, seed=0)
+    ens = boosting.fit(raw, 2, 1, 0.1)
     with pytest.raises(ValueError, match="width"):
         boosting.predict_class(ens, np.zeros((4, 2)))
 
@@ -82,14 +81,25 @@ def test_perfect_separation_one_feature():
     x = np.array([[0.1], [0.2], [0.3], [0.7], [0.8], [0.9]])
     y = (x[:, 0] > 0.5).astype(int)
     raw = sparsetree.make_raw(x, y)
-    ens = boosting.fit(raw, 5, 1, 0.1, seed=0)
+    ens = boosting.fit(raw, 5, 1, 0.1)
     assert guessing.reference_labels(ens, raw).incorrect_count == 0
     assert np.array_equal(boosting.predict_class(ens, x), y)
 
 
+def test_cuts_between_values_near_the_float_maximum():
+    # (a + b) / 2 overflows to inf here, which put every row left of the cut:
+    # the two-valued kernel on the first feature, the sorted one on the second
+    y = [0, 0, 1, 1]
+    for col in ([1e308, 1e308, 1.7e308, 1.7e308], [1e308, 1e308, 1.7e308, 1.75e308]):
+        raw = sparsetree.make_raw([[v] for v in col], y)
+        ens = boosting.fit(raw, 1, 1, 0.5)
+        assert ens.trees[0].threshold == 1.35e308
+        assert list(boosting.predict_class(ens, raw.features)) == y
+
+
 def test_degenerate_constant_labels():
     raw = sparsetree.make_raw([[1.0], [2.0]], [0, 0])
-    ens = boosting.fit(raw, 3, 2, 0.1, seed=0)
+    ens = boosting.fit(raw, 3, 2, 0.1)
     assert ens.trees == []
     assert list(boosting.predict_class(ens, np.array([[5.0], [-5.0]]))) == [0, 0]
     assert len(boosting.extract_thresholds(ens)) == 0
@@ -100,7 +110,7 @@ def test_degenerate_on_balanced_labels_scores_half():
     raw = sparsetree.make_raw([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1])
     all_zero = BoostedEnsemble(
         initial_score=-4.0, learning_rate=0.1, n_estimators=1, max_depth=1,
-        seed=0, feature_names=raw.feature_names, trees=[],
+        feature_names=raw.feature_names, trees=[],
     )
     assert guessing.reference_labels(all_zero, raw).incorrect_count == 2
 
@@ -117,7 +127,7 @@ def test_fit_matches_sklearn_margins():
         if y.min() == y.max():
             continue
         raw = sparsetree.make_raw(x, y)
-        ens = boosting.fit(raw, 8, 2, 0.1, seed=0)
+        ens = boosting.fit(raw, 8, 2, 0.1)
         sk = sklearn.GradientBoostingClassifier(
             n_estimators=8, max_depth=2, learning_rate=0.1,
             criterion="squared_error", random_state=0,
@@ -129,9 +139,9 @@ def test_fit_matches_sklearn_margins():
 
 def test_training_loss_non_increasing():
     rng = np.random.default_rng(3)
-    for trial in range(5):
+    for _ in range(5):
         raw = random_raw(rng, 60, 4, noise=0.6)
-        ens = boosting.fit(raw, 12, 2, 0.1, seed=trial)
+        ens = boosting.fit(raw, 12, 2, 0.1)
         y = raw.labels.astype(float)
         prev = math.inf
         for k in range(ens.n_estimators + 1):
@@ -145,8 +155,8 @@ def test_training_loss_non_increasing():
 def test_fit_deterministic():
     rng = np.random.default_rng(4)
     raw = random_raw(rng, 40, 3)
-    a = boosting.fit(raw, 5, 2, 0.1, seed=7)
-    b = boosting.fit(raw, 5, 2, 0.1, seed=7)
+    a = boosting.fit(raw, 5, 2, 0.1)
+    b = boosting.fit(raw, 5, 2, 0.1)
     assert json.dumps(boosting.to_dict(a)) == json.dumps(boosting.to_dict(b))
 
 
@@ -176,7 +186,7 @@ def test_importance_perfect_root_stump():
 def test_importances_match_node_walk():
     rng = np.random.default_rng(6)
     raw = random_raw(rng, 50, 3, noise=0.7)
-    ens = boosting.fit(raw, 6, 2, 0.1, seed=0)
+    ens = boosting.fit(raw, 6, 2, 0.1)
     imp = boosting.split_importance(ens)
     assert all(v >= 0 for v in imp.values())
 
@@ -226,7 +236,7 @@ def test_extract_thresholds_dedups_and_sums():
 def test_extract_thresholds_count_bound():
     rng = np.random.default_rng(7)
     raw = random_raw(rng, 80, 4, noise=0.6)
-    ens = boosting.fit(raw, 10, 3, 0.1, seed=0)
+    ens = boosting.fit(raw, 10, 3, 0.1)
     ts = boosting.extract_thresholds(ens)
     assert len(ts) <= 10 * (2 ** 3 - 1)
 
@@ -234,7 +244,7 @@ def test_extract_thresholds_count_bound():
 def test_extract_thresholds_ordering_is_total():
     rng = np.random.default_rng(8)
     raw = random_raw(rng, 60, 3, noise=0.6)
-    ens = boosting.fit(raw, 8, 2, 0.1, seed=0)
+    ens = boosting.fit(raw, 8, 2, 0.1)
     e = boosting.extract_thresholds(ens).entries
     for a, b in zip(e[:-1], e[1:]):
         assert (-a[2], a[0], a[1]) <= (-b[2], b[0], b[1])
@@ -245,7 +255,7 @@ def test_thresholds_induce_full_binarize_partitions():
     # every learned threshold must reproduce some midpoint column bit-for-bit
     rng = np.random.default_rng(9)
     raw = random_raw(rng, 40, 3, levels=2)
-    ens = boosting.fit(raw, 6, 2, 0.1, seed=0)
+    ens = boosting.fit(raw, 6, 2, 0.1)
     full = sparsetree.full_binarize(raw)
     for f, t in boosting.extract_thresholds(ens).pairs():
         col = sparsetree.binarize_with_thresholds(raw, [(f, t)]).columns[0]
@@ -261,7 +271,7 @@ def test_weak_tree_thresholds_are_member_midpoints():
     # two member values it separates, and node stats must match the routing
     rng = np.random.default_rng(10)
     raw = random_raw(rng, 50, 3)
-    ens = boosting.fit(raw, 6, 2, 0.1, seed=0)
+    ens = boosting.fit(raw, 6, 2, 0.1)
 
     def walk(nd, rows):
         assert nd.samples == rows.size
@@ -385,7 +395,7 @@ def _seed_set_leaf_values(node, x, g, h, member):
     _seed_set_leaf_values(node.right, x, g, h, member & ~go_left)
 
 
-def _seed_fit(raw, n_estimators, max_depth, learning_rate, seed):
+def _seed_fit(raw, n_estimators, max_depth, learning_rate):
     x = raw.features
     y = raw.labels.astype(np.float64)
     p_bar = float(y.mean())
@@ -407,7 +417,6 @@ def _seed_fit(raw, n_estimators, max_depth, learning_rate, seed):
         learning_rate=learning_rate,
         n_estimators=n_estimators,
         max_depth=max_depth,
-        seed=seed,
         feature_names=raw.feature_names,
         trees=trees,
     )
@@ -429,15 +438,15 @@ def test_fit_matches_the_sorted_prefix_algorithm():
             raw.labels,
         )
         for data in (ind, mixed):
-            got = json.dumps(boosting.to_dict(boosting.fit(data, 8, 3, 0.2, seed)))
-            assert got == json.dumps(boosting.to_dict(_seed_fit(data, 8, 3, 0.2, seed))), seed
+            got = json.dumps(boosting.to_dict(boosting.fit(data, 8, 3, 0.2)))
+            assert got == json.dumps(boosting.to_dict(_seed_fit(data, 8, 3, 0.2))), seed
 
 
 def test_fit_parameter_validation():
     raw = sparsetree.make_raw([[1.0], [2.0]], [0, 1])
     with pytest.raises(ValueError):
-        boosting.fit(raw, 0, 2, 0.1, seed=0)
+        boosting.fit(raw, 0, 2, 0.1)
     with pytest.raises(ValueError):
-        boosting.fit(raw, 2, 0, 0.1, seed=0)
+        boosting.fit(raw, 2, 0, 0.1)
     with pytest.raises(ValueError):
-        boosting.fit(raw, 2, 2, 0.0, seed=0)
+        boosting.fit(raw, 2, 2, 0.0)

@@ -104,7 +104,7 @@ def test_brute_force_guards():
 def _constant_ensemble(names, score):
     return BoostedEnsemble(
         initial_score=score, learning_rate=0.1, n_estimators=1, max_depth=1,
-        seed=0, feature_names=names, trees=[],
+        feature_names=names, trees=[],
     )
 
 
@@ -120,7 +120,7 @@ def test_replicate_constant_ensemble_is_lone_leaf():
 def test_replicate_pipeline_ensemble_exactly():
     rng = np.random.default_rng(3)
     raw = random_raw(rng, 30, 2, levels=3)
-    ens = boosting.fit(raw, 4, 2, 0.3, seed=0)
+    ens = boosting.fit(raw, 4, 2, 0.3)
     pairs = boosting.extract_thresholds(ens).pairs()
     assert len(pairs) <= 12  # 4 trees of depth 2 cannot use more splits
     bin_data = sparsetree.binarize_with_thresholds(raw, pairs)

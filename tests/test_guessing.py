@@ -35,7 +35,7 @@ def test_reference_length_mismatch():
 def test_reference_labels_from_ensemble():
     rng = np.random.default_rng(0)
     raw = random_raw(rng, 50, 3, noise=0.6)
-    ens = boosting.fit(raw, 6, 2, 0.1, seed=0)
+    ens = boosting.fit(raw, 6, 2, 0.1)
     ref = guessing.reference_labels(ens, raw)
     preds = boosting.predict_class(ens, raw.features)
     assert np.array_equal(ref.predictions, preds)
@@ -46,7 +46,7 @@ def test_reference_labels_from_ensemble():
 def test_reference_labels_on_indicator_columns():
     rng = np.random.default_rng(1)
     raw = random_raw(rng, 40, 3)
-    ens = boosting.fit(raw, 5, 2, 0.1, seed=0)
+    ens = boosting.fit(raw, 5, 2, 0.1)
     pairs = boosting.extract_thresholds(ens).pairs()
     bin_data = sparsetree.binarize_with_thresholds(raw, pairs)
     tens = guessing.translate_to_indicators(ens, pairs)
@@ -141,7 +141,7 @@ def _check_solve_inputs(raw, tr):
 
 def test_eliminate_distills_single_signal():
     raw = _single_signal_raw()
-    tr = guessing.column_eliminate(raw, 10, 2, 0.1, seed=0)
+    tr = guessing.column_eliminate(raw, 10, 2, 0.1)
     assert tr.thresholds.pairs() == [(1, 0.5)]
     assert tr.initial_correct == 40
     assert tr.stopping_bar == 40
@@ -155,7 +155,7 @@ def test_eliminate_retains_joint_signal():
     rows = [(0.0, 0.0)] * 4 + [(0.0, 1.0)] * 2 + [(1.0, 0.0)] * 2 + [(1.0, 1.0)] * 3
     ys = [0] * 4 + [1] * 2 + [1] * 2 + [0] * 3
     raw = sparsetree.make_raw(np.array(rows), np.array(ys))
-    tr = guessing.column_eliminate(raw, 20, 2, 0.3, seed=0)
+    tr = guessing.column_eliminate(raw, 20, 2, 0.3)
     assert tr.initial_correct == 11
     assert sorted(tr.thresholds.pairs()) == [(0, 0.5), (1, 0.5)]
     assert tr.steps == ()
@@ -163,7 +163,7 @@ def test_eliminate_retains_joint_signal():
 
 def test_eliminate_with_tolerance_strips_noise():
     raw = _noisy_signal_raw()
-    tr = guessing.column_eliminate(raw, 10, 2, 0.2, seed=0, drop_tolerance=0.1)
+    tr = guessing.column_eliminate(raw, 10, 2, 0.2, drop_tolerance=0.1)
     assert tr.initial_correct == 74
     assert tr.stopping_bar == 74 - math.floor(74 / 10)
     assert tr.stopping_bar == math.ceil(0.9 * 74)
@@ -175,9 +175,9 @@ def test_eliminate_with_tolerance_strips_noise():
 
 def test_eliminate_full_tolerance_removes_everything():
     raw = _single_signal_raw()
-    ens = boosting.fit(raw, 10, 2, 0.1, seed=0)
+    ens = boosting.fit(raw, 10, 2, 0.1)
     initial = len(boosting.extract_thresholds(ens))
-    tr = guessing.column_eliminate(raw, 10, 2, 0.1, seed=0, drop_tolerance=1.0)
+    tr = guessing.column_eliminate(raw, 10, 2, 0.1, drop_tolerance=1.0)
     assert tr.stopping_bar == 0
     assert len(tr.thresholds) == 0
     assert len(tr.steps) == initial
@@ -189,7 +189,7 @@ def test_eliminate_zero_tolerance_never_loses_accuracy():
         rng = np.random.default_rng(100 + seed)
         raw = random_raw(rng, 60, 3, noise=0.5)
         try:
-            tr = guessing.column_eliminate(raw, 8, 2, 0.2, seed=seed)
+            tr = guessing.column_eliminate(raw, 8, 2, 0.2)
         except DegenerateModelError:
             continue
         bin_data = sparsetree.binarize_with_thresholds(raw, tr.thresholds.pairs())
@@ -201,13 +201,13 @@ def test_eliminate_fallback_keeps_the_first_fit():
     # on this draw no elimination step and no refit on every threshold keeps
     # the bar, so the first raw fit is translated onto the indicator columns
     raw = random_raw(np.random.default_rng(28), 60, 3, noise=0.8)
-    tr = guessing.column_eliminate(raw, 5, 2, 0.3, 0)
+    tr = guessing.column_eliminate(raw, 5, 2, 0.3)
     assert tr.fallback_translated and tr.steps == ()
     bin_data = sparsetree.binarize_with_thresholds(raw, tr.thresholds.pairs())
     assert tr.ensemble.feature_names == tuple(
         bin_data.column_header(c) for c in range(bin_data.n_columns)
     )
-    first = boosting.fit(raw, 5, 2, 0.3, 0)
+    first = boosting.fit(raw, 5, 2, 0.3)
     assert np.array_equal(
         guessing.reference_labels(tr.ensemble, bin_data).predictions,
         boosting.predict_class(first, raw.features),
@@ -218,15 +218,15 @@ def test_eliminate_fallback_keeps_the_first_fit():
 def test_eliminate_parameter_guards():
     raw = _single_signal_raw()
     with pytest.raises(ValueError):
-        guessing.column_eliminate(raw, 5, 2, 0.1, seed=0, drop_tolerance=-0.1)
+        guessing.column_eliminate(raw, 5, 2, 0.1, drop_tolerance=-0.1)
     with pytest.raises(ValueError):
-        guessing.column_eliminate(raw, 5, 2, 0.1, seed=0, drop_tolerance=1.5)
+        guessing.column_eliminate(raw, 5, 2, 0.1, drop_tolerance=1.5)
 
 
 def test_eliminate_rejects_single_class_reference():
     raw = sparsetree.make_raw([[1.0], [2.0], [3.0]], [0, 0, 0])
     with pytest.raises(DegenerateModelError):
-        guessing.column_eliminate(raw, 5, 2, 0.1, seed=0)
+        guessing.column_eliminate(raw, 5, 2, 0.1)
 
 
 # ---------------------------------------------------------------- translation
@@ -234,7 +234,7 @@ def test_eliminate_rejects_single_class_reference():
 def test_translate_preserves_predictions():
     rng = np.random.default_rng(3)
     raw = random_raw(rng, 70, 4, noise=0.6)
-    ens = boosting.fit(raw, 8, 3, 0.1, seed=0)
+    ens = boosting.fit(raw, 8, 3, 0.1)
     pairs = boosting.extract_thresholds(ens).pairs()
     bin_data = sparsetree.binarize_with_thresholds(raw, pairs)
     tens = guessing.translate_to_indicators(ens, pairs)
@@ -262,10 +262,10 @@ def test_indicator_raw_mirrors_columns():
 
 def test_trace_json_shape_and_determinism():
     raw = _noisy_signal_raw()
-    tr = guessing.column_eliminate(raw, 10, 2, 0.2, seed=0, drop_tolerance=0.1)
+    tr = guessing.column_eliminate(raw, 10, 2, 0.2, drop_tolerance=0.1)
     text = guessing.trace_to_json(tr)
     again = guessing.trace_to_json(
-        guessing.column_eliminate(raw, 10, 2, 0.2, seed=0, drop_tolerance=0.1)
+        guessing.column_eliminate(raw, 10, 2, 0.2, drop_tolerance=0.1)
     )
     assert text == again
     obj = json.loads(text)

@@ -55,35 +55,29 @@ def test_regularizer_rejections():
 
 # ---------------------------------------------------------------- one-leaf solves
 
-def _hundred_sample_bin(labels4):
-    labels = list(labels4) + [0] * 96
-    features = [[float(i)] for i in range(100)]
-    raw = sparsetree.make_raw(features, labels)
-    return sparsetree.binarize_with_thresholds(raw, [(0, 49.5)])
-
-
-def _solve_first_four(labels4):
-    """Depth-1 solve on the first four samples, where the one column is constant."""
-    bin_data = _hundred_sample_bin(labels4)
-    reg = Regularizer.from_text("0.01", 100)
+def _solve_four(labels4):
+    """Depth-1 solve on four samples, where the one column is constant."""
+    raw = sparsetree.make_raw([[0.0]] * 4, labels4)
+    bin_data = sparsetree.binarize_with_thresholds(raw, [(0, 0.5)])
+    reg = Regularizer.from_text("0.01", 4)
     cfg = SolverConfig(reg, depth_limit=1)
-    return reg, solver.optimize(bin_data, cfg, root_support=0b1111)
+    return reg, solver.optimize(bin_data, cfg)
 
 
 def test_majority_leaf_on_a_root_support():
-    _, res = _solve_first_four([1, 1, 1, 0])
+    _, res = _solve_four([1, 1, 1, 0])
     assert res.tree == trees.Leaf(1)
-    assert res.objective == Fraction(1, 50)
+    assert res.objective == Fraction(1, 4) + Fraction(1, 100)
 
 
 def test_tied_leaf_predicts_zero():
-    _, res = _solve_first_four([1, 1, 0, 0])
+    _, res = _solve_four([1, 1, 0, 0])
     assert res.tree == trees.Leaf(0)
-    assert res.objective == Fraction(3, 100)
+    assert res.objective == Fraction(1, 2) + Fraction(1, 100)
 
 
 def test_pure_root_support_costs_one_leaf():
-    reg, res = _solve_first_four([1, 1, 1, 1])
+    reg, res = _solve_four([1, 1, 1, 1])
     assert res.tree == trees.Leaf(1)
     assert res.objective == reg.value
 
@@ -116,26 +110,12 @@ def test_xor_heavy_lambda_collapses_to_leaf():
 def test_single_sample_is_created_not_expanded():
     raw = sparsetree.make_raw([[1.0]], [1])
     one = sparsetree.binarize_with_thresholds(raw, [(0, 5.0)])
-    # one sample of six as the root: its duplicate, sample 1, has the other
-    # label, and the reference misses it, so the guess floor is above its leaf
-    raw = sparsetree.make_raw([[1.0], [1.0], [2.0], [3.0], [3.0], [4.0]], [1, 0, 0, 1, 0, 1])
-    six = sparsetree.full_binarize(raw)
-    ref = guessing.reference_from_predictions([0, 0, 0, 1, 1, 1], raw.labels)
-    cases = [
-        (one, {}, None, "optimal"),
-        (six, {}, 0b1, "optimal"),
-        (six, {"reference": ref}, 0b1, "guess-certified"),
-    ]
-    for bin_data, opts, root, status in cases:
-        reg = Regularizer.from_text("1/2", bin_data.n_samples)
-        res = solver.optimize(bin_data, SolverConfig(reg, depth_limit=3, **opts), root_support=root)
-        assert res.counters.created == 1, opts
-        assert res.counters.expanded == 0, opts
-        assert res.counters.closed_by_guess == 0, opts
-        assert res.tree == trees.Leaf(1), opts
-        assert res.loss_count == 0, opts
-        assert res.objective == Fraction(1, 2), opts
-        assert res.status == status, opts
+    res = solver.optimize(one, SolverConfig(Regularizer.from_text("1/2", 1), depth_limit=3))
+    assert asdict(res.counters) == {"created": 1, "expanded": 0, "closed_by_guess": 0, "cache_hits": 0}
+    assert res.tree == trees.Leaf(1)
+    assert res.loss_count == 0
+    assert res.objective == Fraction(1, 2)
+    assert res.status == "optimal"
 
 
 def test_matches_masked_dp_on_random_instances():
@@ -152,18 +132,6 @@ def test_matches_masked_dp_on_random_instances():
         # the reported tree really achieves the reported objective
         assert trees.objective(res.tree, bin_data, reg) == res.objective
         assert res.depth <= depth
-
-
-def test_root_support_restricts_loss_not_penalty():
-    rng = np.random.default_rng(1)
-    bin_data = random_binary(rng, max_n=20, max_cols=5)
-    n = bin_data.n_samples
-    odd = sum(1 << i for i in range(1, n, 2))
-    if odd == 0:
-        pytest.skip("degenerate draw")
-    reg = Regularizer.from_text("1/32", n)
-    res = solver.optimize(bin_data, SolverConfig(reg, depth_limit=2), root_support=odd)
-    assert res.objective_units == masked_min_units(bin_data, 2, reg, odd)
 
 
 def test_unbounded_agrees_with_bounded_at_its_depth():
@@ -190,7 +158,7 @@ def _supports(search, root_rec):
     solved record no longer keeps its own.  A record reached along two paths
     must have one support there."""
     columns = search.bin.columns
-    got = {root_rec: search.root_bits}
+    got = {root_rec: search.bin.full_mask}
     todo = [root_rec]
     while todo:
         rec = todo.pop()
@@ -215,18 +183,17 @@ def test_cache_holds_subproblem_optima():
     n = bin_data.n_samples
     reg = Regularizer.from_text("1/64", n)
     cfg = SolverConfig(reg, depth_limit=3)
-    search = solver._Search(bin_data, cfg, bin_data.full_mask)
+    search = solver._Search(bin_data, cfg)
     root_rec, _ = search.run()
     support = _supports(search, root_rec)
     checked = 0
     for rec in _records(search):
-        bits, depth = support[rec], rec.depth
-        if not rec.solved or depth is None or depth < 1 or bits == 0:
+        if not rec.solved:
             continue
-        if bits.bit_count() <= 1:
-            continue
-        fresh = solver.optimize(bin_data, SolverConfig(reg, depth_limit=depth), root_support=bits)
-        assert fresh.objective_units == rec.upper
+        # the DP's optimum over the whole dataset, counting loss only on the
+        # support, is the support's own optimum: a leaf holding none of it
+        # could merge with its sibling
+        assert rec.upper == masked_min_units(bin_data, rec.depth, reg, support[rec])
         checked += 1
         if checked >= 12:
             break
@@ -342,21 +309,6 @@ def test_validation_rejections():
     bin_data = sparsetree.full_binarize(raw)
     with pytest.raises(ValueError, match="does not match"):
         solver.optimize(bin_data, SolverConfig(Regularizer.from_text("0.1", 3)))
-    with pytest.raises(ValueError, match="empty root support"):
-        solver.optimize(bin_data, SolverConfig(reg2), root_support=0)
-    # bits past the last sample, and a negative int, whose bits never end
-    for bits in (0b11 | 0b11111 << 10, -1):
-        with pytest.raises(ValueError, match="outside the dataset"):
-            solver.optimize(bin_data, SolverConfig(reg2), root_support=bits)
-    # True used to be sample 0, and a float failed later with AttributeError
-    for bits in (True, False, np.bool_(True), 1.0, np.float64(3.0), "3"):
-        with pytest.raises(ValueError, match="root support must be an int"):
-            solver.optimize(bin_data, SolverConfig(reg2), root_support=bits)
-    # a numpy integer is the int it holds
-    as_int = solver.optimize(bin_data, SolverConfig(reg2), root_support=0b10)
-    as_np = solver.optimize(bin_data, SolverConfig(reg2), root_support=np.int64(0b10))
-    assert (as_np.objective_units, asdict(as_np.counters), repr(as_np.tree)) == (
-        as_int.objective_units, asdict(as_int.counters), repr(as_int.tree))
     # a reference scored on another dataset: 4 predictions for 2 samples
     other = guessing.reference_from_predictions([0, 1, 1, 0], [0, 1, 0, 0])
     with pytest.raises(ValueError, match="reference prediction count"):
@@ -421,7 +373,7 @@ def test_run_report_shape():
 # ---------------------------------------------------------------- search order and incremental bounds
 
 def _pinned_instances():
-    """Seeded solves of four kinds: exact, guessed, unbounded, root support."""
+    """Seeded solves of three kinds: exact, guessed, unbounded."""
     dense = sparsetree.full_binarize(random_raw(np.random.default_rng(10), 200, 4, levels=3))
     reg = Regularizer.from_text("1/100", dense.n_samples)
     # this draw has guess-closed children that lower a split's lower sum,
@@ -429,18 +381,13 @@ def _pinned_instances():
     coarse = sparsetree.full_binarize(random_raw(np.random.default_rng(37), 150, 4, levels=1))
     ref = _noisy_reference(coarse, np.random.default_rng(38))
     small = sparsetree.full_binarize(random_raw(np.random.default_rng(12), 60, 3, levels=1))
-    odd = sum(1 << i for i in range(1, dense.n_samples, 2))
     return {
-        "exact": (dense, SolverConfig(reg, depth_limit=3), None),
+        "exact": (dense, SolverConfig(reg, depth_limit=3)),
         "guessed": (
             coarse,
             SolverConfig(Regularizer.from_text("1/64", coarse.n_samples), depth_limit=3, reference=ref),
-            None,
         ),
-        "unbounded": (
-            small, SolverConfig(Regularizer.from_text("1/50", small.n_samples)), None
-        ),
-        "root_support": (dense, SolverConfig(reg, depth_limit=3), odd),
+        "unbounded": (small, SolverConfig(Regularizer.from_text("1/50", small.n_samples))),
     }
 
 
@@ -465,11 +412,6 @@ _PINNED_TREES = {
         "on_false=Leaf(prediction=1)), "
         "on_false=Leaf(prediction=0))"
     ),
-    "root_support": (
-        "Split(feature='x0', threshold=-1.5, on_true=Leaf(prediction=0), "
-        "on_false=Split(feature='x3', threshold=0.16666666666666666, "
-        "on_true=Leaf(prediction=1), on_false=Leaf(prediction=0)))"
-    ),
 }
 
 
@@ -480,11 +422,10 @@ def test_search_counters_are_pinned():
         "exact": (4100, {"created": 3763, "expanded": 3567, "closed_by_guess": 0, "cache_hits": 5466}),
         "guessed": (2114, {"created": 410, "expanded": 306, "closed_by_guess": 80, "cache_hits": 238}),
         "unbounded": (860, {"created": 1288, "expanded": 1034, "closed_by_guess": 0, "cache_hits": 9511}),
-        "root_support": (2500, {"created": 2882, "expanded": 2616, "closed_by_guess": 0, "cache_hits": 4488}),
     }
-    for name, (bin_data, cfg, root) in _pinned_instances().items():
+    for name, (bin_data, cfg) in _pinned_instances().items():
         units, counters = want[name]
-        res = solver.optimize(bin_data, cfg, root_support=root)
+        res = solver.optimize(bin_data, cfg)
         assert (res.objective_units, asdict(res.counters)) == (units, counters), name
         assert repr(res.tree) == _PINNED_TREES[name], name
 
@@ -531,9 +472,8 @@ def _check_bounds_against_full_rescan(search):
 
 
 def test_incremental_bounds_match_a_full_rescan():
-    for name, (bin_data, cfg, root) in _pinned_instances().items():
-        bits = bin_data.full_mask if root is None else root
-        search = solver._Search(bin_data, cfg, bits)
+    for name, (bin_data, cfg) in _pinned_instances().items():
+        search = solver._Search(bin_data, cfg)
         expand = search._expand
         seen = {"expanded": 0}
 
@@ -575,19 +515,14 @@ def test_terminal_expansion_matches_a_column_scan():
     del cases["unbounded"]  # no depth limit, so no terminal records
     dense = cases["exact"][0]
     coarse = cases["guessed"][0]
-    cases["zero_lambda"] = (
-        dense, SolverConfig(Regularizer.from_text("0", dense.n_samples), depth_limit=2), None
-    )
+    cases["zero_lambda"] = (dense, SolverConfig(Regularizer.from_text("0", dense.n_samples), depth_limit=2))
     # lambda = 1/2 makes two leaves cost at least one leaf of any support
     for name, data in (("heavy_dense", dense), ("heavy_coarse", coarse)):
-        cases[name] = (
-            data, SolverConfig(Regularizer.from_text("1/2", data.n_samples), depth_limit=1), None
-        )
-    for name, (bin_data, cfg, root) in cases.items():
+        cases[name] = (data, SolverConfig(Regularizer.from_text("1/2", data.n_samples), depth_limit=1))
+    for name, (bin_data, cfg) in cases.items():
         reg = cfg.regularizer
         pen = reg.leaf_penalty_units
-        bits = bin_data.full_mask if root is None else root
-        search = solver._Search(bin_data, cfg, bits)
+        search = solver._Search(bin_data, cfg)
         # how each terminal record is solved: closed by the floor without a
         # scan, from the outcome its sibling derived, or by its own scan
         how = {}
@@ -644,9 +579,8 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
     # a record scans the columns that split its first creator's support; the
     # list must still hold every column that splits its own support, in
     # column order, each with the samples whose label equals its bit
-    for name, (bin_data, cfg, root) in _pinned_instances().items():
-        bits = bin_data.full_mask if root is None else root
-        search = solver._Search(bin_data, cfg, bits)
+    for name, (bin_data, cfg) in _pinned_instances().items():
+        search = solver._Search(bin_data, cfg)
         # the record each expansion creates: an expanded terminal record
         # drops its parent links, so creators are noted as they happen
         creator, expanding = {}, [None]
@@ -722,20 +656,20 @@ class _TickClock:
 
 def test_pruned_extraction_matches_a_full_pass(monkeypatch):
     cases = _pinned_instances()
-    dense, exact_cfg, _ = cases["exact"]
-    cases["time_limit"] = (dense, SolverConfig(exact_cfg.regularizer, depth_limit=3, time_limit_s=40), None)
+    dense, exact_cfg = cases["exact"]
+    cases["time_limit"] = (dense, SolverConfig(exact_cfg.regularizer, depth_limit=3, time_limit_s=40))
     # lambda = 0 on XOR behind an irrelevant first feature: every tree of
     # zero loss ties in units and differs only in leaves, depth and structure
     xor_rows = [[c, a, b] for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)]
     xor = sparsetree.full_binarize(sparsetree.make_raw(xor_rows, [int(a != b) for _, a, b in xor_rows]))
     for depth in (2, 3):
         cases[f"xor_depth_{depth}"] = (
-            xor, SolverConfig(Regularizer.from_text("0", xor.n_samples), depth_limit=depth), None
+            xor, SolverConfig(Regularizer.from_text("0", xor.n_samples), depth_limit=depth)
         )
     monkeypatch.setattr(solver, "time", _TickClock())
-    for name, (bin_data, cfg, root) in cases.items():
-        bits = bin_data.full_mask if root is None else root
-        search = solver._Search(bin_data, cfg, bits)
+    for name, (bin_data, cfg) in cases.items():
+        bits = bin_data.full_mask
+        search = solver._Search(bin_data, cfg)
         root_rec, stopped_by = search.run()
         assert stopped_by == ("time-limit" if name == "time_limit" else None), name
         memo, full = {}, {}
@@ -756,9 +690,7 @@ def test_cut_runs_return_a_valid_incumbent(monkeypatch):
     # a search stopped by either budget still returns a tree that scores
     # what the run reports; a record cap the full run never passes changes
     # nothing
-    cases = _pinned_instances()
-    del cases["root_support"]
-    for name, (bin_data, cfg, _) in cases.items():
+    for name, (bin_data, cfg) in _pinned_instances().items():
         reg, limit = cfg.regularizer, cfg.depth_limit
         # a single leaf scores at most 1/2 + lambda, so an unbounded optimum
         # has at most 1/(2 lambda) + 1 leaves and fits in depth 1/(2 lambda)
@@ -798,13 +730,6 @@ def test_cut_runs_return_a_valid_incumbent(monkeypatch):
             assert full.objective_units == optimum, name
 
 
-def _support_rows(raw, bin_data, bits):
-    """The samples of bits as a dataset of their own, on bin_data's columns."""
-    rows = [i for i in range(bin_data.n_samples) if bits >> i & 1]
-    sub = sparsetree.make_raw(raw.features[rows], raw.labels[rows], raw.feature_names)
-    return sparsetree.binarize_with_thresholds(sub, bin_data.column_meta)
-
-
 def test_matches_the_exhaustive_dp_at_mid_scale():
     # the DP has no bounds and no search order; its guards are raised for
     # inputs with few distinct supports.  Objective and tree, tie rules
@@ -833,39 +758,10 @@ def test_matches_the_exhaustive_dp_at_mid_scale():
     assert repr(res.tree) == repr(bf.tree)
     assert res.depth == 4
 
-    # a root support against the DP on its rows alone: the leaf penalty
-    # lambda * n becomes lambda' * n' there, so units scale by denom/denom'
-    n = wide.n_samples
-    odd = sum(1 << i for i in range(1, n, 2))
-    sub = _support_rows(wide_raw, wide, odd)
-    reg = Regularizer.from_text("1/1000", n)
-    sub_reg = Regularizer.from_text(str(reg.value * n / sub.n_samples), sub.n_samples)
-    res = solver.optimize(wide, SolverConfig(reg, depth_limit=3), root_support=odd)
-    bf = evaluation.brute_force_optimal(sub, sub_reg, 3, max_columns=60)
-    assert res.objective_units * sub_reg.denom == bf.objective_units * reg.denom
-    assert (res.loss_count, res.leaf_count) == (bf.loss_count, bf.leaf_count)
-    assert repr(res.tree) == repr(bf.tree)
-
-
-def _floor_instances():
-    """The pinned exact, guessed and unbounded solves and a root support that
-    halves every equivalence class."""
-    cases = _pinned_instances()
-    del cases["root_support"]  # its support happens to hold no impure class
-    coarse, guessed_cfg, _ = cases["guessed"]
-    reg = guessed_cfg.regularizer
-    halves = 0
-    for group in class_groups(coarse):
-        for i in group[::2]:
-            halves |= 1 << i
-    cases["halved_classes"] = (coarse, SolverConfig(reg, depth_limit=3), halves)
-    return cases
-
 
 def test_floor_matches_a_per_group_recount():
-    for name, (bin_data, cfg, root) in _floor_instances().items():
-        bits = bin_data.full_mask if root is None else root
-        search = solver._Search(bin_data, cfg, bits)
+    for name, (bin_data, cfg) in _pinned_instances().items():
+        search = solver._Search(bin_data, cfg)
         root_rec, _ = search.run()
         assert root_rec.solved, name
         support = _supports(search, root_rec)
@@ -894,11 +790,8 @@ def test_cache_is_keyed_by_class_masks():
     # a record is found by the classes its support meets; solved records,
     # expanded terminal ones among them, keep no sample mask and no parent
     # links
-    cases = _pinned_instances()
-    cases["halved_classes"] = _floor_instances()["halved_classes"]
-    for name, (bin_data, cfg, root) in cases.items():
-        bits = bin_data.full_mask if root is None else root
-        search = solver._Search(bin_data, cfg, bits)
+    for name, (bin_data, cfg) in _pinned_instances().items():
+        search = solver._Search(bin_data, cfg)
         terminal = []
         expand_terminal = search._expand_terminal
 
@@ -922,18 +815,14 @@ def test_cache_is_keyed_by_class_masks():
         assert all(rec.solved for rec in terminal), name
         assert not any(rec.parents for rec in _records(search) if rec.solved), name
         assert terminal or cfg.depth_limit is None, name
-        if name == "halved_classes":
-            # this root splits classes, so its key holds fewer sample bits
-            assert root_rec.cbits.bit_count() < bits.bit_count(), name
 
 
 def test_stored_counts_match_the_supports():
     # a cache hit reads the found record's sample, label-1 and reference
     # mistake counts (the last from its guess floor) in place of counting
     # the samples again, so each must be its walked support's popcount
-    for name, (bin_data, cfg, root) in _pinned_instances().items():
-        bits = bin_data.full_mask if root is None else root
-        search = solver._Search(bin_data, cfg, bits)
+    for name, (bin_data, cfg) in _pinned_instances().items():
+        search = solver._Search(bin_data, cfg)
         root_rec, _ = search.run()
         support = _supports(search, root_rec)
         pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
@@ -951,9 +840,9 @@ def _collector_cases():
     """The pinned solves, plus exact solves cut by a record cap and by a
     zero time budget."""
     cases = _pinned_instances()
-    dense, cfg, _ = cases["exact"]
-    cases["record_limit"] = (dense, replace(cfg, max_records=200), None)
-    cases["time_limit"] = (dense, replace(cfg, time_limit_s=0), None)
+    dense, cfg = cases["exact"]
+    cases["record_limit"] = (dense, replace(cfg, max_records=200))
+    cases["time_limit"] = (dense, replace(cfg, time_limit_s=0))
     return cases
 
 
@@ -970,16 +859,16 @@ def test_solves_leave_no_cyclic_garbage():
     # collector and gives it back in the state it found it
     was = gc.isenabled()
     try:
-        for name, (bin_data, cfg, root) in _collector_cases().items():
+        for name, (bin_data, cfg) in _collector_cases().items():
             gc.collect()
             gc.disable()
-            res = solver.optimize(bin_data, cfg, root_support=root)
+            res = solver.optimize(bin_data, cfg)
             assert not gc.isenabled(), name
             assert gc.collect() == 0, name
             if name.endswith("_limit"):
                 assert res.status == name.replace("_", "-"), name
             gc.enable()
-            again = solver.optimize(bin_data, cfg, root_support=root)
+            again = solver.optimize(bin_data, cfg)
             assert gc.isenabled(), name
             assert (again.objective_units, repr(again.tree)) == (res.objective_units, repr(res.tree)), name
     finally:
@@ -1012,7 +901,7 @@ def _metamorphic_draws():
     for seed in range(6):
         rng = np.random.default_rng(seed)
         raw = random_raw(rng, int(rng.integers(120, 201)), int(rng.integers(3, 5)), levels=1)
-        ref = guessing.reference_labels(boosting.fit(raw, 1, 1, 0.5, seed), raw)
+        ref = guessing.reference_labels(boosting.fit(raw, 1, 1, 0.5), raw)
         yield rng, raw, ref
 
 
