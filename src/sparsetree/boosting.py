@@ -6,15 +6,27 @@ y - sigmoid(margin), leaf values take a Newton step (sum residual over sum
 hessian) clamped to +-4, and the margin accumulates learning_rate * tree(x).
 Class 1 iff margin > 0; a zero margin predicts 0.
 
-Each fit picks a split kernel per feature from its data.  A feature with
-exactly two distinct values (every indicator column, any 0/1 feature) has one
-cut, at the midpoint of the two; its left gradient sum at a node is a
-bincount of the node's gradients over the members holding the low value, with
-no sort.  Every other feature walks the node's members in stable value order
-and takes a prefix sum at each cut between distinct neighbours.  For a
-two-valued feature both kernels add the same gradients in the same order
-(index order within the low value), so the gains agree bit for bit and the
-fitted trees do not depend on which kernel ran.
+A fit runs over the distinct (row, label) pairs of its data, each weighted
+by the number of rows it stands for: rows that are equal and share a label
+get the same gradient at every stage, so a group's weighted gradient stands
+for all of them.  Split gains and Newton steps take weighted sums, and node
+samples/positives count rows.
+
+Each fit picks a split kernel per feature from its groups.  Every feature
+with exactly two distinct values (every indicator column, any 0/1 feature)
+has one cut, at the midpoint of the two; at each node a sum along the
+groups of the (groups x features) low-value mask, times the weights and
+then the weighted gradients, gives every such feature's left weight and
+left gradient sum at once, with no sort.  Every other feature walks the
+node's groups in stable value order and takes prefix sums at each cut
+between distinct neighbours.  For a two-valued feature both kernels add the
+same terms in the same order (index order within the low value), so the
+gains agree bit for bit and the fitted trees do not depend on which kernel
+ran.  On data whose rows are all distinct every weight is 1 and the groups
+are the rows in order, so the fit is byte-identical to the plain per-row
+algorithm.  On repeated rows a group's weighted gradient rounds otherwise
+than the sum of its rows', so leaf scores may differ in their last digits,
+and two splits that gain exactly alike may be told apart the other way.
 
 Fitting is fully deterministic: exact greedy search needs no randomness.
 """
@@ -90,74 +102,107 @@ class ThresholdSet:
 
 # ---------------------------------------------------------------- weak trees
 
-def _sorted_split(xj, g, order, g_tot, base):
-    """Best cut of one feature at a node: (gain, threshold), or (None, None)
-    when the node's members share one value.
+class _Plan:
+    """One fit's row groups and the split kernels' inputs over them.
 
-    order lists the node's members in stable value order, so the prefix sums
-    add gradients in index order within each value."""
-    n_tot = len(order)
+    x holds each group's row, w its row count and wy its positive rows, all
+    as floats.  two lists the columns with exactly two distinct values, low
+    marks each group's low values in them, thresholds holds every column's
+    cut (the midpoint, for a two-valued one) and orders pairs every other
+    column with its stable value order.  numpy sums a one-column matrix
+    pairwise rather than row after row, so a lone two-valued column goes to
+    _sorted_split, whose gains _two_valued_gains matches."""
+
+    def __init__(self, x, w, wy):
+        self.x, self.w, self.wy = x, w, wy
+        self.thresholds = np.zeros(x.shape[1])
+        two, lows = [], []
+        for j, col in enumerate(x.T):
+            lo, hi = col.min(), col.max()
+            low = col == lo
+            if lo < hi and np.all(col[~low] == hi):
+                two.append(j)
+                lows.append(low)
+                self.thresholds[j] = midpoint(lo, hi)
+        if len(two) == 1:
+            two, lows = [], []
+        self.two = np.array(two, dtype=np.intp)
+        self.low = np.column_stack(lows) if lows else np.zeros((x.shape[0], 0), dtype=bool)
+        self.orders = [(j, np.argsort(x[:, j], kind="stable")) for j in range(x.shape[1]) if j not in two]
+
+
+def _two_valued_gains(low, w, wg, w_tot, g_tot, base):
+    """Every two-valued feature's gain at a node, -inf where the node holds
+    one of its values only.
+
+    low marks the node's groups at each feature's low value, w and wg hold
+    their weights and weighted gradients, all in index order.  Each column's
+    left sums run down the groups in that order, as _sorted_split's prefix
+    sums at the cut do, so the gains are the same floats."""
+    nl = (low * w[:, None]).sum(axis=0)
+    gl = (low * wg[:, None]).sum(axis=0)
+    both = (nl > 0.0) & (nl < w_tot)
+    gains = np.full(len(nl), -np.inf)
+    nl, gl = nl[both], gl[both]
+    gr = g_tot - gl
+    gains[both] = gl * gl / nl + gr * gr / (w_tot - nl) - base
+    return gains
+
+
+def _sorted_split(xj, w, wg, order, w_tot, g_tot, base):
+    """Best cut of one feature at a node: (gain, threshold), or None when the
+    node's groups share one value.
+
+    w and wg hold each group's weight and weighted gradient; order lists the
+    node's groups in stable value order, so the prefix sums add them in index
+    order within each value."""
     vals = xj[order]
-    gs = np.cumsum(g[order])
-    ns = np.arange(1, n_tot + 1, dtype=np.float64)
     cut = np.flatnonzero(vals[:-1] < vals[1:])  # split between distinct neighbors
     if len(cut) == 0:
-        return None, None
-    gl = gs[cut]
-    nl = ns[cut]
+        return None
+    gl = np.cumsum(wg[order])[cut]
+    # groups of one row each: the prefix weight is the rank
+    nl = cut + 1.0 if w_tot == len(order) else np.cumsum(w[order])[cut]
     gr = g_tot - gl
-    nr = n_tot - nl
+    nr = w_tot - nl
     gains = gl * gl / nl + gr * gr / nr - base
     k = int(np.argmax(gains))
     return float(gains[k]), midpoint(vals[cut[k]], vals[cut[k] + 1])
 
 
-def _two_valued_gain(low, g_node, g_tot, base):
-    """Gain of a two-valued feature's one cut at a node, or None when the node
-    holds one value only.
-
-    low marks the node's members at the low value, g_node their gradients,
-    both in index order.  bincount adds the marked gradients one at a time in
-    index order, which is the stable-sorted prefix sum _sorted_split takes at
-    that cut, so the gain is the same float."""
-    n_tot = len(low)
-    nl = np.count_nonzero(low)
-    if nl == 0 or nl == n_tot:
-        return None
-    gl = np.bincount(low, weights=g_node, minlength=2)[1]
-    gr = g_tot - gl
-    nr = n_tot - nl
-    return float(gl * gl / nl + gr * gr / nr - base)
-
-
-def _grow(x, g, plan, member, depth, max_depth, y, leaves):
-    """Grow the weak tree under the member mask; every leaf is appended to
-    leaves with its member indices, in ascending order."""
+def _grow(plan, wg, member, depth, max_depth, leaves):
+    """Grow the weak tree under the member mask of row groups; every leaf is
+    appended to leaves with its group indices, in ascending order."""
     idx = np.flatnonzero(member)
-    node = RegressionNode(samples=len(idx), positives=int(y[idx].sum()))
+    w_node = plan.w[idx]
+    w_tot = float(w_node.sum())
+    node = RegressionNode(samples=int(w_tot), positives=int(plan.wy[idx].sum()))
     if depth >= max_depth or len(idx) < 2:
         leaves.append((node, idx))
         return node
-    g_node = g[idx]
+    g_node = wg[idx]
     g_tot = float(g_node.sum())
-    n_tot = len(idx)
-    base = g_tot * g_tot / n_tot
-    best_gain, best_feat, best_thr = _MIN_GAIN, -1, 0.0
-    for j, (order, low, thr) in enumerate(plan):
-        if order is None:
-            gain = _two_valued_gain(low[idx], g_node, g_tot, base)
-        else:
-            gain, thr = _sorted_split(x[:, j], g, order[member[order]], g_tot, base)
-        if gain is not None and gain > best_gain:
-            best_gain, best_feat, best_thr = gain, j, thr
-    if best_feat < 0:
+    base = g_tot * g_tot / w_tot
+    # slot 0 stands for no split, so a feature must beat _MIN_GAIN, and on
+    # equal gains argmax keeps the first feature in column order
+    gains = np.full(1 + len(plan.thresholds), -np.inf)
+    gains[0] = _MIN_GAIN
+    thresholds = plan.thresholds.copy()
+    if len(plan.two):
+        gains[1 + plan.two] = _two_valued_gains(plan.low[idx], w_node, g_node, w_tot, g_tot, base)
+    for j, order in plan.orders:
+        best = _sorted_split(plan.x[:, j], plan.w, wg, order[member[order]], w_tot, g_tot, base)
+        if best is not None:
+            gains[1 + j], thresholds[j] = best
+    feat = int(np.argmax(gains)) - 1
+    if feat < 0:
         leaves.append((node, idx))
         return node
-    node.feature = best_feat
-    node.threshold = best_thr
-    go_left = member & (x[:, best_feat] <= best_thr)
-    node.left = _grow(x, g, plan, go_left, depth + 1, max_depth, y, leaves)
-    node.right = _grow(x, g, plan, member & ~go_left, depth + 1, max_depth, y, leaves)
+    node.feature = feat
+    node.threshold = float(thresholds[feat])
+    go_left = member & (plan.x[:, feat] <= node.threshold)
+    node.left = _grow(plan, wg, go_left, depth + 1, max_depth, leaves)
+    node.right = _grow(plan, wg, member & ~go_left, depth + 1, max_depth, leaves)
     return node
 
 
@@ -177,20 +222,25 @@ def _tree_predict(node, x):
 
 # ---------------------------------------------------------------- ensemble
 
-def _split_plan(x):
-    """Per feature, the split kernel's inputs: (None, low mask, cut threshold)
-    for a feature with exactly two distinct values, (stable order, None, None)
-    for any other."""
-    plan = []
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        lo, hi = col.min(), col.max()
-        low = col == lo
-        if lo < hi and np.all(col[~low] == hi):
-            plan.append((None, low, midpoint(lo, hi)))
+def _row_groups(x, labels):
+    """The distinct (row, label) pairs, in order of first occurrence: each
+    one's first row index (so ascending) and its row count.
+
+    Rows of 0/1 values are keyed on their packed bits, as the solver's
+    equivalence classes are; any other row on its float bytes."""
+    if x.shape[1] == 0:
+        row_id = np.zeros(x.shape[0], dtype=np.intp)
+    else:
+        ones = x == 1.0
+        if np.count_nonzero(ones) == np.count_nonzero(x):  # every value 0 or 1
+            x = np.packbits(ones, axis=1)
         else:
-            plan.append((np.argsort(col, kind="stable"), None, None))
-    return plan
+            x = np.ascontiguousarray(x)
+        keys = x.view(np.dtype((np.void, x.shape[1] * x.itemsize))).ravel()
+        row_id = np.unique(keys, return_inverse=True)[1].ravel()
+    _, first, count = np.unique(row_id * 2 + labels, return_index=True, return_counts=True)
+    by_first = np.argsort(first)
+    return first[by_first], count[by_first]
 
 
 def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float) -> BoostedEnsemble:
@@ -198,30 +248,32 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
         raise ValueError("n_estimators and max_depth must be >= 1")
     if not 0.0 < learning_rate <= 1.0:
         raise ValueError("learning_rate must be in (0, 1]")
-    x = raw.features
-    y = raw.labels.astype(np.float64)
-    n = len(y)
-    p_bar = float(y.mean())
+    p_bar = float(raw.labels.astype(np.float64).mean())
     trees = []
     if p_bar in (0.0, 1.0):
         initial_score = SCORE_CLAMP if p_bar == 1.0 else -SCORE_CLAMP
     else:
         initial_score = math.log(p_bar / (1.0 - p_bar))
-        plan = _split_plan(x)
-        margin = np.full(n, initial_score)
-        everyone = np.ones(n, dtype=bool)
-        out = np.empty(n, dtype=np.float64)
+        first, count = _row_groups(raw.features, raw.labels)
+        # when every row is its own group, first is 0..n-1
+        x = raw.features if len(first) == raw.n_samples else raw.features[first]
+        y = raw.labels[first].astype(np.float64)
+        w = count.astype(np.float64)
+        plan = _Plan(x, w, w * y)
+        margin = np.full(len(first), initial_score)
+        everyone = np.ones(len(first), dtype=bool)
+        out = np.empty(len(first), dtype=np.float64)
         for _ in range(n_estimators):
             prob = 1.0 / (1.0 + np.exp(-margin))
-            g = y - prob
-            h = prob * (1.0 - prob)
+            wg = w * (y - prob)
+            wh = w * (prob * (1.0 - prob))
             leaves = []
-            root = _grow(x, g, plan, everyone, 0, max_depth, raw.labels, leaves)
-            # the leaves partition the rows as _tree_predict routes them; each
-            # leaf's Newton step sums its members in index order
+            root = _grow(plan, wg, everyone, 0, max_depth, leaves)
+            # the leaves partition the groups as _tree_predict routes them;
+            # each leaf's Newton step sums its groups in index order
             for node, idx in leaves:
-                num = float(g[idx].sum())
-                den = float(h[idx].sum())
+                num = float(wg[idx].sum())
+                den = float(wh[idx].sum())
                 v = num / den if den > _MIN_HESS else 0.0
                 node.value = float(np.clip(v, -SCORE_CLAMP, SCORE_CLAMP))
                 out[idx] = node.value

@@ -85,9 +85,9 @@ def cmd_train(args) -> int:
     if args.pre_binarized:
         bin_data = data
         if args.lb_guess:
-            x = guessing.indicator_raw(bin_data)
-            ens = boosting.fit(x, args.n_estimators, args.max_depth, args.learning_rate)
-            cfg.reference = guessing.reference_labels(ens, x)
+            ens = boosting.fit(guessing.indicator_raw(bin_data), args.n_estimators, args.max_depth,
+                               args.learning_rate)
+            cfg.reference = guessing.reference_labels(ens, bin_data)
     else:
         raw = data
         if args.guess_thresholds:

@@ -252,9 +252,10 @@ def write_binary_csv(bin_data: BinaryDataset, path) -> None:
 
 def read_binary_csv(path) -> BinaryDataset:
     """Inverse of write_binary_csv; headers must follow the feature<idx><=<t>
-    convention with idx in ASCII digits and no leading zero, as the writer
-    puts it, and a finite t, each (feature, threshold) at most once, and the
-    file is UTF-8, with or without a leading byte-order mark."""
+    convention as the writer puts it (idx in ASCII digits and no leading
+    zero, t finite and spelled as repr writes it), each (feature, threshold)
+    at most once, and the file is UTF-8, with or without a leading
+    byte-order mark."""
     try:
         fh = open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as e:
@@ -286,6 +287,10 @@ def read_binary_csv(path) -> BinaryDataset:
             # nan would also slip past the repeat check below, as nan != nan
             if not math.isfinite(thr):
                 raise DataFormatError(f"header column {c} has a non-finite threshold {right!r}")
+            # float() also takes 1_0, +0.5 and 0.50, but a tree names the
+            # column by repr(threshold), a spelling the input did not use
+            if right != repr(thr):
+                raise DataFormatError(f"header column {c} writes the threshold {thr!r} as {right!r}")
             # a tree names its columns by (feature, threshold), so a repeat
             # would make it point at the wrong one
             if (idx, thr) in first:

@@ -244,6 +244,7 @@ class FoldOutcome:
     reduced_columns: Optional[int] = None
     counters: Optional[dict] = None
     counters_no_guess: Optional[dict] = None
+    objective_no_guess: Optional[str] = None
     wall_time_s: float = 0.0
 
     @property
@@ -298,6 +299,7 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig,
         if result.lb_guess_active:
             plain = optimize(bin_train, replace(fold_cfg, reference=None))
         out.counters_no_guess = asdict(plain.counters)
+        out.objective_no_guess = str(plain.objective)
     out.train_accuracy = 1.0 - result.loss_count / train.n_samples
     bin_test = binarize_with_thresholds(test, trace.thresholds.pairs())
     n_test = test.n_samples

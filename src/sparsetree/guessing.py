@@ -18,7 +18,15 @@ import numpy as np
 
 from . import boosting
 from .boosting import BoostedEnsemble, DegenerateModelError, RegressionNode, ThresholdSet
-from .dataset import BinaryDataset, RawDataset, binarize_with_thresholds, bools_to_bits, indicator_header
+from .dataset import (
+    BinaryDataset,
+    RawDataset,
+    binarize_with_thresholds,
+    bits_to_bools,
+    bools_to_bits,
+    equivalence_classes,
+    indicator_header,
+)
 
 
 @dataclass(frozen=True)
@@ -50,13 +58,17 @@ def reference_labels(ens: BoostedEnsemble, data) -> ReferenceLabels:
     """Evaluate an ensemble on a dataset it was trained for.
 
     Pass the BinaryDataset of indicator columns for a reduced-space ensemble,
-    or the RawDataset for one trained on raw features.
+    or the RawDataset for one trained on raw features.  Equal indicator rows
+    get equal predictions, so a BinaryDataset is evaluated once per
+    equivalence class (which the solver then finds in the dataset's cache).
     """
     if isinstance(data, BinaryDataset):
-        x = data.rows_matrix().astype(np.float64)
+        eq = equivalence_classes(data)
+        by_class = np.array([bits_to_bools(c, eq.n_classes) for c in eq.columns], dtype=np.float64)
+        preds = boosting.predict_class(ens, by_class.reshape(data.n_columns, eq.n_classes).T)[eq.ids]
     else:
-        x = data.features
-    return reference_from_predictions(boosting.predict_class(ens, x), data.labels)
+        preds = boosting.predict_class(ens, data.features)
+    return reference_from_predictions(preds, data.labels)
 
 
 # ---------------------------------------------------------------- depth guessing
@@ -170,9 +182,8 @@ def column_eliminate(
 
     def refit_on(pairs):
         data = binarize_with_thresholds(raw, pairs)
-        x = indicator_raw(data)
-        refit = boosting.fit(x, n_estimators, max_depth, learning_rate)
-        ref = reference_labels(refit, x)
+        refit = boosting.fit(indicator_raw(data), n_estimators, max_depth, learning_rate)
+        ref = reference_labels(refit, data)
         return (refit, data, ref), raw.n_samples - ref.incorrect_count
 
     while survivors:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import sparsetree
 from sparsetree import boosting, guessing
 from sparsetree.boosting import BoostedEnsemble, RegressionNode
+from sparsetree.dataset import RawDataset
 
 from conftest import random_raw
 
@@ -293,71 +295,86 @@ def test_weak_tree_thresholds_are_member_midpoints():
 
 # ---------------------------------------------------------------- split kernels
 
-def _node_stats(g, member):
+def _node_stats(w, wg, member):
     idx = np.flatnonzero(member)
-    g_tot = float(g[idx].sum())
-    return idx, g_tot, g_tot * g_tot / len(idx)
+    w_tot = float(w[idx].sum())
+    g_tot = float(wg[idx].sum())
+    return idx, w_tot, g_tot, g_tot * g_tot / w_tot
 
 
 def test_two_valued_kernel_matches_sorted_prefix():
-    # gain and threshold must be the same floats as the sorted-prefix path's,
-    # not merely close: the fitted trees depend on exact ties
+    # every two-valued feature's gain must be the same float as the
+    # sorted-prefix path's on the same weighted groups, not merely close:
+    # the fitted trees depend on exact ties
     rng = np.random.default_rng(21)
+    values = [(0.0, 1.0), (3.0, 7.5), (-2.25, 0.1)]
     seen = {"both": 0, "one_value": 0, "single_member": 0}
     for trial in range(600):
-        lo, hi = [(0.0, 1.0), (3.0, 7.5), (-2.25, 0.1)][trial % 3]
         n = int(rng.integers(2, 60))
-        xj = np.where(rng.random(n) < rng.random(), lo, hi)
-        xj[:2] = lo, hi  # the feature itself always has both values
-        g = rng.normal(size=n) * 10.0 ** rng.integers(-4, 4, size=n)
+        m = int(rng.integers(2, 5))
+        pairs = [values[(trial + j) % 3] for j in range(m)]
+        x = np.column_stack([np.where(rng.random(n) < rng.random(), lo, hi) for lo, hi in pairs])
+        x[:2] = [lo for lo, _ in pairs], [hi for _, hi in pairs]  # each column has both values
+        # every third trial has groups of one row each, the rank shortcut's case
+        w = np.ones(n) if trial % 3 == 0 else rng.integers(1, 6, size=n).astype(np.float64)
+        wg = w * (rng.normal(size=n) * 10.0 ** rng.integers(-4, 4, size=n))
         member = rng.random(n) < rng.random()
         if trial % 7 == 0:
             member[:] = False
             member[rng.integers(n)] = True
         elif trial % 7 == 1:
-            member &= xj == (lo if trial % 2 else hi)
+            member &= x[:, 0] == (pairs[0][0] if trial % 2 else pairs[0][1])
         if not member.any():
             continue
-        order, low, thr = boosting._split_plan(xj[:, None])[0]
-        assert order is None and thr == (lo + hi) / 2.0
-        idx, g_tot, base = _node_stats(g, member)
-        sorted_order = np.argsort(xj, kind="stable")
-        want = boosting._sorted_split(xj, g, sorted_order[member[sorted_order]], g_tot, base)
-        gain = boosting._two_valued_gain(low[idx], g[idx], g_tot, base)
-        if want[0] is None:
-            assert gain is None
-            seen["single_member" if len(idx) == 1 else "one_value"] += 1
-        else:
-            assert (gain, thr) == want
-            seen["both"] += 1
+        plan = boosting._Plan(x, w, w)
+        assert plan.two.tolist() == list(range(m)) and plan.orders == []
+        assert plan.thresholds.tolist() == [(lo + hi) / 2.0 for lo, hi in pairs]
+        idx, w_tot, g_tot, base = _node_stats(w, wg, member)
+        gains = boosting._two_valued_gains(plan.low[idx], w[idx], wg[idx], w_tot, g_tot, base)
+        for j in range(m):
+            order = np.argsort(x[:, j], kind="stable")
+            want = boosting._sorted_split(x[:, j], w, wg, order[member[order]], w_tot, g_tot, base)
+            if want is None:
+                assert gains[j] == -np.inf
+                seen["single_member" if len(idx) == 1 else "one_value"] += 1
+            else:
+                assert (gains[j], plan.thresholds[j]) == want
+                seen["both"] += 1
     assert min(seen.values()) >= 20, seen
 
 
 def test_split_plan_sorts_only_multi_valued_features():
     x = np.array([[0.0, 3.0, 1.0, 2.0], [1.0, 7.5, 2.0, 2.0], [0.0, 3.0, 3.0, 2.0]])
-    plan = boosting._split_plan(x)
-    assert [order is None for order, _, _ in plan] == [True, True, False, False]
-    assert [thr for _, _, thr in plan[:2]] == [0.5, 5.25]
-    assert plan[0][1].tolist() == [True, False, True]
-    assert plan[2][0].tolist() == [0, 1, 2]
+    w = np.ones(3)
+    plan = boosting._Plan(x, w, w)
+    assert plan.two.tolist() == [0, 1]
+    assert plan.thresholds[:2].tolist() == [0.5, 5.25]
+    assert plan.low.tolist() == [[True, True], [False, False], [True, True]]
+    assert [(j, order.tolist()) for j, order in plan.orders] == [(2, [0, 1, 2]), (3, [0, 1, 2])]
+    # numpy sums a one-column matrix pairwise, so a lone two-valued feature
+    # takes the sorted kernel
+    lone = boosting._Plan(x[:, 1:], w, w)
+    assert lone.two.tolist() == [] and lone.low.shape == (3, 0)
+    assert [j for j, _ in lone.orders] == [0, 1, 2]
 
 
-def _seed_grow(x, g, sorted_orders, member, depth, max_depth, y):
-    """The sorted-prefix split search for every feature, as fit ran it before
-    two-valued features got their own kernel."""
+def _seed_grow(x, w, g, sorted_orders, member, depth, max_depth, y):
+    """The sorted-prefix split search for every feature, one feature at a
+    time, with each row weighted (fit's algorithm before two-valued features
+    got a kernel of their own and rows were grouped, for unit weights)."""
     idx = np.flatnonzero(member)
-    node = RegressionNode(samples=len(idx), positives=int(y[idx].sum()))
+    node = RegressionNode(samples=int(w[idx].sum()), positives=int((w * y)[idx].sum()))
     if depth >= max_depth or len(idx) < 2:
         return node
-    g_tot = float(g[idx].sum())
-    n_tot = len(idx)
+    g_tot = float((w * g)[idx].sum())
+    n_tot = float(w[idx].sum())
     base = g_tot * g_tot / n_tot
     best_gain, best_feat, best_thr = boosting._MIN_GAIN, -1, 0.0
     for j in range(x.shape[1]):
         order = sorted_orders[j][member[sorted_orders[j]]]
         vals = x[order, j]
-        gs = np.cumsum(g[order])
-        ns = np.arange(1, n_tot + 1, dtype=np.float64)
+        gs = np.cumsum((w * g)[order])
+        ns = np.cumsum(w[order])
         cut = np.flatnonzero(vals[:-1] < vals[1:])
         if len(cut) == 0:
             continue
@@ -376,29 +393,30 @@ def _seed_grow(x, g, sorted_orders, member, depth, max_depth, y):
     node.feature = best_feat
     node.threshold = best_thr
     go_left = member & (x[:, best_feat] <= best_thr)
-    node.left = _seed_grow(x, g, sorted_orders, go_left, depth + 1, max_depth, y)
-    node.right = _seed_grow(x, g, sorted_orders, member & ~go_left, depth + 1, max_depth, y)
+    node.left = _seed_grow(x, w, g, sorted_orders, go_left, depth + 1, max_depth, y)
+    node.right = _seed_grow(x, w, g, sorted_orders, member & ~go_left, depth + 1, max_depth, y)
     return node
 
 
-def _seed_set_leaf_values(node, x, g, h, member):
+def _seed_set_leaf_values(node, x, wg, wh, member):
     """Newton leaf values, routing the member mask down the tree, as fit
     set them before _grow handed over each leaf's members."""
     if node.is_leaf:
-        num = float(g[member].sum())
-        den = float(h[member].sum())
+        num = float(wg[member].sum())
+        den = float(wh[member].sum())
         v = num / den if den > boosting._MIN_HESS else 0.0
         node.value = float(np.clip(v, -boosting.SCORE_CLAMP, boosting.SCORE_CLAMP))
         return
     go_left = member & (x[:, node.feature] <= node.threshold)
-    _seed_set_leaf_values(node.left, x, g, h, go_left)
-    _seed_set_leaf_values(node.right, x, g, h, member & ~go_left)
+    _seed_set_leaf_values(node.left, x, wg, wh, go_left)
+    _seed_set_leaf_values(node.right, x, wg, wh, member & ~go_left)
 
 
-def _seed_fit(raw, n_estimators, max_depth, learning_rate):
+def _seed_fit(raw, n_estimators, max_depth, learning_rate, weights=None):
     x = raw.features
     y = raw.labels.astype(np.float64)
-    p_bar = float(y.mean())
+    w = np.ones(len(y)) if weights is None else np.asarray(weights, dtype=np.float64)
+    p_bar = float((w * y).sum() / w.sum())
     assert 0.0 < p_bar < 1.0
     sorted_orders = [np.argsort(x[:, j], kind="stable") for j in range(x.shape[1])]
     margin = np.full(len(y), math.log(p_bar / (1.0 - p_bar)))
@@ -408,8 +426,8 @@ def _seed_fit(raw, n_estimators, max_depth, learning_rate):
         prob = 1.0 / (1.0 + np.exp(-margin))
         g = y - prob
         h = prob * (1.0 - prob)
-        root = _seed_grow(x, g, sorted_orders, everyone, 0, max_depth, raw.labels)
-        _seed_set_leaf_values(root, x, g, h, everyone)
+        root = _seed_grow(x, w, g, sorted_orders, everyone, 0, max_depth, y)
+        _seed_set_leaf_values(root, x, w * g, w * h, everyone)
         margin = margin + learning_rate * boosting._tree_predict(root, x)
         trees.append(root)
     return BoostedEnsemble(
@@ -422,24 +440,106 @@ def _seed_fit(raw, n_estimators, max_depth, learning_rate):
     )
 
 
+def _distinct_rows(raw):
+    """The distinct (row, label) pairs in order of first occurrence, as a
+    dataset, and how many rows each stands for.  Rows are compared by their
+    bytes, so -0.0 and 0.0 (which random_raw rounds to) stay apart."""
+    members = {}
+    for i, (row, label) in enumerate(zip(raw.features, raw.labels.tolist())):
+        members.setdefault((row.tobytes(), label), []).append(i)
+    first = [rows[0] for rows in members.values()]
+    grouped = RawDataset(raw.features[first], raw.labels[first], raw.feature_names)
+    return grouped, [len(rows) for rows in members.values()]
+
+
+def _exact_gain(g, left):
+    """A split's squared-error gain, less the parent's term, in exact arithmetic."""
+    gl, gr = sum(map(Fraction, g[left])), sum(map(Fraction, g[~left]))
+    return gl * gl / int(left.sum()) + gr * gr / int((~left).sum())
+
+
+def _assert_same_trees_up_to_a_tie(got, want, data):
+    """got's trees against want's, both fit on data: the same splits and row
+    counts, and leaf scores within 1e-12 relative, up to the first node
+    where the two pick different splits.  Those two splits must then gain
+    exactly the same on want's gradients at that stage, so that only
+    rounding chose between them; the trees may differ from there on."""
+    x, y = data.features, data.labels.astype(np.float64)
+    margin = np.full(data.n_samples, want.initial_score)
+    assert got.initial_score == want.initial_score and len(got.trees) == len(want.trees)
+    for a, b in zip(got.trees, want.trees):
+        g = y - 1.0 / (1.0 + np.exp(-margin))
+        stack = [(a, b, np.ones(data.n_samples, dtype=bool))]
+        while stack:
+            na, nb, member = stack.pop()
+            assert (na.samples, na.positives, na.is_leaf) == (nb.samples, nb.positives, nb.is_leaf)
+            if na.is_leaf:
+                assert na.value == pytest.approx(nb.value, rel=1e-12, abs=0.0)
+                continue
+            go_a = x[:, na.feature] <= na.threshold
+            go_b = x[:, nb.feature] <= nb.threshold
+            if (na.feature, na.threshold) != (nb.feature, nb.threshold):
+                assert _exact_gain(g[member], go_a[member]) == _exact_gain(g[member], go_b[member])
+                return
+            stack += [(na.left, nb.left, member & go_a), (na.right, nb.right, member & ~go_a)]
+        margin = margin + want.learning_rate * boosting._tree_predict(b, x)
+
+
+def _assert_fits_agree(data, n_estimators, max_depth, learning_rate):
+    """fit against the sorted-prefix algorithm.  On distinct rows, fit is
+    that algorithm byte for byte.  On repeated rows, it is byte for byte the
+    weighted algorithm over the distinct rows, and against the per-row
+    algorithm it keeps every split until an exact tie, which the two may
+    break differently: a group's weighted gradient rounds otherwise than
+    the sum of its rows'."""
+    got = boosting.fit(data, n_estimators, max_depth, learning_rate)
+    want = _seed_fit(data, n_estimators, max_depth, learning_rate)
+    grouped, counts = _distinct_rows(data)
+    if grouped.n_samples == data.n_samples:
+        assert json.dumps(boosting.to_dict(got)) == json.dumps(boosting.to_dict(want))
+        return
+    weighted = _seed_fit(grouped, n_estimators, max_depth, learning_rate, weights=counts)
+    assert json.dumps(boosting.to_dict(got)) == json.dumps(boosting.to_dict(weighted))
+    _assert_same_trees_up_to_a_tie(got, want, data)
+
+
+def _with_extra_columns(rng, raw, features):
+    # a 0/1 and a {3, 7.5} column next to the given ones
+    n = raw.n_samples
+    return sparsetree.make_raw(
+        np.column_stack([features, rng.integers(0, 2, size=n), np.where(rng.random(n) < 0.3, 3.0, 7.5)]),
+        raw.labels,
+    )
+
+
 def test_fit_matches_the_sorted_prefix_algorithm():
-    # indicator refits (every feature two-valued) and raw data that mixes
-    # 0/1 and {3, 7.5} features with multi-valued ones
+    # repeated rows: indicator refits (every feature two-valued) and raw
+    # data that mixes 0/1 and {3, 7.5} features with multi-valued ones;
+    # distinct rows: continuous features, alone and with the same extras
     for seed in range(6):
         rng = np.random.default_rng(40 + seed)
         raw = random_raw(rng, int(rng.integers(80, 400)), 3, levels=int(rng.integers(1, 4)))
         ind = guessing.indicator_raw(sparsetree.full_binarize(raw))
-        mixed = sparsetree.make_raw(
-            np.column_stack([
-                raw.features,
-                rng.integers(0, 2, size=raw.n_samples),
-                np.where(rng.random(raw.n_samples) < 0.3, 3.0, 7.5),
-            ]),
-            raw.labels,
-        )
-        for data in (ind, mixed):
-            got = json.dumps(boosting.to_dict(boosting.fit(data, 8, 3, 0.2)))
-            assert got == json.dumps(boosting.to_dict(_seed_fit(data, 8, 3, 0.2))), seed
+        continuous = raw.features + rng.normal(size=raw.features.shape)
+        for data, distinct in (
+            (ind, False),
+            (_with_extra_columns(rng, raw, raw.features), False),
+            (sparsetree.make_raw(continuous, raw.labels), True),
+            (_with_extra_columns(rng, raw, continuous), True),
+        ):
+            assert (len(np.unique(data.features, axis=0)) == data.n_samples) == distinct, seed
+            _assert_fits_agree(data, 8, 3, 0.2)
+
+
+def test_fit_on_thrice_repeated_rows_matches_the_sorted_prefix_algorithm():
+    # heavy duplication: few distinct rows, each three times over
+    for seed in range(4):
+        rng = np.random.default_rng(60 + seed)
+        raw = random_raw(rng, int(rng.integers(60, 200)), 4, levels=1)
+        tripled = sparsetree.make_raw(np.repeat(raw.features, 3, axis=0), np.repeat(raw.labels, 3))
+        assert len(np.unique(tripled.features, axis=0)) * 3 <= tripled.n_samples
+        _assert_fits_agree(tripled, 10, 3, 0.3)
+        _assert_fits_agree(guessing.indicator_raw(sparsetree.full_binarize(tripled)), 10, 3, 0.3)
 
 
 def test_fit_parameter_validation():

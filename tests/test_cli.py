@@ -425,6 +425,7 @@ def test_benchmark_no_compare_solves_once_per_guessed_fold(tmp_path, monkeypatch
     assert [f["status"] for f in folds] == ["guess-certified"] * 3
     assert len(calls) == 3
     assert [f["counters_no_guess"] for f in folds] == [None] * 3
+    assert [f["objective_no_guess"] for f in folds] == [None] * 3
     with open(tmp_path / "bench.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))[:3]
     assert [r["fold"] for r in rows] == ["0", "1", "2"]

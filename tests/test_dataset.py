@@ -257,7 +257,7 @@ def test_binary_csv_round_trip(tmp_path):
     ("feature0≤0.5,label\n", "no samples"),
     # a tree names a column by (feature, threshold), so with two copies it
     # would name the later one, not necessarily the one the solve split
-    ("feature0≤0.5,feature1≤2.5,feature0≤0.50,label\n1,0,1,1\n",
+    ("feature0≤0.5,feature1≤2.5,feature0≤0.5,label\n1,0,1,1\n",
      "header columns 1 and 3 are both feature0≤0.5$"),
     # nan != nan, so a repeated nan header would pass the repeat check
     ("feature0≤nan,feature0≤nan,label\n1,0,1\n0,1,0\n", "header column 1 has a non-finite threshold 'nan'"),
@@ -270,11 +270,17 @@ def test_binary_csv_round_trip(tmp_path):
     ("feature0≤0.5,feature+1≤0.5,label\n1,0,1\n", "header column 2"),
     ("feature0≤0.5,feature\u0661≤0.5,label\n1,0,1\n", "header column 2"),
     ("feature00≤0.5,label\n1,0\n", "header column 1"),
+    # float() takes each of these thresholds, but a tree would name the
+    # column by repr(threshold): 10.0, 0.5 and 0.5
+    ("feature0≤1_0,label\n1,1\n1,1\n0,0\n0,0\n", "header column 1 writes the threshold 10.0 as '1_0'"),
+    ("feature0≤0.5,feature1≤+0.5,label\n1,0,1\n", "header column 2 writes the threshold 0.5 as '\\+0.5'"),
+    ("feature0≤0.5,feature1≤0.50,label\n1,0,1\n", "header column 2 writes the threshold 0.5 as '0.50'"),
 ], ids=["empty-file", "blank-header", "no-label-cell", "not-a-feature", "bad-threshold",
         "negative-index", "short-row", "non-binary-cell", "bad-label", "no-rows",
         "repeated-indicator", "nan-threshold", "inf-threshold", "minus-inf-threshold",
         "leading-zero-index", "underscore-index", "plus-sign-index", "non-ascii-digit-index",
-        "zero-padded-zero-index"])
+        "zero-padded-zero-index", "underscore-threshold", "plus-sign-threshold",
+        "trailing-zero-threshold"])
 def test_read_binary_csv_rejections(tmp_path, text, message):
     p = tmp_path / "b.csv"
     p.write_text(text)

@@ -288,6 +288,8 @@ def test_benchmark_runs_all_folds():
     for f in report.folds:
         assert f.status in ("optimal", "guess-certified")
         assert f.counters is not None and f.counters_no_guess is not None
+        # the exact optimum is never worse than the guessed solve's tree
+        assert Fraction(f.objective_no_guess) <= Fraction(f.objective)
         assert 0.0 <= f.train_accuracy <= 1.0
         assert 0.0 <= f.test_accuracy <= 1.0
         assert f.reduced_columns >= 1
@@ -311,6 +313,7 @@ def test_benchmark_json_fold_keys_are_pinned():
     keys = [
         "fold", "error", "train_accuracy", "test_accuracy", "objective", "leaves",
         "depth", "status", "reduced_columns", "counters", "counters_no_guess",
+        "objective_no_guess",
     ]
     report = evaluation.BenchmarkReport(config=_bench_cfg(), folds=[
         evaluation.FoldOutcome(
@@ -318,7 +321,7 @@ def test_benchmark_json_fold_keys_are_pinned():
             depth=2, status="optimal", reduced_columns=4,
             counters={"created": 5, "expanded": 2, "closed_by_guess": 0, "cache_hits": 1},
             counters_no_guess={"created": 6, "expanded": 3, "closed_by_guess": 0, "cache_hits": 1},
-            wall_time_s=0.25,
+            objective_no_guess="1/5", wall_time_s=0.25,
         ),
         evaluation.FoldOutcome(fold=1, error="DegenerateModelError: single class"),
     ])
@@ -327,6 +330,7 @@ def test_benchmark_json_fold_keys_are_pinned():
     assert [list(f) for f in plain] == [keys, keys]
     assert [list(f) for f in timed] == [keys + ["wall_time_s"]] * 2
     assert plain[0]["counters"]["expanded"] == 2 and plain[1]["error"].startswith("Degenerate")
+    assert [f["objective_no_guess"] for f in plain] == ["1/5", None]
     assert [f["wall_time_s"] for f in timed] == [0.25, 0.0]
 
 
@@ -343,6 +347,7 @@ def test_benchmark_solves_once_per_fold_without_a_guess(monkeypatch):
     for f in report.folds:
         assert f.status == "optimal"
         assert f.counters_no_guess == f.counters
+        assert f.objective_no_guess == f.objective
     # a guessed fold still pairs its solve with a plain one
     calls.clear()
     report = run_benchmark(_bench_raw(), _bench_cfg())
