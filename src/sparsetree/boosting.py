@@ -10,7 +10,8 @@ A fit runs over the distinct (row, label) pairs of its data, each weighted
 by the number of rows it stands for: rows that are equal and share a label
 get the same gradient at every stage, so a group's weighted gradient stands
 for all of them.  Split gains and Newton steps take weighted sums, and node
-samples/positives count rows.
+samples/positives count rows.  An indicator dataset's groups are its
+equivalence classes split by label; a raw dataset's rows compare by value.
 
 Each fit picks a split kernel per feature from its groups.  Every feature
 with exactly two distinct values (every indicator column, any 0/1 feature)
@@ -39,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import RawDataset, midpoint
+from .dataset import BinaryDataset, RawDataset, equivalence_classes, midpoint
 
 SCORE_CLAMP = 4.0
 _MIN_GAIN = 1e-12
@@ -222,47 +223,51 @@ def _tree_predict(node, x):
 
 # ---------------------------------------------------------------- ensemble
 
-def _row_groups(x, labels):
-    """The distinct (row, label) pairs, in order of first occurrence: each
-    one's first row index (so ascending) and its row count.
-
-    Rows of 0/1 values are keyed on their packed bits, as the solver's
-    equivalence classes are; any other row on its float bytes."""
-    if x.shape[1] == 0:
-        row_id = np.zeros(x.shape[0], dtype=np.intp)
-    else:
-        ones = x == 1.0
-        if np.count_nonzero(ones) == np.count_nonzero(x):  # every value 0 or 1
-            x = np.packbits(ones, axis=1)
-        else:
-            x = np.ascontiguousarray(x)
-        keys = x.view(np.dtype((np.void, x.shape[1] * x.itemsize))).ravel()
-        row_id = np.unique(keys, return_inverse=True)[1].ravel()
+def _groups_of(row_id, labels):
+    """Each distinct (row id, label) pair's first row index and row count,
+    in order of first occurrence."""
     _, first, count = np.unique(row_id * 2 + labels, return_index=True, return_counts=True)
     by_first = np.argsort(first)
     return first[by_first], count[by_first]
 
 
-def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float) -> BoostedEnsemble:
+def _row_groups(data):
+    """data's feature names and its distinct (row, label) pairs in order of
+    first occurrence: each pair's row, and its label and row count as floats.
+    Indicator rows are grouped by the dataset's equivalence classes, which
+    the solver shares, and raw rows by value, so -0.0 and 0.0 are equal."""
+    if isinstance(data, BinaryDataset):
+        eq = equivalence_classes(data)
+        first, count = _groups_of(eq.ids, data.labels)
+        names = tuple(data.column_header(c) for c in range(data.n_columns))
+        x = eq.rows[eq.ids[first]]
+    else:
+        row_id = np.unique(data.features, axis=0, return_inverse=True)[1].ravel()
+        first, count = _groups_of(row_id, data.labels)
+        names = data.feature_names
+        # when every row is its own group, first is 0..n-1
+        x = data.features if len(first) == data.n_samples else data.features[first]
+    return names, x, data.labels[first].astype(np.float64), count.astype(np.float64)
+
+
+def fit(data: RawDataset | BinaryDataset, n_estimators: int, max_depth: int,
+        learning_rate: float) -> BoostedEnsemble:
+    """Boost on raw features, or on indicator columns named by their headers."""
     if n_estimators < 1 or max_depth < 1:
         raise ValueError("n_estimators and max_depth must be >= 1")
     if not 0.0 < learning_rate <= 1.0:
         raise ValueError("learning_rate must be in (0, 1]")
-    p_bar = float(raw.labels.astype(np.float64).mean())
+    names, x, y, w = _row_groups(data)
+    p_bar = float(data.labels.astype(np.float64).mean())
     trees = []
     if p_bar in (0.0, 1.0):
         initial_score = SCORE_CLAMP if p_bar == 1.0 else -SCORE_CLAMP
     else:
         initial_score = math.log(p_bar / (1.0 - p_bar))
-        first, count = _row_groups(raw.features, raw.labels)
-        # when every row is its own group, first is 0..n-1
-        x = raw.features if len(first) == raw.n_samples else raw.features[first]
-        y = raw.labels[first].astype(np.float64)
-        w = count.astype(np.float64)
         plan = _Plan(x, w, w * y)
-        margin = np.full(len(first), initial_score)
-        everyone = np.ones(len(first), dtype=bool)
-        out = np.empty(len(first), dtype=np.float64)
+        margin = np.full(len(w), initial_score)
+        everyone = np.ones(len(w), dtype=bool)
+        out = np.empty(len(w), dtype=np.float64)
         for _ in range(n_estimators):
             prob = 1.0 / (1.0 + np.exp(-margin))
             wg = w * (y - prob)
@@ -284,7 +289,7 @@ def fit(raw: RawDataset, n_estimators: int, max_depth: int, learning_rate: float
         learning_rate=learning_rate,
         n_estimators=n_estimators,
         max_depth=max_depth,
-        feature_names=raw.feature_names,
+        feature_names=names,
         trees=trees,
     )
 

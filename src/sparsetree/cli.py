@@ -85,8 +85,7 @@ def cmd_train(args) -> int:
     if args.pre_binarized:
         bin_data = data
         if args.lb_guess:
-            ens = boosting.fit(guessing.indicator_raw(bin_data), args.n_estimators, args.max_depth,
-                               args.learning_rate)
+            ens = boosting.fit(bin_data, args.n_estimators, args.max_depth, args.learning_rate)
             cfg.reference = guessing.reference_labels(ens, bin_data)
     else:
         raw = data

@@ -180,14 +180,12 @@ class BinaryDataset:
         return indicator_header(*self.column_meta[c])
 
     def rows_matrix(self) -> np.ndarray:
-        """(n, m_tilde) uint8 matrix of the indicator columns."""
-        if "rows" not in self._cache:
-            n, width = self.n_samples, (self.n_samples + 7) // 8
-            raw = b"".join(c.to_bytes(width, "little") for c in self.columns)
-            packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n_columns, width)
-            bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
-            self._cache["rows"] = np.ascontiguousarray(bits.T)
-        return self._cache["rows"]
+        """(n, m_tilde) uint8 matrix of the indicator columns, built per call."""
+        n, width = self.n_samples, (self.n_samples + 7) // 8
+        raw = b"".join(c.to_bytes(width, "little") for c in self.columns)
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n_columns, width)
+        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
+        return np.ascontiguousarray(bits.T)
 
     def column_index(self, feature: str, threshold: float) -> int:
         """Index of the indicator column of a feature name and threshold."""
@@ -333,14 +331,15 @@ class EquivalenceClasses:
 
     ids[i] is the class of sample i, numbered 0 .. n_classes - 1; labels is
     the dataset's 0/1 label vector.  minority_bits and minority_total read
-    only these.  columns holds each indicator column in class space: bit k
-    of columns[c] is column c's value on the members of class k, which all
-    share it.
+    only these.  rows[k] is the (uint8) indicator row every member of class
+    k shares, and columns holds each indicator column in class space: bit k
+    of columns[c] is rows[k, c].
     """
 
     ids: np.ndarray
     n_classes: int
     labels: np.ndarray
+    rows: np.ndarray
     columns: tuple[int, ...]
 
 
@@ -355,17 +354,18 @@ def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
 
 
 def _partition(bin_data: BinaryDataset) -> EquivalenceClasses:
-    if not bin_data.n_columns:
-        return EquivalenceClasses(np.zeros(bin_data.n_samples, dtype=np.intp), 1, bin_data.labels, ())
-    # each row packed to bytes is one opaque key; equal rows, equal keys
     rows = bin_data.rows_matrix()
+    if not bin_data.n_columns:
+        return EquivalenceClasses(np.zeros(bin_data.n_samples, dtype=np.intp), 1, bin_data.labels, rows[:1], ())
+    # each row packed to bytes is one opaque key; equal rows, equal keys
     packed = np.packbits(rows, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     uniq, first, ids = np.unique(keys, return_index=True, return_inverse=True)
     # one member's row stands for its class; pack each column over classes
-    by_class = np.packbits(rows[first].T, axis=1, bitorder="little")
+    rows = rows[first]
+    by_class = np.packbits(rows.T, axis=1, bitorder="little")
     columns = tuple(int.from_bytes(c.tobytes(), "little") for c in by_class)
-    return EquivalenceClasses(ids, len(uniq), bin_data.labels, columns)
+    return EquivalenceClasses(ids, len(uniq), bin_data.labels, rows, columns)
 
 
 def minority_bits(eq: EquivalenceClasses, support: int) -> int:

@@ -22,7 +22,6 @@ from .dataset import (
     BinaryDataset,
     RawDataset,
     binarize_with_thresholds,
-    bits_to_bools,
     bools_to_bits,
     equivalence_classes,
     indicator_header,
@@ -59,13 +58,12 @@ def reference_labels(ens: BoostedEnsemble, data) -> ReferenceLabels:
 
     Pass the BinaryDataset of indicator columns for a reduced-space ensemble,
     or the RawDataset for one trained on raw features.  Equal indicator rows
-    get equal predictions, so a BinaryDataset is evaluated once per
-    equivalence class (which the solver then finds in the dataset's cache).
+    get equal predictions, so a BinaryDataset is evaluated on the rows of
+    its equivalence classes, which a fit on it and the solver share.
     """
     if isinstance(data, BinaryDataset):
         eq = equivalence_classes(data)
-        by_class = np.array([bits_to_bools(c, eq.n_classes) for c in eq.columns], dtype=np.float64)
-        preds = boosting.predict_class(ens, by_class.reshape(data.n_columns, eq.n_classes).T)[eq.ids]
+        preds = boosting.predict_class(ens, eq.rows)[eq.ids]
     else:
         preds = boosting.predict_class(ens, data.features)
     return reference_from_predictions(preds, data.labels)
@@ -87,8 +85,12 @@ def min_depth_for_ensemble(n_estimators: int, vc_weak: int) -> tuple[int, float]
     if n_estimators < 3 or vc_weak < 3:
         raise ValueError("shattering bound needs n_estimators >= 3 and vc_weak >= 3")
     m = n_estimators * vc_weak + n_estimators
-    product = m * (3.0 * math.log(m) + 2.0)
-    return math.ceil(math.log2(product)), product
+    # m too large for a float, or a product that overflows to inf
+    try:
+        product = m * (3.0 * math.log(m) + 2.0)
+        return math.ceil(math.log2(product)), product
+    except OverflowError:
+        raise ValueError("n_estimators * vc_weak is too large for a float") from None
 
 
 # ---------------------------------------------------------------- column elimination
@@ -108,12 +110,6 @@ class EliminationTrace:
     fallback_translated: bool
     data: BinaryDataset
     reference: ReferenceLabels
-
-
-def indicator_raw(bin_data: BinaryDataset) -> RawDataset:
-    """View a binarized dataset as raw 0/1 features for refitting."""
-    names = tuple(bin_data.column_header(c) for c in range(bin_data.n_columns))
-    return RawDataset(bin_data.rows_matrix().astype(np.float64), bin_data.labels.copy(), names)
 
 
 def _translate_node(nd: RegressionNode, col_of) -> RegressionNode:
@@ -182,7 +178,7 @@ def column_eliminate(
 
     def refit_on(pairs):
         data = binarize_with_thresholds(raw, pairs)
-        refit = boosting.fit(indicator_raw(data), n_estimators, max_depth, learning_rate)
+        refit = boosting.fit(data, n_estimators, max_depth, learning_rate)
         ref = reference_labels(refit, data)
         return (refit, data, ref), raw.n_samples - ref.incorrect_count
 

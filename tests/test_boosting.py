@@ -9,7 +9,7 @@ import pytest
 import sparsetree
 from sparsetree import boosting, guessing
 from sparsetree.boosting import BoostedEnsemble, RegressionNode
-from sparsetree.dataset import RawDataset
+from sparsetree.dataset import RawDataset, equivalence_classes
 
 from conftest import random_raw
 
@@ -442,11 +442,11 @@ def _seed_fit(raw, n_estimators, max_depth, learning_rate, weights=None):
 
 def _distinct_rows(raw):
     """The distinct (row, label) pairs in order of first occurrence, as a
-    dataset, and how many rows each stands for.  Rows are compared by their
-    bytes, so -0.0 and 0.0 (which random_raw rounds to) stay apart."""
+    dataset, and how many rows each stands for.  Rows are compared by value,
+    so -0.0 and 0.0 (which random_raw rounds to) are one value."""
     members = {}
     for i, (row, label) in enumerate(zip(raw.features, raw.labels.tolist())):
-        members.setdefault((row.tobytes(), label), []).append(i)
+        members.setdefault(((row + 0.0).tobytes(), label), []).append(i)
     first = [rows[0] for rows in members.values()]
     grouped = RawDataset(raw.features[first], raw.labels[first], raw.feature_names)
     return grouped, [len(rows) for rows in members.values()]
@@ -503,6 +503,20 @@ def _assert_fits_agree(data, n_estimators, max_depth, learning_rate):
     _assert_same_trees_up_to_a_tie(got, want, data)
 
 
+def _float_view(b):
+    """An indicator dataset's columns as raw 0/1 features, named by header."""
+    names = tuple(b.column_header(c) for c in range(b.n_columns))
+    return RawDataset(b.rows_matrix().astype(np.float64), b.labels, names)
+
+
+def _assert_fit_matches_float_view(b, n_estimators, max_depth, learning_rate):
+    """A fit on an indicator dataset, grouped by its equivalence classes,
+    is byte for byte the fit on its columns as raw features."""
+    got = boosting.fit(b, n_estimators, max_depth, learning_rate)
+    want = boosting.fit(_float_view(b), n_estimators, max_depth, learning_rate)
+    assert json.dumps(boosting.to_dict(got)) == json.dumps(boosting.to_dict(want))
+
+
 def _with_extra_columns(rng, raw, features):
     # a 0/1 and a {3, 7.5} column next to the given ones
     n = raw.n_samples
@@ -519,7 +533,9 @@ def test_fit_matches_the_sorted_prefix_algorithm():
     for seed in range(6):
         rng = np.random.default_rng(40 + seed)
         raw = random_raw(rng, int(rng.integers(80, 400)), 3, levels=int(rng.integers(1, 4)))
-        ind = guessing.indicator_raw(sparsetree.full_binarize(raw))
+        b = sparsetree.full_binarize(raw)
+        _assert_fit_matches_float_view(b, 8, 3, 0.2)
+        ind = _float_view(b)
         continuous = raw.features + rng.normal(size=raw.features.shape)
         for data, distinct in (
             (ind, False),
@@ -539,7 +555,41 @@ def test_fit_on_thrice_repeated_rows_matches_the_sorted_prefix_algorithm():
         tripled = sparsetree.make_raw(np.repeat(raw.features, 3, axis=0), np.repeat(raw.labels, 3))
         assert len(np.unique(tripled.features, axis=0)) * 3 <= tripled.n_samples
         _assert_fits_agree(tripled, 10, 3, 0.3)
-        _assert_fits_agree(guessing.indicator_raw(sparsetree.full_binarize(tripled)), 10, 3, 0.3)
+        b = sparsetree.full_binarize(tripled)
+        _assert_fit_matches_float_view(b, 10, 3, 0.3)
+        _assert_fits_agree(_float_view(b), 10, 3, 0.3)
+
+
+def test_indicator_fit_is_the_fit_on_its_float_view():
+    rng = np.random.default_rng(80)
+    raw = random_raw(rng, 150, 3, levels=1)
+    continuous = sparsetree.make_raw(raw.features + rng.normal(size=raw.features.shape), raw.labels)
+    repeated, distinct = sparsetree.full_binarize(raw), sparsetree.full_binarize(continuous)
+    assert equivalence_classes(repeated).n_classes < raw.n_samples
+    assert equivalence_classes(distinct).n_classes == raw.n_samples
+    # no columns: every row is one class, and each label one group
+    no_columns = sparsetree.binarize_with_thresholds(raw, [])
+    # one label only: no trees, feature names still the headers
+    one_label = dataclasses.replace(repeated, labels=np.ones(raw.n_samples, dtype=np.int8))
+    for b in (repeated, distinct, no_columns, one_label):
+        _assert_fit_matches_float_view(b, 6, 3, 0.3)
+    assert boosting.fit(one_label, 6, 3, 0.3).trees == []
+
+
+def test_signed_zeros_are_one_value():
+    # rows that differ only in the sign of a zero are equal rows: the fit is
+    # byte for byte the one with every zero written 0.0, on multi-valued
+    # and on 0/1 features
+    rng = np.random.default_rng(90)
+    for values in ([-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 1.0]):
+        for _ in range(4):
+            x = rng.choice(values, size=(300, 3))
+            y = (x[:, 0] + x[:, 1] - x[:, 2] + rng.normal(size=300) > 0).astype(int)
+            signed = np.where((x == 0.0) & (rng.random(x.shape) < 0.5), -0.0, x)
+            assert np.signbit(signed).sum() > np.signbit(x).sum()
+            got = boosting.fit(sparsetree.make_raw(signed, y), 8, 3, 0.3)
+            want = boosting.fit(sparsetree.make_raw(x, y), 8, 3, 0.3)
+            assert json.dumps(boosting.to_dict(got)) == json.dumps(boosting.to_dict(want))
 
 
 def test_fit_parameter_validation():

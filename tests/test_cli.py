@@ -68,6 +68,14 @@ def test_depth_bound_rejects_tiny_ensemble(capsys):
     assert "error" in captured.err
 
 
+def test_depth_bound_rejects_an_oversized_vc(capsys):
+    # a 401-digit VC dimension: the bound does not fit in a float
+    assert cli.main(["depth-bound", "--n-estimators", "10", "--weak-vc", str(10**400)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "float" in captured.err
+
+
 # ---------------------------------------------------------------- binarize
 
 def test_binarize_round_trip(tmp_path, capsys):

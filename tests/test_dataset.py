@@ -512,6 +512,10 @@ def test_class_space_columns_match_per_class_rows(m):
                 assert {b.columns[c] >> i & 1 for i in members} == {col >> k & 1}
         for col in eq.columns:
             assert col >> eq.n_classes == 0
+        # rows[k] is the indicator row of class k's first member
+        first = [int(np.flatnonzero(eq.ids == k)[0]) for k in range(eq.n_classes)]
+        assert eq.rows.dtype == np.uint8
+        assert np.array_equal(eq.rows, b.rows_matrix()[first])
 
 
 def test_minority_total_lower_bounds_every_tree():

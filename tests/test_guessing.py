@@ -103,6 +103,12 @@ def test_min_depth_small_inputs_rejected():
         guessing.min_depth_for_ensemble(2, 8)
     with pytest.raises(ValueError):
         guessing.min_depth_for_ensemble(10, 2)
+    # the shattering bound must fit in a float: an int too large to convert,
+    # and a product that overflows
+    with pytest.raises(ValueError):
+        guessing.min_depth_for_ensemble(10, 10**400)
+    with pytest.raises(ValueError):
+        guessing.min_depth_for_ensemble(10, 10**306)
 
 
 # ---------------------------------------------------------------- elimination
@@ -245,17 +251,22 @@ def test_translate_preserves_predictions():
     )
 
 
-def test_indicator_raw_mirrors_columns():
+def _headers(bin_data):
+    return tuple(bin_data.column_header(c) for c in range(bin_data.n_columns))
+
+
+def test_indicator_fit_names_features_by_column_header():
     rng = np.random.default_rng(4)
     raw = random_raw(rng, 20, 2)
     bin_data = sparsetree.full_binarize(raw)
-    ind = guessing.indicator_raw(bin_data)
-    assert ind.features.shape == (20, bin_data.n_columns)
-    assert np.array_equal(ind.features.astype(bool), bin_data.rows_matrix())
-    assert ind.feature_names == tuple(
-        bin_data.column_header(c) for c in range(bin_data.n_columns)
-    )
-    assert np.array_equal(ind.labels, bin_data.labels)
+    ens = boosting.fit(bin_data, 5, 2, 0.3)
+    assert ens.feature_names == _headers(bin_data)
+    # predicting once per equivalence class is predicting on every row
+    assert np.array_equal(guessing.reference_labels(ens, bin_data).predictions,
+                          boosting.predict_class(ens, bin_data.rows_matrix()))
+    tr = guessing.column_eliminate(_noisy_signal_raw(), 10, 2, 0.2)
+    assert not tr.fallback_translated
+    assert tr.ensemble.feature_names == _headers(tr.data)
 
 
 # ---------------------------------------------------------------- trace json
