@@ -250,13 +250,18 @@ def _row_groups(data):
     return names, x, data.labels[first].astype(np.float64), count.astype(np.float64)
 
 
-def fit(data: RawDataset | BinaryDataset, n_estimators: int, max_depth: int,
-        learning_rate: float) -> BoostedEnsemble:
-    """Boost on raw features, or on indicator columns named by their headers."""
+def check_options(n_estimators: int, max_depth: int, learning_rate: float) -> None:
+    """Raise ValueError for options fit refuses; reads no data."""
     if n_estimators < 1 or max_depth < 1:
         raise ValueError("n_estimators and max_depth must be >= 1")
     if not 0.0 < learning_rate <= 1.0:
         raise ValueError("learning_rate must be in (0, 1]")
+
+
+def fit(data: RawDataset | BinaryDataset, n_estimators: int, max_depth: int,
+        learning_rate: float) -> BoostedEnsemble:
+    """Boost on raw features, or on indicator columns named by their headers."""
+    check_options(n_estimators, max_depth, learning_rate)
     names, x, y, w = _row_groups(data)
     p_bar = float(data.labels.astype(np.float64).mean())
     trees = []

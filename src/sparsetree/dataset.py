@@ -3,8 +3,8 @@
 A raw dataset holds continuous (or already 0/1) feature columns plus 0/1
 labels.  Binarization turns every threshold into an indicator column
 (bit = 1 iff value <= threshold); thresholds sit halfway between consecutive
-distinct values of a feature (see midpoint).  Binary columns are stored as
-integer bitmasks over samples, which is what the solver operates on.
+distinct values of a feature (see midpoint).  Binary columns and labels are
+stored as integer bitmasks over samples, which is what the solver operates on.
 """
 
 from __future__ import annotations
@@ -156,13 +156,13 @@ class BinaryDataset:
     """Indicator columns as sample bitmasks; bit i of columns[c] is sample i.
 
     column_meta[c] = (source feature index, threshold); columns are ordered by
-    (feature, threshold).  pos_mask is the bitmask of label-1 samples.
+    (feature, threshold).  pos_mask, the bitmask of label-1 samples, is the
+    only label field; labels unpacks it.
     """
 
     n_samples: int
     columns: tuple[int, ...]
     column_meta: tuple[tuple[int, float], ...]
-    labels: np.ndarray
     feature_names: tuple[str, ...]
     pos_mask: int
     # not an init field, so a dataclasses.replace copy starts with its own
@@ -175,6 +175,11 @@ class BinaryDataset:
     @property
     def full_mask(self) -> int:
         return (1 << self.n_samples) - 1
+
+    @property
+    def labels(self) -> np.ndarray:
+        """0/1 int8 labels, unpacked from pos_mask on each read (a fresh array)."""
+        return bits_to_bools(self.pos_mask, self.n_samples).view(np.int8)
 
     def column_header(self, c: int) -> str:
         return indicator_header(*self.column_meta[c])
@@ -202,14 +207,12 @@ class BinaryDataset:
 def _make_columns(raw: RawDataset, pairs: list[tuple[int, float]]) -> BinaryDataset:
     pairs = sorted(set(pairs))
     cols = tuple(bools_to_bits(raw.features[:, f] <= t) for f, t in pairs)
-    pos = bools_to_bits(raw.labels == 1)
     return BinaryDataset(
         n_samples=raw.n_samples,
         columns=cols,
         column_meta=tuple(pairs),
-        labels=raw.labels.copy(),
         feature_names=raw.feature_names,
-        pos_mask=pos,
+        pos_mask=bools_to_bits(raw.labels == 1),
     )
 
 
@@ -240,12 +243,12 @@ def binarize_with_thresholds(raw: RawDataset, thresholds: Iterable[tuple[int, fl
 
 def write_binary_csv(bin_data: BinaryDataset, path) -> None:
     """CSV of 0/1 columns, header feature<idx><=<threshold>, label last."""
-    rows = bin_data.rows_matrix()
+    rows, labels = bin_data.rows_matrix(), bin_data.labels
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([bin_data.column_header(c) for c in range(bin_data.n_columns)] + ["label"])
         for i in range(bin_data.n_samples):
-            w.writerow([int(v) for v in rows[i]] + [int(bin_data.labels[i])])
+            w.writerow([int(v) for v in rows[i]] + [int(labels[i])])
 
 
 def read_binary_csv(path) -> BinaryDataset:
@@ -310,16 +313,14 @@ def read_binary_csv(path) -> BinaryDataset:
     if not rows:
         raise DataFormatError("no samples")
     mat = np.array(rows, dtype=np.uint8)
-    y = np.array(labels, dtype=np.int8)
     n_feat = max(f for f, _ in meta) + 1 if meta else 0
     names = tuple(f"feature{j}" for j in range(n_feat))
     return BinaryDataset(
         n_samples=mat.shape[0],
         columns=tuple(bools_to_bits(mat[:, c] == 1) for c in range(mat.shape[1])),
         column_meta=tuple(meta),
-        labels=y,
         feature_names=names,
-        pos_mask=bools_to_bits(y == 1),
+        pos_mask=bools_to_bits(np.array(labels) == 1),
     )
 
 
@@ -329,16 +330,16 @@ def read_binary_csv(path) -> BinaryDataset:
 class EquivalenceClasses:
     """Partition of samples by identical binarized feature vector.
 
-    ids[i] is the class of sample i, numbered 0 .. n_classes - 1; labels is
-    the dataset's 0/1 label vector.  minority_bits and minority_total read
-    only these.  rows[k] is the (uint8) indicator row every member of class
-    k shares, and columns holds each indicator column in class space: bit k
-    of columns[c] is rows[k, c].
+    ids[i] is the class of sample i, numbered 0 .. n_classes - 1; minority
+    is the bitmask of each class's rarer-label members (the label-1 ones on
+    a tie; either side has the same count).  rows[k] is the (uint8)
+    indicator row every member of class k shares, and columns holds each
+    indicator column in class space: bit k of columns[c] is rows[k, c].
     """
 
     ids: np.ndarray
     n_classes: int
-    labels: np.ndarray
+    minority: int
     rows: np.ndarray
     columns: tuple[int, ...]
 
@@ -355,34 +356,24 @@ def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
 
 def _partition(bin_data: BinaryDataset) -> EquivalenceClasses:
     rows = bin_data.rows_matrix()
-    if not bin_data.n_columns:
-        return EquivalenceClasses(np.zeros(bin_data.n_samples, dtype=np.intp), 1, bin_data.labels, rows[:1], ())
-    # each row packed to bytes is one opaque key; equal rows, equal keys
-    packed = np.packbits(rows, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    uniq, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    first, ids = [0], np.zeros(bin_data.n_samples, dtype=np.intp)  # no columns, one class
+    if bin_data.n_columns:
+        # each row packed to bytes is one opaque key; equal rows, equal keys
+        packed = np.packbits(rows, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
+    is_pos = bits_to_bools(bin_data.pos_mask, bin_data.n_samples)
+    # label 1 is a class's rarer label when at most half its members have it
+    pos_is_minority = 2 * np.bincount(ids[is_pos], minlength=len(first)) <= np.bincount(ids)
+    minority = bools_to_bits(is_pos == pos_is_minority[ids])
     # one member's row stands for its class; pack each column over classes
     rows = rows[first]
     by_class = np.packbits(rows.T, axis=1, bitorder="little")
     columns = tuple(int.from_bytes(c.tobytes(), "little") for c in by_class)
-    return EquivalenceClasses(ids, len(uniq), bin_data.labels, rows, columns)
+    return EquivalenceClasses(ids, len(first), minority, rows, columns)
 
 
-def minority_bits(eq: EquivalenceClasses, support: int) -> int:
-    """Bitmask of the rarer-label members of each class inside the support
-    bitmask.  Label 1 is a class's rarer label when at most half its members
-    inside the support are label 1, so on a tie the label-1 members are
-    taken; either side has the same count."""
-    inside = bits_to_bools(support, len(eq.ids))
-    is_pos = eq.labels == 1
-    n = np.bincount(eq.ids[inside], minlength=eq.n_classes)
-    pos = np.bincount(eq.ids[inside & is_pos], minlength=eq.n_classes)
-    pos_is_minority = 2 * pos <= n
-    return bools_to_bits(inside & (is_pos == pos_is_minority[eq.ids]))
-
-
-def minority_total(eq: EquivalenceClasses, support: int) -> int:
-    """Sum over classes of the rarer-label count inside the support bitmask.
-    This is the exact count whose scaled value is the equivalence-points
-    lower bound."""
-    return minority_bits(eq, support).bit_count()
+def minority_total(eq: EquivalenceClasses) -> int:
+    """Sum over classes of the rarer-label count.  This is the exact count
+    whose scaled value is the dataset's equivalence-points lower bound."""
+    return eq.minority.bit_count()

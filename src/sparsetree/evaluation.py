@@ -181,9 +181,8 @@ def depth_gap_bound(opt_tree: Node, guessed_depth: int, bin_data: BinaryDataset,
     """Certified ceiling on the objective regret of solving at guessed_depth
     instead of the optimum's depth, from the depth-pruned optimum."""
     pruned = prune_to_depth(opt_tree, guessed_depth, bin_data)
-    eq = equivalence_classes(bin_data)
     miss_pruned = trees.misclassified_count(pruned, bin_data)
-    mt = minority_total(eq, bin_data.full_mask)
+    mt = minority_total(equivalence_classes(bin_data))
     h_star = trees.measure(opt_tree)[0]
     h_pruned = trees.measure(pruned)[0]
     return Fraction(miss_pruned - mt, bin_data.n_samples) - reg.value * (h_star - h_pruned)
@@ -316,8 +315,9 @@ def _run_fold(raw: RawDataset, plan: FoldPlan, fold: int, cfg: BenchmarkConfig,
 def run_benchmark(raw: RawDataset, cfg: BenchmarkConfig) -> BenchmarkReport:
     """Per-fold pipeline: reference fit, column elimination, guessed and
     plain solves, train/test scoring.  A fold failure is recorded on its
-    entry and does not stop the run; invalid solver options raise
-    ValueError before any fold fits."""
+    entry and does not stop the run; invalid solver or reference options
+    raise ValueError before any fold fits."""
+    guessing.check_options(cfg.n_estimators, cfg.max_depth, cfg.learning_rate, cfg.drop_tolerance)
     solver_cfg = SolverConfig(
         regularizer=Regularizer.from_text(cfg.regularization, raw.n_samples),
         depth_limit=cfg.depth_limit,

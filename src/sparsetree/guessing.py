@@ -146,6 +146,14 @@ def _importance_by_pair(refit: BoostedEnsemble, ordered_pairs) -> dict[tuple[int
     return out
 
 
+def check_options(n_estimators: int, max_depth: int, learning_rate: float,
+                  drop_tolerance: float) -> None:
+    """Raise ValueError for options column_eliminate refuses; reads no data."""
+    boosting.check_options(n_estimators, max_depth, learning_rate)
+    if not 0.0 <= drop_tolerance <= 1.0:
+        raise ValueError("drop_tolerance must be in [0, 1]")
+
+
 def column_eliminate(
     raw: RawDataset,
     n_estimators: int,
@@ -160,8 +168,7 @@ def column_eliminate(
     training correct-count falls below ceil((1 - drop_tolerance) * initial),
     undoing the offending removal.
     """
-    if not 0.0 <= drop_tolerance <= 1.0:
-        raise ValueError("drop_tolerance must be in [0, 1]")
+    check_options(n_estimators, max_depth, learning_rate, drop_tolerance)
     ens0 = boosting.fit(raw, n_estimators, max_depth, learning_rate)
     # an ensemble with no trees, or whose trees are all leaves, gives every
     # row the same margin, so this also covers an empty threshold set

@@ -13,7 +13,7 @@ columns, which are constant on each equivalence class (group of samples with
 identical column values), so it holds a class's members either all or none.
 Two consequences.  The equivalence-points bound (GOSDT), which counts per class
 the rarer label inside the support, is one popcount of the support against a
-minority mask of the dataset, built once per solve.  And the classes a support
+minority mask, built once per dataset.  And the classes a support
 meets fix it, so the subproblem cache is one dict per depth, keyed by the
 class mask, with one bit per class rather than per sample: each column also
 carries its values over the classes, and a child's class mask is its parent's
@@ -106,7 +106,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dataset import BinaryDataset, equivalence_classes, minority_bits
+from .dataset import BinaryDataset, equivalence_classes
 # Not called here: bench/tracing.py rebinds solver.minority_total to trace it,
 # and tests/test_bench_hooks.py checks the name is still bound.
 from .dataset import minority_total  # noqa: F401
@@ -296,7 +296,7 @@ class _Search:
 
         eq = equivalence_classes(bin_data)
         # rarer-label members of each equivalence class; see _create
-        self.minority = minority_bits(eq, bin_data.full_mask)
+        self.minority = eq.minority
         # the root meets every class: its cache key with its depth
         self.root_cbits = (1 << eq.n_classes) - 1
 
@@ -337,8 +337,8 @@ class _Search:
         counters = self.counters
         counters.created += 1
         level[cbits] = rec
-        # a one-sample support, which only a root can be, closes here: its
-        # leaf costs pen, no more than any floor
+        # a record whose leaf already meets its lower bound closes here, at
+        # creation; a pure support, whose leaf costs pen, is one example
         if rec.upper <= rec.lower:
             self._close(rec)
         else:

@@ -70,6 +70,8 @@ def misclassified_count(tree: Node, bin_data: BinaryDataset) -> int:
 
 def objective(tree: Node, bin_data: BinaryDataset, reg) -> Fraction:
     """Exact regularized objective: loss/n + penalty * leaves."""
+    if reg.n_samples != bin_data.n_samples:
+        raise ValueError("regularizer sample count does not match dataset")
     leaves, _ = measure(tree)
     return reg.fraction(reg.units(misclassified_count(tree, bin_data), leaves))
 

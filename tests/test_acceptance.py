@@ -236,7 +236,7 @@ def test_criterion_6_guessing_shrinks_the_search():
 def test_criterion_7_duplicate_row_bound_holds(corpus, brute_cache):
     for idx, (bin_data, reg) in enumerate(corpus):
         eq = sparsetree.equivalence_classes(bin_data)
-        lb = Fraction(sparsetree.minority_total(eq, bin_data.full_mask), bin_data.n_samples)
+        lb = Fraction(sparsetree.minority_total(eq), bin_data.n_samples)
         bf = _brute(brute_cache, idx, bin_data, reg)
         assert lb <= Fraction(bf.loss_count, bin_data.n_samples), idx
     print(f"criterion 7: contradiction floor stays below the optimal loss on "

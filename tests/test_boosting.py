@@ -570,7 +570,7 @@ def test_indicator_fit_is_the_fit_on_its_float_view():
     # no columns: every row is one class, and each label one group
     no_columns = sparsetree.binarize_with_thresholds(raw, [])
     # one label only: no trees, feature names still the headers
-    one_label = dataclasses.replace(repeated, labels=np.ones(raw.n_samples, dtype=np.int8))
+    one_label = dataclasses.replace(repeated, pos_mask=repeated.full_mask)
     for b in (repeated, distinct, no_columns, one_label):
         _assert_fit_matches_float_view(b, 6, 3, 0.3)
     assert boosting.fit(one_label, 6, 3, 0.3).trees == []

@@ -440,6 +440,27 @@ def test_benchmark_no_compare_solves_once_per_guessed_fold(tmp_path, monkeypatch
     assert all(r["expanded"] and r["expanded_no_guess"] == "" for r in rows)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-depth", "0"), ("--n-est", "0"), ("--lr", "0"), ("--drop-tolerance", "2"),
+])
+def test_benchmark_invalid_reference_option_is_an_input_error(tmp_path, capsys, monkeypatch, flag, value):
+    # one error line before any fold fits, and no report of failed folds
+    def fitting(*args, **kwargs):
+        raise AssertionError("a fold fitted before the reference options were checked")
+
+    monkeypatch.setattr(evaluation.guessing, "column_eliminate", fitting)
+    data = _write_synthetic(tmp_path / "raw.csv")
+    rc = cli.main([
+        "benchmark", data, "--folds", "2", flag, value,
+        "--out-json", str(tmp_path / "bad.json"), "--out-csv", str(tmp_path / "bad.csv"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "bad.json").exists()
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_benchmark_cli_fails_on_failed_fold(tmp_path, capsys):
     labels = [1, 1, 0, 0, 0, 0]
     raw = sparsetree.make_raw([[10.0 * y + i] for i, y in enumerate(labels)], labels)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,13 @@ from sparsetree.dataset import (
     bools_to_bits,
     equivalence_classes,
     full_binarize,
-    minority_bits,
     minority_total,
     read_binary_csv,
     write_binary_csv,
 )
 
-from conftest import class_groups, exhaustive_min_units_nomemo, random_binary
+from conftest import class_groups, exhaustive_min_units_nomemo, random_binary, random_raw
+from sparsetree.evaluation import brute_force_optimal
 from sparsetree.solver import Regularizer, SolverConfig, optimize
 
 
@@ -312,7 +313,7 @@ def _binary_from_rows(rows, labels):
 
 def _classes(eq):
     """The partition eq.ids describes, as sorted lists of sample indices."""
-    assert eq.ids.shape == eq.labels.shape
+    assert eq.ids.ndim == 1 and eq.minority >> len(eq.ids) == 0
     assert sorted(set(eq.ids.tolist())) == list(range(eq.n_classes))
     return sorted(np.flatnonzero(eq.ids == k).tolist() for k in range(eq.n_classes))
 
@@ -322,7 +323,7 @@ def test_equivalence_classes_basic():
     eq = equivalence_classes(b)
     assert sorted(map(sorted, class_groups(b))) == [[0, 1], [2]]
     assert _classes(eq) == [[0, 1], [2]]
-    assert minority_total(eq, b.full_mask) == 1
+    assert minority_total(eq) == 1
 
 
 def test_equivalence_classes_all_distinct():
@@ -330,7 +331,7 @@ def test_equivalence_classes_all_distinct():
     eq = equivalence_classes(b)
     assert len(class_groups(b)) == 4
     assert eq.n_classes == 4
-    assert minority_total(eq, b.full_mask) == 0
+    assert minority_total(eq) == 0
 
 
 def test_equivalence_classes_match_sort_and_scan():
@@ -383,19 +384,67 @@ def test_equivalence_classes_are_computed_once_per_dataset(monkeypatch):
     assert len(calls) == 2
 
 
+# ---------------------------------------------------------------- labels
+
+def test_labels_are_unpacked_from_pos_mask():
+    y = [0, 1, 1, 0, 1]
+    b = full_binarize(sparsetree.make_raw([[float(i)] for i in range(5)], y))
+    assert b.pos_mask == 0b10110
+    labels = b.labels
+    assert labels.dtype == np.int8 and labels.tolist() == y
+    # each read is a fresh array: writing to one leaves the dataset as is
+    labels[:] = 1 - labels
+    assert b.labels.tolist() == y
+    assert b.pos_mask == 0b10110
+
+
+def test_equal_datasets_compare_and_hash_equal():
+    raw = random_raw(np.random.default_rng(12), 40, 3)
+    a, b = full_binarize(raw), full_binarize(raw)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    # a filled cache takes no part, and either constructor builds the same
+    equivalence_classes(a)
+    again = sparsetree.binarize_with_thresholds(raw, a.column_meta)
+    assert a == again and hash(a) == hash(again)
+    flipped = replace(a, pos_mask=a.full_mask ^ a.pos_mask)
+    assert flipped != a
+    assert len({a, b, again, flipped}) == 2
+
+
+def test_relabelled_copy_solves_to_the_brute_force_optimum():
+    # a replace copy with new labels holds no stale label copy: its leaf
+    # costs and its equivalence-points floor count the same labels, even
+    # when the original's classes were already computed
+    rng = np.random.default_rng(13)
+    for draw in range(120):
+        b = random_binary(rng, max_n=40, max_cols=6)
+        equivalence_classes(b)
+        relabelled = replace(b, pos_mask=bools_to_bits(rng.integers(0, 2, size=b.n_samples)))
+        assert relabelled.labels.sum() == relabelled.pos_mask.bit_count()
+        depth, lam = 2 + draw % 2, ("0", "1/40", "1/10")[draw % 3]
+        reg = Regularizer.from_text(lam, b.n_samples)
+        got = optimize(relabelled, SolverConfig(reg, depth_limit=depth))
+        want = brute_force_optimal(relabelled, reg, depth)
+        assert got.status == "optimal"
+        assert got.objective == want.objective, draw
+
+
 def test_minority_total_pair():
     b = _binary_from_rows([[0], [0]], [0, 1])
     eq = equivalence_classes(b)
-    assert minority_total(eq, b.full_mask) == 1
-    assert minority_total(eq, 0) == 0
+    assert minority_total(eq) == 1
+    assert eq.minority == 0b10  # a tie takes the label-1 member
 
 
 def test_minority_total_respects_support():
     b = _binary_from_rows([[0], [0], [0], [1]], [0, 0, 1, 1])
     eq = equivalence_classes(b)
-    assert minority_total(eq, b.full_mask) == 1
-    # support holding only one member of the impure group: nothing to pay
-    assert minority_total(eq, 0b1100) == 0
+    assert minority_total(eq) == 1
+    # a support of whole classes keeps exactly its own rarer-label members
+    assert eq.minority == 0b0100
+    assert eq.minority & 0b0111 == 0b0100
+    assert eq.minority & 0b1000 == 0
 
 
 def _per_group_recount(b, y, bits):
@@ -407,6 +456,16 @@ def _per_group_recount(b, y, bits):
     return total
 
 
+def _whole_classes(b, rng):
+    """Bitmask of a random union of whole equivalence classes."""
+    out = 0
+    for grp in class_groups(b):
+        if rng.random() < 0.5:
+            for i in grp:
+                out |= 1 << i
+    return out
+
+
 def test_minority_total_matches_per_group_recount():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -414,9 +473,9 @@ def test_minority_total_matches_per_group_recount():
         y = rng.integers(0, 2, size=16)
         b = _binary_from_rows(x, y)
         eq = equivalence_classes(b)
-        sub = rng.integers(0, 2, size=16).astype(bool)
-        s = bools_to_bits(sub)
-        assert minority_total(eq, s) == _per_group_recount(b, y, s)
+        assert minority_total(eq) == _per_group_recount(b, y, b.full_mask)
+        s = _whole_classes(b, rng)
+        assert (eq.minority & s).bit_count() == _per_group_recount(b, y, s)
 
 
 def test_minority_bits_counts_and_restricts_to_whole_classes():
@@ -426,29 +485,22 @@ def test_minority_bits_counts_and_restricts_to_whole_classes():
         y = rng.integers(0, 2, size=40)
         b = _binary_from_rows(x, y)
         eq = equivalence_classes(b)
-        root = bools_to_bits(rng.integers(0, 2, size=40).astype(bool))
-        mask = minority_bits(eq, root)
-        assert mask.bit_count() == _per_group_recount(b, y, root)
-        assert mask & ~root == 0
-        # a support cut from the root along whole classes needs no recount:
-        # its minority members are the root's, restricted to it
-        sub = 0
-        for grp in class_groups(b):
-            if rng.random() < 0.5:
-                for i in grp:
-                    sub |= 1 << i
-        sub &= root
-        assert minority_bits(eq, sub) == mask & sub
-        assert (mask & sub).bit_count() == _per_group_recount(b, y, sub)
+        assert eq.minority.bit_count() == _per_group_recount(b, y, b.full_mask)
+        # a support cut along whole classes needs no recount: its minority
+        # members are the dataset's, restricted to it
+        for _ in range(4):
+            sub = _whole_classes(b, rng)
+            assert eq.minority & sub == _minority_recount(b, sub)
+            assert (eq.minority & sub).bit_count() == _per_group_recount(b, y, sub)
 
 
 def _minority_recount(b, bits):
     """Per-class rarer-label members inside bits, label 1 on a tie."""
-    out = 0
+    out, y = 0, b.labels
     for grp in class_groups(b):
         inside = [i for i in grp if bits >> i & 1]
-        pos = [i for i in inside if b.labels[i] == 1]
-        take = pos if 2 * len(pos) <= len(inside) else [i for i in inside if b.labels[i] == 0]
+        pos = [i for i in inside if y[i] == 1]
+        take = pos if 2 * len(pos) <= len(inside) else [i for i in inside if y[i] == 0]
         for i in take:
             out |= 1 << i
     return out
@@ -480,13 +532,9 @@ def test_minority_bits_matches_a_per_class_recount(m):
         groups = class_groups(b)
         assert eq.n_classes == len(groups)
         assert _classes(eq) == sorted(map(sorted, groups))
-        halves = 0
-        for grp in groups:
-            for i in grp[::2]:
-                halves |= 1 << i
-        cut = bools_to_bits(rng.integers(0, 2, size=n).astype(bool))
-        for bits in (b.full_mask, 0, halves, cut, cut & halves):
-            assert minority_bits(eq, bits) == _minority_recount(b, bits)
+        assert eq.minority == _minority_recount(b, b.full_mask)
+        for bits in (0, _whole_classes(b, rng), _whole_classes(b, rng)):
+            assert eq.minority & bits == _minority_recount(b, bits)
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 17])
@@ -527,4 +575,4 @@ def test_minority_total_lower_bounds_every_tree():
         eq = equivalence_classes(b)
         reg = Regularizer.from_text("0", b.n_samples)
         best_units = exhaustive_min_units_nomemo(b, 3, reg)
-        assert minority_total(eq, b.full_mask) <= best_units
+        assert minority_total(eq) <= best_units

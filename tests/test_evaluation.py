@@ -196,7 +196,7 @@ def test_gap_bound_trivial_when_guess_covers_depth():
     res = solver.optimize(bin_data, SolverConfig(reg, depth_limit=2))
     bound = depth_gap_bound(res.tree, 2, bin_data, reg)
     eq = sparsetree.equivalence_classes(bin_data)
-    mt = sparsetree.minority_total(eq, bin_data.full_mask)
+    mt = sparsetree.minority_total(eq)
     assert bound == Fraction(res.loss_count - mt, 4)
     assert bound >= 0
 
@@ -403,6 +403,10 @@ def test_benchmark_isolates_failed_folds():
     {"regularization": "-1/10"},
     {"regularization": "nonsense"},
     {"depth_limit": 0},
+    {"max_depth": 0},
+    {"n_estimators": 0},
+    {"learning_rate": 0.0},
+    {"drop_tolerance": 2.0},
 ])
 def test_benchmark_checks_solver_options_before_fitting(monkeypatch, bad):
     def fitting(*args, **kwargs):

@@ -124,6 +124,18 @@ def test_objective_decomposes():
         assert trees.objective(t, b, reg) == Fraction(loss, 4) + Fraction(1, 7) * leaves
 
 
+def test_objective_rejects_a_regularizer_for_another_sample_count():
+    # scaled by the wrong n, the leaf penalty would be counted in the wrong
+    # units: 2/5 would come back as another value
+    x = [[float(i)] for i in range(10)]
+    b = sparsetree.full_binarize(sparsetree.make_raw(x, [0, 0, 0, 0, 0, 1, 1, 1, 0, 0]))
+    t = Split("x0", 4.5, Leaf(0), Leaf(1))
+    assert trees.objective(t, b, Regularizer.from_text("1/10", 10)) == Fraction(2, 5)
+    for n in (5, 11):
+        with pytest.raises(ValueError, match="regularizer sample count does not match dataset"):
+            trees.objective(t, b, Regularizer.from_text("1/10", n))
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_json_lone_leaf():
