@@ -75,32 +75,32 @@ def cmd_guess(args) -> int:
 
 def cmd_train(args) -> int:
     data = read_binary_csv(args.data) if args.pre_binarized else load_csv(args.data)
-    # check the solver options before any fitting; the reference joins later
+    # check every option before binarizing or fitting; the reference joins later
     cfg = SolverConfig(
         regularizer=Regularizer.from_text(args.lam, data.n_samples),
         depth_limit=args.depth,
         time_limit_s=args.time_limit_s,
         max_records=args.max_records,
     )
-    if args.pre_binarized:
-        bin_data = data
+    if args.guess_thresholds:
+        guessing.check_options(args.n_estimators, args.max_depth, args.learning_rate,
+                               args.drop_tolerance)
+    elif args.lb_guess:
+        boosting.check_options(args.n_estimators, args.max_depth, args.learning_rate)
+
+    if args.guess_thresholds:
+        trace = _eliminate(args, data)
+        bin_data = trace.data
+        _log(f"threshold guessing kept {bin_data.n_columns} columns "
+             f"(removed {len(trace.steps)})")
         if args.lb_guess:
-            ens = boosting.fit(bin_data, args.n_estimators, args.max_depth, args.learning_rate)
-            cfg.reference = guessing.reference_labels(ens, bin_data)
+            cfg.reference = trace.reference
     else:
-        raw = data
-        if args.guess_thresholds:
-            trace = _eliminate(args, raw)
-            bin_data = trace.data
-            _log(f"threshold guessing kept {bin_data.n_columns} columns "
-                 f"(removed {len(trace.steps)})")
-            if args.lb_guess:
-                cfg.reference = trace.reference
-        else:
-            bin_data = full_binarize(raw)
-            if args.lb_guess:
-                ens = boosting.fit(raw, args.n_estimators, args.max_depth, args.learning_rate)
-                cfg.reference = guessing.reference_labels(ens, raw)
+        bin_data = data if args.pre_binarized else full_binarize(data)
+        if args.lb_guess:
+            # fit and reference_labels take the raw or the indicator dataset
+            ens = boosting.fit(data, args.n_estimators, args.max_depth, args.learning_rate)
+            cfg.reference = guessing.reference_labels(ens, data)
 
     t0 = time.monotonic()
     result = optimize(bin_data, cfg)

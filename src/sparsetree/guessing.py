@@ -4,7 +4,7 @@ Three accelerations for the optimal-tree search: shrink the threshold set by
 iterative least-importance elimination with a training-accuracy stopping bar,
 bound the depth limit via the ensemble's VC dimension, and derive
 per-subproblem lower-bound guesses from the reference model's mistakes (the
-solver consumes those through ReferenceLabels).
+solver counts those against the labels it solves; see ReferenceLabels).
 """
 
 from __future__ import annotations
@@ -30,27 +30,30 @@ from .dataset import (
 
 @dataclass(frozen=True)
 class ReferenceLabels:
-    """Reference predictions aligned with a dataset's sample order."""
+    """Reference predictions as bitmasks in a dataset's sample order: bit i of
+    predicted is set when sample i is predicted 1, and labels is the pos_mask
+    they were scored against, which optimize requires to be its dataset's."""
 
-    predictions: np.ndarray
-    incorrect_bits: int
-    single_class: bool
+    predicted: int
+    labels: int
+    n_samples: int
 
     @property
     def incorrect_count(self) -> int:
-        return self.incorrect_bits.bit_count()
+        return (self.predicted ^ self.labels).bit_count()
+
+    @property
+    def single_class(self) -> bool:
+        return self.predicted in (0, (1 << self.n_samples) - 1)
 
 
 def reference_from_predictions(predictions, labels) -> ReferenceLabels:
-    preds = np.asarray(predictions, dtype=np.int8)
-    y = np.asarray(labels)
-    if preds.shape != y.shape:
+    preds, y = np.asarray(predictions), np.asarray(labels)
+    if preds.ndim != 1 or preds.shape != y.shape:
         raise ValueError("prediction/label length mismatch")
-    return ReferenceLabels(
-        predictions=preds,
-        incorrect_bits=bools_to_bits(preds != y),
-        single_class=bool(preds.min() == preds.max()) if len(preds) else True,
-    )
+    if not (np.isin(preds, (0, 1)).all() and np.isin(y, (0, 1)).all()):
+        raise ValueError("predictions and labels must be 0 or 1")
+    return ReferenceLabels(bools_to_bits(preds == 1), bools_to_bits(y == 1), len(y))
 
 
 def reference_labels(ens: BoostedEnsemble, data) -> ReferenceLabels:
@@ -64,9 +67,8 @@ def reference_labels(ens: BoostedEnsemble, data) -> ReferenceLabels:
     if isinstance(data, BinaryDataset):
         eq = equivalence_classes(data)
         preds = boosting.predict_class(ens, eq.rows)[eq.ids]
-    else:
-        preds = boosting.predict_class(ens, data.features)
-    return reference_from_predictions(preds, data.labels)
+        return ReferenceLabels(bools_to_bits(preds == 1), data.pos_mask, data.n_samples)
+    return reference_from_predictions(boosting.predict_class(ens, data.features), data.labels)
 
 
 # ---------------------------------------------------------------- depth guessing
@@ -170,12 +172,12 @@ def column_eliminate(
     """
     check_options(n_estimators, max_depth, learning_rate, drop_tolerance)
     ens0 = boosting.fit(raw, n_estimators, max_depth, learning_rate)
+    ref0 = reference_labels(ens0, raw)
     # an ensemble with no trees, or whose trees are all leaves, gives every
     # row the same margin, so this also covers an empty threshold set
-    preds0 = boosting.predict_class(ens0, raw.features)
-    if preds0.min() == preds0.max():
+    if ref0.single_class:
         raise DegenerateModelError("reference model predicts a single class")
-    initial_correct = int((preds0 == raw.labels).sum())
+    initial_correct = raw.n_samples - ref0.incorrect_count
     tau = Fraction(str(drop_tolerance))
     bar = initial_correct - math.floor(tau * initial_correct)
     ranking = boosting.split_importance(ens0)

@@ -179,11 +179,11 @@ class SolverConfig:
     regularizer: the leaf penalty lambda and the sample count n.
     depth_limit: most splits on any root-to-leaf path, a positive int; None
         leaves depth unbounded.
-    reference: reference-model predictions; each subproblem's lower bound
-        is raised to the reference's mistakes inside its support plus one
-        leaf penalty, and the result is "guess-certified" rather than
-        "optimal".  None solves exactly, and so does a reference that
-        predicts a single class (it is refused).
+    reference: reference-model predictions, scored on this dataset's labels
+        (another dataset's is refused).  Each subproblem's lower bound is
+        raised to its mistakes inside the support plus one leaf penalty, and
+        the result is "guess-certified", not "optimal".  None solves exactly,
+        and so does a reference predicting a single class (it is refused).
     time_limit_s: wall-clock seconds for the search loop; None is no limit.
         Once spent, the search stops and returns the best tree found so far
         with status "time-limit".
@@ -287,12 +287,9 @@ class _Search:
         self.bounded = cfg.depth_limit is not None
 
         ref = cfg.reference
-        self.refused = False
-        if ref is not None and ref.single_class:
-            ref = None
-            self.refused = True
-        self.inc_bits = ref.incorrect_bits if ref is not None else None
-        self.guessing = self.inc_bits is not None
+        self.refused = ref is not None and ref.single_class
+        self.guessing = ref is not None and not self.refused
+        self.inc_bits = ref.predicted ^ self.pos_bits if self.guessing else None
 
         eq = equivalence_classes(bin_data)
         # rarer-label members of each equivalence class; see _create
@@ -739,8 +736,9 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig) -> SolveResult:
         raise ValueError("dataset has no binary columns")
     if cfg.regularizer.n_samples != bin_data.n_samples:
         raise ValueError("regularizer sample count does not match dataset")
-    if cfg.reference is not None and len(cfg.reference.predictions) != bin_data.n_samples:
-        raise ValueError("reference prediction count does not match dataset")
+    ref = cfg.reference
+    if ref is not None and (ref.n_samples, ref.labels) != (bin_data.n_samples, bin_data.pos_mask):
+        raise ValueError("reference was scored on other labels than the dataset's")
     search = _Search(bin_data, cfg)
     collecting = gc.isenabled()
     gc.disable()

@@ -139,7 +139,7 @@ def test_criterion_3_guessed_runs_keep_the_reference_guarantee(corpus):
         res = solver.optimize(bin_data, SolverConfig(reg, depth_limit=3, reference=ref))
         if ref.single_class:
             assert res.refused_lb_guess
-        correct_bits = bin_data.full_mask & ~ref.incorrect_bits
+        correct_bits = bin_data.full_mask & ~(ref.predicted ^ ref.labels)
         bound = reg.denom * ref.incorrect_count + masked_min_units(
             bin_data, 3, reg, correct_bits
         )

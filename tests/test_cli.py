@@ -361,6 +361,31 @@ def test_train_checks_solver_options_before_fitting(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "r.tree.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-depth", "0"), ("--n-est", "0"), ("--lr", "0"), ("--drop-tolerance", "2"),
+])
+def test_train_checks_reference_options_before_binarizing(tmp_path, capsys, monkeypatch,
+                                                          flag, value):
+    # a large raw CSV was binarized in full before the fit refused the option
+    def binarizing(*args, **kwargs):
+        raise AssertionError("the CSV was binarized before the reference options were checked")
+
+    monkeypatch.setattr(cli, "full_binarize", binarizing)
+    _forbid_fitting(monkeypatch)
+    data = _write_synthetic(tmp_path / "raw.csv")
+    runs = [["--guess-thresholds"], ["--guess-thresholds", "--lb-guess"]]
+    if flag != "--drop-tolerance":  # only elimination reads it
+        runs.append(["--lb-guess"])
+    for run in runs:
+        rc = cli.main(["train", data, *run, "--lambda", "1/100", flag, value,
+                       "--out", str(tmp_path / "r")])
+        assert rc == 1, run
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "r.tree.json").exists()
+    assert not (tmp_path / "r.report.json").exists()
+
+
 def test_lambda_with_no_finite_float_is_an_input_error(tmp_path):
     # 1e400 is an exact rational, but the report gives the objective as a
     # float too: it used to overflow after the whole solve, with a traceback

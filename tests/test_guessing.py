@@ -7,6 +7,7 @@ import pytest
 import sparsetree
 from sparsetree import boosting, guessing
 from sparsetree.boosting import DegenerateModelError
+from sparsetree.dataset import bools_to_bits
 
 from conftest import random_raw
 
@@ -15,21 +16,42 @@ from conftest import random_raw
 
 def test_reference_perfect_predictions():
     ref = guessing.reference_from_predictions([0, 1, 1], [0, 1, 1])
-    assert ref.incorrect_bits == 0
+    assert ref.predicted == ref.labels == 0b110
     assert ref.incorrect_count == 0
     assert not ref.single_class
 
 
 def test_reference_constant_zero():
     ref = guessing.reference_from_predictions([0, 0, 0], [0, 1, 1])
-    assert ref.incorrect_bits == 0b110
+    assert (ref.predicted, ref.labels) == (0, 0b110)
     assert ref.incorrect_count == 2
     assert ref.single_class
 
 
-def test_reference_length_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        guessing.reference_from_predictions([0, 1], [0, 1, 1])
+@pytest.mark.parametrize("preds, labels, message", [
+    pytest.param([0, 1], [0, 1, 1], "mismatch", id="length"),
+    pytest.param([[0, 1]], [[0, 1]], "mismatch", id="2d"),
+    # a bitmask would read each of these predictions or labels as 0
+    pytest.param([0, 2, 1], [0, 1, 1], "0 or 1", id="two"),
+    pytest.param([0.7, 1, 0], [1, 1, 0], "0 or 1", id="fraction"),
+    pytest.param([-1, 1, 0], [0, 1, 0], "0 or 1", id="negative"),
+    pytest.param([0, 1, 0], [0, 2, 0], "0 or 1", id="label-two"),
+])
+def test_reference_rejects_bad_input(preds, labels, message):
+    with pytest.raises(ValueError, match=message):
+        guessing.reference_from_predictions(preds, labels)
+
+
+def test_equal_references_compare_and_hash_equal():
+    raw = random_raw(np.random.default_rng(0), 50, 3, noise=0.6)
+    ens = boosting.fit(raw, 6, 2, 0.1)
+    a, b = guessing.reference_labels(ens, raw), guessing.reference_labels(ens, raw)
+    assert a == b and hash(a) == hash(b)
+    listed = guessing.reference_from_predictions(
+        boosting.predict_class(ens, raw.features).tolist(), raw.labels.tolist())
+    assert listed == a and len({a, b, listed}) == 1
+    rescored = guessing.reference_from_predictions([0, 1], [1, 1])
+    assert guessing.reference_from_predictions([0, 1], [0, 1]) != rescored
 
 
 def test_reference_labels_from_ensemble():
@@ -38,8 +60,8 @@ def test_reference_labels_from_ensemble():
     ens = boosting.fit(raw, 6, 2, 0.1)
     ref = guessing.reference_labels(ens, raw)
     preds = boosting.predict_class(ens, raw.features)
-    assert np.array_equal(ref.predictions, preds)
-    wrong = [i for i in range(50) if (ref.incorrect_bits >> i) & 1]
+    assert ref.predicted == bools_to_bits(preds == 1)
+    wrong = [i for i in range(50) if ((ref.predicted ^ ref.labels) >> i) & 1]
     assert wrong == [i for i in range(50) if preds[i] != raw.labels[i]]
 
 
@@ -51,7 +73,7 @@ def test_reference_labels_on_indicator_columns():
     bin_data = sparsetree.binarize_with_thresholds(raw, pairs)
     tens = guessing.translate_to_indicators(ens, pairs)
     ref = guessing.reference_labels(tens, bin_data)
-    assert np.array_equal(ref.predictions, boosting.predict_class(ens, raw.features))
+    assert ref.predicted == bools_to_bits(boosting.predict_class(ens, raw.features) == 1)
 
 
 # ---------------------------------------------------------------- depth bound
@@ -140,9 +162,7 @@ def _check_solve_inputs(raw, tr):
     assert tr.data.column_meta == again.column_meta
     assert tr.data.pos_mask == again.pos_mask
     ref = guessing.reference_labels(tr.ensemble, tr.data)
-    assert np.array_equal(tr.reference.predictions, ref.predictions)
-    assert tr.reference.incorrect_bits == ref.incorrect_bits
-    assert tr.reference.single_class == ref.single_class
+    assert tr.reference == ref
 
 
 def test_eliminate_distills_single_signal():
@@ -214,10 +234,8 @@ def test_eliminate_fallback_keeps_the_first_fit():
         bin_data.column_header(c) for c in range(bin_data.n_columns)
     )
     first = boosting.fit(raw, 5, 2, 0.3)
-    assert np.array_equal(
-        guessing.reference_labels(tr.ensemble, bin_data).predictions,
-        boosting.predict_class(first, raw.features),
-    )
+    assert guessing.reference_labels(tr.ensemble, bin_data).predicted == bools_to_bits(
+        boosting.predict_class(first, raw.features) == 1)
     _check_solve_inputs(raw, tr)
 
 
@@ -262,8 +280,8 @@ def test_indicator_fit_names_features_by_column_header():
     ens = boosting.fit(bin_data, 5, 2, 0.3)
     assert ens.feature_names == _headers(bin_data)
     # predicting once per equivalence class is predicting on every row
-    assert np.array_equal(guessing.reference_labels(ens, bin_data).predictions,
-                          boosting.predict_class(ens, bin_data.rows_matrix()))
+    assert guessing.reference_labels(ens, bin_data).predicted == bools_to_bits(
+        boosting.predict_class(ens, bin_data.rows_matrix()) == 1)
     tr = guessing.column_eliminate(_noisy_signal_raw(), 10, 2, 0.2)
     assert not tr.fallback_translated
     assert tr.ensemble.feature_names == _headers(tr.data)

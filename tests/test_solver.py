@@ -7,6 +7,7 @@ import pytest
 
 import sparsetree
 from sparsetree import boosting, evaluation, guessing, solver, trees
+from sparsetree.dataset import bits_to_bools
 from sparsetree.solver import Regularizer, SolverConfig
 
 from conftest import class_groups, masked_min_units, random_binary, random_raw
@@ -244,7 +245,7 @@ def test_guessed_objective_beats_reference_completions():
         guessed = solver.optimize(
             bin_data, SolverConfig(reg, depth_limit=3, reference=ref)
         )
-        correct_bits = bin_data.full_mask & ~ref.incorrect_bits
+        correct_bits = bin_data.full_mask & ~(ref.predicted ^ ref.labels)
         bound = reg.denom * ref.incorrect_count + masked_min_units(
             bin_data, 3, reg, correct_bits
         )
@@ -300,6 +301,28 @@ def test_record_budget_returns_the_best_tree_so_far():
     assert res.objective == Fraction(1, 2)
 
 
+def test_reference_scored_on_other_labels_is_refused():
+    # mistakes counted against other labels than the solved ones bound the
+    # search by the wrong counts: such solves came back guess-certified
+    # above criterion 3's bound
+    rng = np.random.default_rng(26)
+    refused = 0
+    for _ in range(40):
+        bin_data = random_binary(rng, max_n=24, max_cols=6)
+        n = bin_data.n_samples
+        labels = bits_to_bools(bin_data.pos_mask, n)
+        given = labels ^ (rng.random(n) < 0.3)
+        if np.array_equal(given, labels):
+            continue
+        preds = labels ^ (rng.random(n) < 0.15)
+        ref = guessing.reference_from_predictions(preds.astype(int), given.astype(int))
+        cfg = SolverConfig(Regularizer.from_text("1/20", n), depth_limit=3, reference=ref)
+        with pytest.raises(ValueError, match="other labels"):
+            solver.optimize(bin_data, cfg)
+        refused += 1
+    assert refused >= 30
+
+
 def test_validation_rejections():
     raw = sparsetree.make_raw([[1.0], [2.0]], [0, 1])
     empty_cols = sparsetree.binarize_with_thresholds(raw, [])
@@ -311,7 +334,7 @@ def test_validation_rejections():
         solver.optimize(bin_data, SolverConfig(Regularizer.from_text("0.1", 3)))
     # a reference scored on another dataset: 4 predictions for 2 samples
     other = guessing.reference_from_predictions([0, 1, 1, 0], [0, 1, 0, 0])
-    with pytest.raises(ValueError, match="reference prediction count"):
+    with pytest.raises(ValueError, match="other labels"):
         solver.optimize(bin_data, SolverConfig(reg2, reference=other))
     # a fractional depth never reaches 0, so it would leave the search unbounded
     for depth in (0, 1.5, 2.0):
@@ -769,12 +792,13 @@ def test_floor_matches_a_per_group_recount():
         labels = bin_data.labels
         pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
         ref = cfg.reference
+        inc = None if ref is None else ref.predicted ^ ref.labels  # the reference's mistakes
         paid = 0
         for rec in _records(search):
             if ref is None:
                 assert rec.guess_floor is None, name
             else:
-                assert rec.guess_floor == pen + q * (support[rec] & ref.incorrect_bits).bit_count(), name
+                assert rec.guess_floor == pen + q * (support[rec] & inc).bit_count(), name
             recount = 0
             for group in groups:
                 inside = [i for i in group if support[rec] >> i & 1]
@@ -827,11 +851,12 @@ def test_stored_counts_match_the_supports():
         support = _supports(search, root_rec)
         pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
         ref = cfg.reference
+        inc = None if ref is None else ref.predicted ^ ref.labels  # the reference's mistakes
         for rec in _records(search):
             got = support[rec]
             assert rec.n == got.bit_count(), name
             assert rec.pos == (got & bin_data.pos_mask).bit_count(), name
-            want = None if ref is None else pen + q * (got & ref.incorrect_bits).bit_count()
+            want = None if inc is None else pen + q * (got & inc).bit_count()
             assert rec.guess_floor == want, name
         assert search.counters.cache_hits > 0, name
 
@@ -922,7 +947,8 @@ def test_row_permutation_changes_nothing():
         b, b_moved = sparsetree.full_binarize(raw), sparsetree.full_binarize(moved)
         assert b_moved.column_meta == b.column_meta
         assert _fingerprint(_solve(b)) == _fingerprint(_solve(b_moved))
-        ref_moved = guessing.reference_from_predictions(ref.predictions[perm], moved.labels)
+        preds = bits_to_bools(ref.predicted, raw.n_samples)
+        ref_moved = guessing.reference_from_predictions(preds[perm], moved.labels)
         guessed = _solve(b, ref=ref)
         assert guessed.status == "guess-certified"
         assert guessed.counters.closed_by_guess > 0
