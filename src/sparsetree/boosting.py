@@ -351,11 +351,6 @@ def split_importance(ens: BoostedEnsemble) -> dict[tuple[int, float], float]:
     return out
 
 
-def extract_thresholds(ens: BoostedEnsemble) -> ThresholdSet:
-    """Deduplicated thresholds ranked by importance desc, ties (feature, threshold) asc."""
-    return ThresholdSet.ranked(split_importance(ens))
-
-
 # ---------------------------------------------------------------- serialization
 
 def _node_obj(nd: RegressionNode):

@@ -35,14 +35,12 @@ def _depth_arg(text: str):
     return v
 
 
-def _add_reference_args(p: argparse.ArgumentParser, fold_seed: bool = False) -> None:
+def _add_reference_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-est", dest="n_estimators", metavar="N_EST", type=int, default=20,
                    help="reference ensemble stages")
     p.add_argument("--max-depth", type=int, default=3, help="reference weak-tree depth")
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float, default=0.1,
                    help="reference learning rate")
-    if fold_seed:  # benchmark's, listed here to keep its place in --help
-        p.add_argument("--seed", type=int, default=0, help="fold shuffle seed")
     p.add_argument("--drop-tolerance", type=float, default=0.0,
                    help="allowed training correct-count drop share during elimination")
 
@@ -75,18 +73,16 @@ def cmd_guess(args) -> int:
 
 def cmd_train(args) -> int:
     data = read_binary_csv(args.data) if args.pre_binarized else load_csv(args.data)
-    # check every option before binarizing or fitting; the reference joins later
+    # check every option before binarizing or fitting, as guess and benchmark
+    # do, whether or not a reference is fit; the reference joins later
     cfg = SolverConfig(
         regularizer=Regularizer.from_text(args.lam, data.n_samples),
         depth_limit=args.depth,
         time_limit_s=args.time_limit_s,
         max_records=args.max_records,
     )
-    if args.guess_thresholds:
-        guessing.check_options(args.n_estimators, args.max_depth, args.learning_rate,
-                               args.drop_tolerance)
-    elif args.lb_guess:
-        boosting.check_options(args.n_estimators, args.max_depth, args.learning_rate)
+    guessing.check_options(args.n_estimators, args.max_depth, args.learning_rate,
+                           args.drop_tolerance)
 
     if args.guess_thresholds:
         trace = _eliminate(args, data)
@@ -220,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="k-fold pipeline with per-fold medians")
     p.add_argument("data")
     p.add_argument("--folds", type=int, default=5)
-    _add_reference_args(p, fold_seed=True)
+    _add_reference_args(p)
+    p.add_argument("--seed", type=int, default=0, help="fold shuffle seed")
     p.add_argument("--lambda", dest="regularization", metavar="LAM", default="0.001")
     p.add_argument("--depth", dest="depth_limit", metavar="DEPTH", type=_depth_arg, default=3)
     p.add_argument("--no-lb-guess", dest="use_lb_guess", action="store_false")

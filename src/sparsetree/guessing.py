@@ -165,8 +165,10 @@ def column_eliminate(
 ) -> EliminationTrace:
     """Iteratively drop the globally least-important (feature, threshold).
 
-    Each round refits the ensemble on the surviving indicator columns and
-    re-ranks importances from that refit; elimination stops when a refit's
+    Each round's victim is the last pair of ThresholdSet.ranked(ranking):
+    least important, the larger (feature, threshold) on ties.  Each round
+    refits the ensemble on the surviving indicator columns and re-ranks
+    importances from that refit; elimination stops when a refit's
     training correct-count falls below ceil((1 - drop_tolerance) * initial),
     undoing the offending removal.
     """
@@ -181,7 +183,6 @@ def column_eliminate(
     tau = Fraction(str(drop_tolerance))
     bar = initial_correct - math.floor(tau * initial_correct)
     ranking = boosting.split_importance(ens0)
-    survivors = sorted(ranking)  # in column order: a refit's column c is survivors[c]
     steps: list[tuple[tuple[int, float], int]] = []
     accepted = None  # (ensemble, data, reference) of the last refit kept
 
@@ -191,20 +192,20 @@ def column_eliminate(
         ref = reference_labels(refit, data)
         return (refit, data, ref), raw.n_samples - ref.incorrect_count
 
-    while survivors:
-        # drop the least important; on ties, the larger (feature, threshold)
-        victim = min(survivors, key=lambda p: (ranking[p], -p[0], -p[1]))
-        candidate = [p for p in survivors if p != victim]
+    while ranking:
+        victim = ThresholdSet.ranked(ranking).pairs()[-1]
+        # in column order: a refit's column c is candidate[c]
+        candidate = sorted(p for p in ranking if p != victim)
         refit, c = refit_on(candidate)
         if c < bar:
             break
         steps.append((victim, c))
-        survivors = candidate
         accepted = refit
-        ranking = _importance_by_pair(refit[0], survivors)
+        ranking = _importance_by_pair(refit[0], candidate)
 
     fallback = False
     if accepted is None:
+        survivors = sorted(ranking)
         refit, c = refit_on(survivors)
         if c >= bar:
             accepted = refit

@@ -236,12 +236,12 @@ _LEAF_KEY = (-1,)  # structure key of a leaf; a split's is (column, left key, ri
 
 class _Rec:
     __slots__ = (
-        "bits", "cbits", "depth", "n", "pos", "leaf_units", "true_floor", "guess_floor",
+        "bits", "cbits", "depth", "n", "pos", "leaf_units", "true_floor", "miss",
         "lower", "upper", "splits", "parents", "solved",
         "dirty", "sums", "lows", "scan", "sib",
     )
 
-    def __init__(self, bits, cbits, depth, n, pos, leaf_units, true_floor, guess_floor, scan):
+    def __init__(self, bits, cbits, depth, n, pos, leaf_units, true_floor, miss, lower, scan):
         self.bits = bits          # the support over samples; None once solved
         self.cbits = cbits        # the classes the support meets: its key in the cache of its
                                   # depth; None once the search ends
@@ -250,8 +250,8 @@ class _Rec:
         self.pos = pos
         self.leaf_units = leaf_units
         self.true_floor = true_floor
-        self.guess_floor = guess_floor  # pen + q * reference mistakes, or None without a guess
-        self.lower = true_floor if guess_floor is None else max(true_floor, guess_floor)
+        self.miss = miss          # the support's reference mistakes, or None without a guess
+        self.lower = lower
         self.upper = leaf_units
         # () until expanded, then a list of (column, left, right), or after a
         # terminal expansion one such entry in a tuple; a side is the child
@@ -322,15 +322,16 @@ class _Search:
         label-1 and reference-mistake counts (miss is None without a guess);
         every caller has already taken them.  scan is the column list the
         record will scan, in column order, holding at least every column not
-        constant on bits."""
+        constant on bits.  The lower bound is the true floor, raised to
+        pen + q * miss under a guess."""
         leaf_units = self.q * min(pos, n - pos) + self.pen
         # Every support here is the dataset cut by indicator columns, and
         # columns are constant on an equivalence class, so a support holds all
         # of a class's members or none.  Its minority count is therefore the
         # popcount of the dataset's minority mask inside it.
         true_floor = self.pen + self.q * (bits & self.minority).bit_count()
-        guess_floor = None if miss is None else self.pen + self.q * miss
-        rec = _Rec(bits, cbits, depth, n, pos, leaf_units, true_floor, guess_floor, scan)
+        lower = true_floor if miss is None else max(true_floor, self.pen + self.q * miss)
+        rec = _Rec(bits, cbits, depth, n, pos, leaf_units, true_floor, miss, lower, scan)
         counters = self.counters
         counters.created += 1
         level[cbits] = rec
@@ -363,11 +364,9 @@ class _Search:
         if rec.depth == 1 and self.bounded:
             self._expand_terminal(rec)
             return
-        bits, cbits, n, pos = rec.bits, rec.cbits, rec.n, rec.pos
+        bits, cbits, n, pos, miss = rec.bits, rec.cbits, rec.n, rec.pos, rec.miss
         q, pen, pos_bits, inc_bits = self.q, self.pen, self.pos_bits, self.inc_bits
-        miss = missl = missr = None
-        if inc_bits is not None:
-            miss = (bits & inc_bits).bit_count()
+        missl = missr = None
         create, link, pair = self._create, self._link, self._pair
         child_depth = rec.depth - 1 if self.bounded else None
         level = self.recs.setdefault(child_depth, {})
@@ -398,13 +397,11 @@ class _Search:
             # side is looked up only if the split passes the prune check
             cl, cr, bl = find(cbl), None, None
             if cl is not None:
-                nl, posl = cl.n, cl.pos
-                if miss is not None:
-                    missl = (cl.guess_floor - pen) // q
+                nl, posl, missl = cl.n, cl.pos, cl.miss
             elif (cr := find(cbr)) is not None:
                 nl, posl = n - cr.n, pos - cr.pos
                 if miss is not None:
-                    missl = miss - (cr.guess_floor - pen) // q
+                    missl = miss - cr.miss
             else:
                 bl = bits & c
                 nl = bl.bit_count()
@@ -618,11 +615,12 @@ class _Search:
         return changed
 
     def _close(self, rec):
-        """Solve rec at its upper bound, counting it when only the guess closes
-        it.  Its sample mask goes: only an unsolved record is counted."""
+        """Solve rec at its upper bound, counting it when only the guess,
+        pen + q * miss, closes it.  Its sample mask goes: only an unsolved
+        record is counted."""
         rec.solved = True
         rec.bits = rec.dirty = rec.sums = rec.lows = None
-        if rec.guess_floor is not None and rec.true_floor < rec.upper <= rec.guess_floor:
+        if rec.miss is not None and rec.true_floor < rec.upper <= self.pen + self.q * rec.miss:
             self.counters.closed_by_guess += 1
         rec.lower = rec.upper
 

@@ -8,7 +8,7 @@ import pytest
 
 import sparsetree
 from sparsetree import boosting, guessing
-from sparsetree.boosting import BoostedEnsemble, RegressionNode
+from sparsetree.boosting import BoostedEnsemble, RegressionNode, ThresholdSet
 from sparsetree.dataset import RawDataset, equivalence_classes
 
 from conftest import random_raw
@@ -104,7 +104,7 @@ def test_degenerate_constant_labels():
     ens = boosting.fit(raw, 3, 2, 0.1)
     assert ens.trees == []
     assert list(boosting.predict_class(ens, np.array([[5.0], [-5.0]]))) == [0, 0]
-    assert len(boosting.extract_thresholds(ens)) == 0
+    assert len(ThresholdSet.ranked(boosting.split_importance(ens))) == 0
     assert guessing.reference_labels(ens, raw).incorrect_count == 0
 
 
@@ -223,13 +223,13 @@ def test_importances_match_node_walk():
 
 def test_extract_thresholds_single_stump():
     ens = _ensemble([_stump(2.5, -1.0, 1.0)])
-    ts = boosting.extract_thresholds(ens)
+    ts = ThresholdSet.ranked(boosting.split_importance(ens))
     assert ts.pairs() == [(0, 2.5)]
 
 
 def test_extract_thresholds_dedups_and_sums():
     ens = _ensemble([_stump(2.5, -1.0, 1.0), _stump(2.5, -0.5, 0.5)])
-    ts = boosting.extract_thresholds(ens)
+    ts = ThresholdSet.ranked(boosting.split_importance(ens))
     assert len(ts) == 1
     single = boosting.split_importance(_ensemble([_stump(2.5, -1.0, 1.0)]))[(0, 2.5)]
     assert ts.entries[0][2] == pytest.approx(2 * single)
@@ -239,7 +239,7 @@ def test_extract_thresholds_count_bound():
     rng = np.random.default_rng(7)
     raw = random_raw(rng, 80, 4, noise=0.6)
     ens = boosting.fit(raw, 10, 3, 0.1)
-    ts = boosting.extract_thresholds(ens)
+    ts = ThresholdSet.ranked(boosting.split_importance(ens))
     assert len(ts) <= 10 * (2 ** 3 - 1)
 
 
@@ -247,7 +247,7 @@ def test_extract_thresholds_ordering_is_total():
     rng = np.random.default_rng(8)
     raw = random_raw(rng, 60, 3, noise=0.6)
     ens = boosting.fit(raw, 8, 2, 0.1)
-    e = boosting.extract_thresholds(ens).entries
+    e = ThresholdSet.ranked(boosting.split_importance(ens)).entries
     for a, b in zip(e[:-1], e[1:]):
         assert (-a[2], a[0], a[1]) <= (-b[2], b[0], b[1])
     assert len({(f, t) for f, t, _ in e}) == len(e)
@@ -259,7 +259,7 @@ def test_thresholds_induce_full_binarize_partitions():
     raw = random_raw(rng, 40, 3, levels=2)
     ens = boosting.fit(raw, 6, 2, 0.1)
     full = sparsetree.full_binarize(raw)
-    for f, t in boosting.extract_thresholds(ens).pairs():
+    for f, t in ThresholdSet.ranked(boosting.split_importance(ens)).pairs():
         col = sparsetree.binarize_with_thresholds(raw, [(f, t)]).columns[0]
         matches = [
             c for c, (g, _) in enumerate(full.column_meta)

@@ -373,10 +373,8 @@ def test_train_checks_reference_options_before_binarizing(tmp_path, capsys, monk
     monkeypatch.setattr(cli, "full_binarize", binarizing)
     _forbid_fitting(monkeypatch)
     data = _write_synthetic(tmp_path / "raw.csv")
-    runs = [["--guess-thresholds"], ["--guess-thresholds", "--lb-guess"]]
-    if flag != "--drop-tolerance":  # only elimination reads it
-        runs.append(["--lb-guess"])
-    for run in runs:
+    # an option no reference reads is refused too, as guess and benchmark do
+    for run in [["--guess-thresholds"], ["--guess-thresholds", "--lb-guess"], ["--lb-guess"], []]:
         rc = cli.main(["train", data, *run, "--lambda", "1/100", flag, value,
                        "--out", str(tmp_path / "r")])
         assert rc == 1, run

@@ -8,7 +8,7 @@ import pytest
 
 import sparsetree
 from sparsetree import boosting, evaluation, guessing, solver, trees
-from sparsetree.boosting import BoostedEnsemble
+from sparsetree.boosting import BoostedEnsemble, ThresholdSet
 from sparsetree.evaluation import (
     BenchmarkConfig,
     brute_force_optimal,
@@ -121,7 +121,7 @@ def test_replicate_pipeline_ensemble_exactly():
     rng = np.random.default_rng(3)
     raw = random_raw(rng, 30, 2, levels=3)
     ens = boosting.fit(raw, 4, 2, 0.3)
-    pairs = boosting.extract_thresholds(ens).pairs()
+    pairs = ThresholdSet.ranked(boosting.split_importance(ens)).pairs()
     assert len(pairs) <= 12  # 4 trees of depth 2 cannot use more splits
     bin_data = sparsetree.binarize_with_thresholds(raw, pairs)
     tens = guessing.translate_to_indicators(ens, pairs)

@@ -6,7 +6,7 @@ import pytest
 
 import sparsetree
 from sparsetree import boosting, guessing
-from sparsetree.boosting import DegenerateModelError
+from sparsetree.boosting import DegenerateModelError, ThresholdSet
 from sparsetree.dataset import bools_to_bits
 
 from conftest import random_raw
@@ -69,7 +69,7 @@ def test_reference_labels_on_indicator_columns():
     rng = np.random.default_rng(1)
     raw = random_raw(rng, 40, 3)
     ens = boosting.fit(raw, 5, 2, 0.1)
-    pairs = boosting.extract_thresholds(ens).pairs()
+    pairs = ThresholdSet.ranked(boosting.split_importance(ens)).pairs()
     bin_data = sparsetree.binarize_with_thresholds(raw, pairs)
     tens = guessing.translate_to_indicators(ens, pairs)
     ref = guessing.reference_labels(tens, bin_data)
@@ -202,7 +202,7 @@ def test_eliminate_with_tolerance_strips_noise():
 def test_eliminate_full_tolerance_removes_everything():
     raw = _single_signal_raw()
     ens = boosting.fit(raw, 10, 2, 0.1)
-    initial = len(boosting.extract_thresholds(ens))
+    initial = len(boosting.split_importance(ens))
     tr = guessing.column_eliminate(raw, 10, 2, 0.1, drop_tolerance=1.0)
     assert tr.stopping_bar == 0
     assert len(tr.thresholds) == 0
@@ -239,6 +239,29 @@ def test_eliminate_fallback_keeps_the_first_fit():
     _check_solve_inputs(raw, tr)
 
 
+def test_eliminate_replays_one_importance_order():
+    # replayed through public calls: each step drops the last pair of
+    # ThresholdSet.ranked over the latest fit's importances, then the
+    # survivors are refit; the first draw's refits leave importance-0 pairs
+    # tied for last, so the tie-break to the larger pair runs
+    zero_ties = 0
+    for seed, tol in [(3, 0.0), (1, 0.0), (7, 0.05)]:
+        raw = random_raw(np.random.default_rng(seed), 60, 3, noise=0.5)
+        tr = guessing.column_eliminate(raw, 8, 2, 0.2, drop_tolerance=tol)
+        assert tr.steps and not tr.fallback_translated
+        ranking = boosting.split_importance(boosting.fit(raw, 8, 2, 0.2))
+        for victim, _ in tr.steps:
+            assert victim == ThresholdSet.ranked(ranking).pairs()[-1]
+            zero_ties += ranking[victim] == 0.0 and list(ranking.values()).count(0.0) >= 2
+            rest = sorted(p for p in ranking if p != victim)
+            data = sparsetree.binarize_with_thresholds(raw, rest)
+            ranking = dict.fromkeys(rest, 0.0)
+            for (c, _), v in boosting.split_importance(boosting.fit(data, 8, 2, 0.2)).items():
+                ranking[data.column_meta[c]] += v
+        assert ThresholdSet.ranked(ranking) == tr.thresholds
+    assert zero_ties > 0
+
+
 def test_eliminate_parameter_guards():
     raw = _single_signal_raw()
     with pytest.raises(ValueError):
@@ -259,7 +282,7 @@ def test_translate_preserves_predictions():
     rng = np.random.default_rng(3)
     raw = random_raw(rng, 70, 4, noise=0.6)
     ens = boosting.fit(raw, 8, 3, 0.1)
-    pairs = boosting.extract_thresholds(ens).pairs()
+    pairs = ThresholdSet.ranked(boosting.split_importance(ens)).pairs()
     bin_data = sparsetree.binarize_with_thresholds(raw, pairs)
     tens = guessing.translate_to_indicators(ens, pairs)
     x_ind = bin_data.rows_matrix().astype(np.float64)

@@ -796,9 +796,9 @@ def test_floor_matches_a_per_group_recount():
         paid = 0
         for rec in _records(search):
             if ref is None:
-                assert rec.guess_floor is None, name
+                assert rec.miss is None, name
             else:
-                assert rec.guess_floor == pen + q * (support[rec] & inc).bit_count(), name
+                assert rec.miss == (support[rec] & inc).bit_count(), name
             recount = 0
             for group in groups:
                 inside = [i for i in group if support[rec] >> i & 1]
@@ -843,21 +843,20 @@ def test_cache_is_keyed_by_class_masks():
 
 def test_stored_counts_match_the_supports():
     # a cache hit reads the found record's sample, label-1 and reference
-    # mistake counts (the last from its guess floor) in place of counting
-    # the samples again, so each must be its walked support's popcount
+    # mistake counts in place of counting the samples again, and an
+    # expansion reads the record's own, so each must be its walked
+    # support's popcount
     for name, (bin_data, cfg) in _pinned_instances().items():
         search = solver._Search(bin_data, cfg)
         root_rec, _ = search.run()
         support = _supports(search, root_rec)
-        pen, q = cfg.regularizer.leaf_penalty_units, cfg.regularizer.denom
         ref = cfg.reference
         inc = None if ref is None else ref.predicted ^ ref.labels  # the reference's mistakes
         for rec in _records(search):
             got = support[rec]
             assert rec.n == got.bit_count(), name
             assert rec.pos == (got & bin_data.pos_mask).bit_count(), name
-            want = None if inc is None else pen + q * (got & inc).bit_count()
-            assert rec.guess_floor == want, name
+            assert rec.miss == (None if inc is None else (got & inc).bit_count()), name
         assert search.counters.cache_hits > 0, name
 
 
