@@ -235,14 +235,21 @@ def _row_groups(data):
     """data's feature names and its distinct (row, label) pairs in order of
     first occurrence: each pair's row, and its label and row count as floats.
     Indicator rows are grouped by the dataset's equivalence classes, which
-    the solver shares, and raw rows by value, so -0.0 and 0.0 are equal."""
+    the solver shares, and raw rows by their values' ranks in each column, so
+    -0.0 and 0.0 are equal."""
     if isinstance(data, BinaryDataset):
         eq = equivalence_classes(data)
         first, count = _groups_of(eq.ids, data.labels)
         names = tuple(data.column_header(c) for c in range(data.n_columns))
         x = eq.rows[eq.ids[first]]
     else:
-        row_id = np.unique(data.features, axis=0, return_inverse=True)[1].ravel()
+        # number the distinct rows one column at a time: with ids below n
+        # and a column's value ranks below its count of values, each new id
+        # stays below n * n
+        row_id = np.zeros(data.n_samples, dtype=np.int64)
+        for column in data.features.T:
+            values, rank = np.unique(column, return_inverse=True)
+            row_id = np.unique(row_id * len(values) + rank.ravel(), return_inverse=True)[1].ravel()
         first, count = _groups_of(row_id, data.labels)
         names = data.feature_names
         # when every row is its own group, first is 0..n-1

@@ -24,13 +24,16 @@ and reference-mistake counts, so the other side's are the support's minus
 these.  Only when neither side is found are the samples counted, on sample
 masks, and a found left side leaves the right one to be looked up only if
 the split passes the prune check.  A record keeps its support's sample mask
-only until it is solved, and its parent links only until its close has
-reached its parents.
+only until it is solved, its column list only until it is expanded or
+solved, and its parent links only until its close has reached its parents.
 
-A record's splits are entries (column, left, right).  A side is the child
-record, or, for a one-sample side, the int units of that forced leaf.  An
-unexpanded record holds the empty tuple; a terminal record holds at most
-one entry, both of its sides leaves.
+A non-terminal record's splits are one flat list, three entries per split:
+column, left, right.  A side is the child record, or, for a one-sample side,
+the int units of that forced leaf; a split is named by its offset in the
+list, the offset of its column.  A terminal record's split is its column
+alone, an int: both sides are majority leaves, and the record's upper bound
+holds their units.  An unexpanded record, and a terminal one that keeps its
+leaf, holds the empty tuple.
 
 Records point at their parents (for bounds, below) and paired siblings at
 each other, so the graph has cycles while the search runs.  When it ends,
@@ -57,19 +60,20 @@ few records near the winning tree.  Under a guess a closed record's lower
 bound is the guess, not a certificate, and the pass visits every split.
 
 Bounds flow from children to parents incrementally.  Each child links back to
-the (parent, split index) pairs that use it.  The moment a record's bounds
-change, the index of every split that uses it goes on that parent's dirty
+the (parent, split offset) pairs that use it.  The moment a record's bounds
+change, the offset of every split that uses it goes on that parent's dirty
 list; a changed record then wakes its parents breadth-first, and each woken
 parent refreshes only its dirty splits.  (The two-leaf incumbents a record
 finds while it is expanded are marked but wake no one; parents fold them in
 at their next wake.)  Child upper bounds only fall, so a parent's upper bound
 is a running min.  For the lower bound a parent keeps each split's current
-lower sum and a lazy min-heap of one int per entry, sum * k + index for k
-splits: a refresh pushes a dirty split only when its sum changed, and pops
-tops whose sum is stale.  Because splits are marked when the child changes,
-not when the parent is woken, every refresh equals a full rescan of the
-parent's splits, whether a sum rose or, after a guess closed a child, fell;
-search order and counters do not depend on this bookkeeping.
+lower sum, by offset, and a lazy min-heap of one int per split, sum * k +
+offset for a list of k entries: a refresh pushes a dirty split only when its
+sum changed, and pops tops whose sum is stale.  Because splits are marked
+when the child changes, not when the parent is woken, every refresh equals a
+full rescan of the parent's splits, whether a sum rose or, after a guess
+closed a child, fell; search order and counters do not depend on this
+bookkeeping.
 
 A record one level above the depth limit has only forced-leaf children, so
 its expansion is terminal: one pass over the columns finds the first column
@@ -92,6 +96,8 @@ empty nor full on its support and hands that one list to every child it
 creates (a cache hit keeps its first creator's list; the root scans all).  A
 column constant on any ancestor's support is constant on the child's too, so
 no split is lost, and the list always holds the column that made the child.
+A record drops its list once it is expanded or solved, so a creator's list
+lives only as long as some child of it is still to be expanded.
 """
 
 from __future__ import annotations
@@ -253,22 +259,25 @@ class _Rec:
         self.miss = miss          # the support's reference mistakes, or None without a guess
         self.lower = lower
         self.upper = leaf_units
-        # () until expanded, then a list of (column, left, right), or after a
-        # terminal expansion one such entry in a tuple; a side is the child
-        # _Rec, or the int units of a forced one-sample leaf
+        # () until expanded, then the flat list [column, left, right, ...],
+        # where a side is the child _Rec or the int units of a forced
+        # one-sample leaf; after a terminal expansion the column of its two
+        # majority leaves, or () when the leaf is kept
         self.splits = ()
-        self.parents = {}         # parent _Rec -> split index or list of them, insertion ordered;
+        self.parents = {}         # parent _Rec -> split offset or list of them, insertion ordered;
                                   # () once the record is solved and its close has
                                   # propagated; None once the search ends
         self.solved = False
         # set from a non-terminal expansion until solved:
-        self.dirty = None         # indices of splits whose children changed since the last refresh
-        self.sums = None          # each split's lower sum as of its last refresh
-        self.lows = None          # lazy min-heap of lower sum * len(splits) + split index; stale where sums differ
-        self.scan = scan          # _Search.cols entries of every column that may split bits
+        self.dirty = None         # offsets of splits whose children changed since the last refresh
+        self.sums = None          # each split's lower sum as of its last refresh, at its offset
+        self.lows = None          # lazy min-heap of lower sum * len(splits) + split offset; stale where sums differ
+        # _Search.cols entries of every column that may split bits; None
+        # once expanded or solved
+        self.scan = scan
         # a terminal record paired with its sibling: (sibling, the depth-2
         # parent's scan list, the parent's agreement counts over it) until
-        # either is expanded; (None, split or None) once the sibling has
+        # either is expanded; (None, (j, units) or None) once the sibling has
         # derived this record's outcome; see _expand_terminal.  None once
         # the search ends
         self.sib = None
@@ -345,7 +354,7 @@ class _Search:
 
     @staticmethod
     def _link(child, parent, i):
-        """Record that split i of parent has child as one side."""
+        """Record that the split at offset i of parent has child as one side."""
         if child.solved:
             return  # a solved record never changes again
         links = child.parents
@@ -455,18 +464,19 @@ class _Search:
                 right = cr
                 if agree is not None and nl != 1:
                     pair(cl, cr, keep, agree)
-            splits.append((j, left, right))
+            splits += j, left, right
             # splitting j into two majority leaves is an incumbent
             if vl + vr < upper:
                 upper = vl + vr
         self.counters.cache_hits += hits
+        rec.scan = None
         if upper < rec.upper:
             # parents see this at their next refresh, but it does not wake them
             rec.upper = upper
             self._mark_parents(rec)
         # a first refresh with every split dirty is the full scan
         k = len(splits)
-        rec.dirty = list(range(k))
+        rec.dirty = list(range(0, k, 3))
         rec.sums = [None] * k
         rec.lows = []
         if self._refresh(rec):
@@ -515,17 +525,16 @@ class _Search:
             scan = rec.scan
             split = self._two_leaves(rec, scan, [(bits & e).bit_count() for _, _, e, _ in scan])
         if split is not None:
-            rec.splits = (split,)
-            rec.upper = split[1] + split[2]
+            rec.splits, rec.upper = split
         self._close(rec)
         self._mark_parents(rec)
         self._propagate(rec)
 
     def _two_leaves(self, rec, scan, agree):
-        """The split (j, left units, right units) of rec into two majority leaves
-        of least loss, the first such column in scan, when it beats rec's
-        upper bound; else None.  agree holds |rec.bits & e| for each
-        column's agreement mask e.
+        """The split (j, units) of rec into two majority leaves of least
+        loss, the first such column in scan, when it beats rec's upper
+        bound; else None.  agree holds |rec.bits & e| for each column's
+        agreement mask e.
 
         With d = posl - negl on a column's left side and D = pos - neg, the
         two majority leaves miss (n - max(|D|, |2d - D|)) / 2 samples, since
@@ -560,9 +569,7 @@ class _Search:
         posl = (nl + agree[i] - (n - pos)) // 2
         negl, posr = nl - posl, pos - posl
         negr = n - nl - posr
-        return (j,
-                q * (posl if posl < negl else negl) + pen,
-                q * (posr if posr < negr else negr) + pen)
+        return j, q * ((posl if posl < negl else negl) + (posr if posr < negr else negr)) + 2 * pen
 
     # ---------------- bound maintenance
 
@@ -572,14 +579,15 @@ class _Search:
 
         Equal to a full rescan of rec's splits.  Child uppers only fall, so
         the upper is a running min.  Every split's current lower sum sits in
-        the heap, as the one int sum * k + index for k splits; entries whose
-        sum has since changed are stale and are dropped when they reach the
-        top."""
+        the heap, as the one int sum * k + offset for a list of k entries;
+        entries whose sum has since changed are stale and are dropped when
+        they reach the top."""
         splits, sums, lows = rec.splits, rec.sums, rec.lows
         k = len(splits)
         upper = rec.upper
         for i in rec.dirty:
-            _, cl, cr = splits[i]
+            cl = splits[i + 1]
+            cr = splits[i + 2]
             if type(cl) is int:
                 ul = ll = cl
             else:
@@ -619,7 +627,7 @@ class _Search:
         pen + q * miss, closes it.  Its sample mask goes: only an unsolved
         record is counted."""
         rec.solved = True
-        rec.bits = rec.dirty = rec.sums = rec.lows = None
+        rec.bits = rec.dirty = rec.sums = rec.lows = rec.scan = None
         if rec.miss is not None and rec.true_floor < rec.upper <= self.pen + self.q * rec.miss:
             self.counters.closed_by_guess += 1
         rec.lower = rec.upper
@@ -684,16 +692,24 @@ class _Search:
     def best(self, rec, memo):
         """Key and choice of the best tree over the recorded action DAG below
         rec: the key (units, leaves, depth, structure) is minimal per
-        subproblem, and the choice is the winning split tuple, or None for
-        the leaf.  Children of closed records may have kept improving, so
-        this can land below the record's incumbent; never above it."""
+        subproblem, and the choice is the winning split's offset in a flat
+        list, a terminal record's column, or None for the leaf.  Children of
+        closed records may have kept improving, so this can land below the
+        record's incumbent; never above it."""
         got = memo.get(rec)
         if got is not None:
             return got
+        splits = rec.splits
+        if type(splits) is int:
+            # a terminal record's column: its two leaves cost its upper bound,
+            # which beats its leaf
+            memo[rec] = got = (rec.upper, 2, 1, (splits, _LEAF_KEY, _LEAF_KEY)), splits
+            return got
         key, choice = (rec.leaf_units, 1, 0, _LEAF_KEY), None
         prune = not self.guessing
-        for s in rec.splits:
-            j, cl, cr = s
+        for i in range(0, len(splits), 3):
+            cl = splits[i + 1]
+            cr = splits[i + 2]
             lint, rint = type(cl) is int, type(cr) is int
             # certified lowers: a split whose children cannot reach key's
             # units cannot win; on a tie it still may, by leaves or depth
@@ -701,22 +717,27 @@ class _Search:
                 continue
             lu, ll, ld, ls = (cl, 1, 0, _LEAF_KEY) if lint else self.best(cl, memo)[0]
             ru, rl, rd, rs = (cr, 1, 0, _LEAF_KEY) if rint else self.best(cr, memo)[0]
-            cand = (lu + ru, ll + rl, 1 + (ld if ld > rd else rd), (j, ls, rs))
+            cand = (lu + ru, ll + rl, 1 + (ld if ld > rd else rd), (splits[i], ls, rs))
             if cand < key:
-                key, choice = cand, s
+                key, choice = cand, i
         assert key[0] <= rec.upper, "extraction can only match or beat the incumbent"
         memo[rec] = got = key, choice
         return got
 
     def build(self, bits, side, memo):
         """The tree of the choices best() made, top-down from the support
-        bits; side is a record, or the units of a forced leaf."""
-        choice = None if type(side) is int else self.best(side, memo)[1]
+        bits; side is a record, or a forced leaf: its units, or None for
+        a side of a terminal record's split."""
+        choice = self.best(side, memo)[1] if type(side) is _Rec else None
         if choice is None:
             n = bits.bit_count()
             pos = (bits & self.pos_bits).bit_count()
             return Leaf(1 if pos > n - pos else 0)
-        j, cl, cr = choice
+        splits = side.splits
+        if type(splits) is int:
+            j, cl, cr = splits, None, None
+        else:
+            j, cl, cr = splits[choice:choice + 3]
         bl = bits & self.bin.columns[j]
         f, t = self.bin.column_meta[j]
         return Split(self.bin.feature_names[f], t,

@@ -153,6 +153,16 @@ def _records(search):
     return [rec for level in search.recs.values() for rec in level.values()]
 
 
+def _entries(rec):
+    """A record's recorded splits as (column, left, right): three entries at
+    a time from its flat list.  A terminal record's split is its column
+    alone, both sides forced leaves, so it yields none."""
+    if type(rec.splits) is int:
+        return []
+    it = iter(rec.splits)
+    return list(zip(it, it, it))
+
+
 def _supports(search, root_rec):
     """Each record's support over samples, walked down the recorded splits
     from the root: every record is created as one side of some split, and a
@@ -164,7 +174,7 @@ def _supports(search, root_rec):
     while todo:
         rec = todo.pop()
         bits = got[rec]
-        for j, cl, cr in rec.splits:
+        for j, cl, cr in _entries(rec):
             bl = bits & columns[j]
             for child, side in ((cl, bl), (cr, bits ^ bl)):
                 if type(child) is int:  # a forced leaf's units
@@ -485,10 +495,10 @@ def _check_bounds_against_full_rescan(search):
     for rec in _records(search):
         if rec.dirty is None:  # unexpanded, terminal or solved
             continue
-        sums = [_split_sums(s) for s in rec.splits]
+        sums = [_split_sums(s) for s in _entries(rec)]
         full_upper = min([rec.leaf_units] + [u for u, _ in sums])
         full_lower = min([rec.leaf_units] + [l for _, l in sums])
-        pending = [sums[i][0] for i in rec.dirty]
+        pending = [sums[i // 3][0] for i in rec.dirty]  # dirty holds list offsets
         assert min([rec.upper] + pending) == full_upper
         assert _heap_min(rec) == full_lower
         assert rec.lower >= full_lower
@@ -577,8 +587,8 @@ def test_terminal_expansion_matches_a_column_scan():
             assert rec.solved and rec.lower == rec.upper, name
             scan = _two_leaf_scan(bin_data, reg, support[rec])
             if scan is not None and scan[0] < rec.leaf_units:
-                units, j, (vl, vr) = scan
-                assert rec.splits == ((j, vl, vr),), name
+                units, j, _ = scan
+                assert rec.splits == j, name
                 assert rec.upper == units, name
                 kept += 1
             else:
@@ -606,7 +616,7 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
         search = solver._Search(bin_data, cfg)
         # the record each expansion creates: an expanded terminal record
         # drops its parent links, so creators are noted as they happen
-        creator, expanding = {}, [None]
+        creator, scans, expanding = {}, {}, [None]
         expand, create = search._expand, search._create
 
         def note_expand(rec):
@@ -619,6 +629,7 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
             # the expansion looks a child up first, so every call creates
             assert search.counters.created == known + 1, name
             creator[rec] = expanding[0]
+            scans[rec] = args[-1]  # the list is dropped once rec is expanded or solved
             return rec
 
         search._expand, search._create = note_expand, note_create
@@ -633,7 +644,7 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
 
         dropped = 0
         for rec in _records(search):
-            scan = [j for j, _, _, _ in rec.scan]
+            scan = [j for j, _, _, _ in scans[rec]]
             assert scan and scan == sorted(scan), name
             assert set(splitting(rec)) <= set(scan), name
             # a child still unsolved when created links to its creator first
@@ -647,6 +658,55 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
         assert dropped > 0, name
 
 
+def test_records_hold_compact_splits():
+    # an expanded record keeps its splits as one flat list of (column, left,
+    # right) entries, a terminal one only the column of its two majority
+    # leaves, which cost its upper bound; no expanded or solved record keeps
+    # a column list
+    for name, (bin_data, cfg) in _pinned_instances().items():
+        search = solver._Search(bin_data, cfg)
+        expanded = set()
+        expand = search._expand
+
+        def note_expand(rec):
+            expanded.add(rec)
+            expand(rec)
+
+        search._expand = note_expand
+        root_rec, _ = search.run()
+        support = _supports(search, root_rec)
+        q, pen = cfg.regularizer.denom, cfg.regularizer.leaf_penalty_units
+        columns, pos_bits = bin_data.columns, bin_data.pos_mask
+        flat = kept = 0
+        for rec in _records(search):
+            if rec in expanded or rec.solved:
+                assert rec.scan is None, name
+            splits = rec.splits
+            if rec not in expanded:
+                assert splits == (), name
+            elif cfg.depth_limit is not None and rec.depth == 1:
+                if type(splits) is not int:
+                    assert splits == () and rec.upper == rec.leaf_units, name
+                    continue
+                bits = support[rec]
+                units = 0
+                for side in (bits & columns[splits], bits & ~columns[splits]):
+                    n, pos = side.bit_count(), (side & pos_bits).bit_count()
+                    assert n > 0, name
+                    units += q * min(pos, n - pos) + pen
+                assert rec.upper == units < rec.leaf_units, name
+                kept += 1
+            else:
+                assert type(splits) is list and len(splits) % 3 == 0, name
+                cols = splits[::3]
+                assert all(type(j) is int for j in cols), name
+                assert cols == sorted(set(cols)), name  # in scan order, once each
+                assert all(type(s) in (int, solver._Rec) for s in splits[1::3] + splits[2::3]), name
+                flat += len(splits) > 0
+        assert flat > 0, name
+        assert kept > 0 or cfg.depth_limit is None, name
+
+
 def _unpruned_best(rec, memo):
     """Key and choice of rec's best tree over every recorded split: the
     extraction pass without its lower-bound prune."""
@@ -654,13 +714,17 @@ def _unpruned_best(rec, memo):
     if got is None:
         leaf = (1, 0, solver._LEAF_KEY)
         key, choice = (rec.leaf_units, *leaf), None
-        for split in rec.splits:
-            j, cl, cr = split
+        if type(rec.splits) is int:
+            # a terminal record's column: two forced leaves costing its upper bound
+            cand = (rec.upper, 2, 1, (rec.splits, solver._LEAF_KEY, solver._LEAF_KEY))
+            if cand < key:
+                key, choice = cand, rec.splits
+        for k, (j, cl, cr) in enumerate(_entries(rec)):
             lu, ll, ld, ls = (cl, *leaf) if type(cl) is int else _unpruned_best(cl, memo)[0]
             ru, rl, rd, rs = (cr, *leaf) if type(cr) is int else _unpruned_best(cr, memo)[0]
             cand = (lu + ru, ll + rl, 1 + max(ld, rd), (j, ls, rs))
             if cand < key:
-                key, choice = cand, split
+                key, choice = cand, 3 * k  # the split's offset in the flat list
         memo[rec] = got = key, choice
     return got
 
