@@ -23,6 +23,10 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _or_none(value) -> str:
+    return "none" if value is None else str(value)
+
+
 def _depth_arg(text: str):
     if text.lower() == "none":
         return None
@@ -98,6 +102,10 @@ def cmd_train(args) -> int:
             ens = boosting.fit(data, args.n_estimators, args.max_depth, args.learning_rate)
             cfg.reference = guessing.reference_labels(ens, data)
 
+    # a wide exact solve can run long and grow large: say what it will
+    # search before it starts
+    _log(f"searching {bin_data.n_columns} columns, depth limit {_or_none(cfg.depth_limit)}, "
+         f"record budget {_or_none(cfg.max_records)}, time budget {_or_none(cfg.time_limit_s)}")
     t0 = time.monotonic()
     result = optimize(bin_data, cfg)
     wall = time.monotonic() - t0

@@ -60,20 +60,22 @@ few records near the winning tree.  Under a guess a closed record's lower
 bound is the guess, not a certificate, and the pass visits every split.
 
 Bounds flow from children to parents incrementally.  Each child links back to
-the (parent, split offset) pairs that use it.  The moment a record's bounds
-change, the offset of every split that uses it goes on that parent's dirty
-list; a changed record then wakes its parents breadth-first, and each woken
-parent refreshes only its dirty splits.  (The two-leaf incumbents a record
-finds while it is expanded are marked but wake no one; parents fold them in
-at their next wake.)  Child upper bounds only fall, so a parent's upper bound
-is a running min.  For the lower bound a parent keeps each split's current
-lower sum, by offset, and a lazy min-heap of one int per split, sum * k +
-offset for a list of k entries: a refresh pushes a dirty split only when its
-sum changed, and pops tops whose sum is stale.  Because splits are marked
-when the child changes, not when the parent is woken, every refresh equals a
-full rescan of the parent's splits, whether a sum rose or, after a guess
-closed a child, fell; search order and counters do not depend on this
-bookkeeping.
+the splits that use it in one flat list, as splits are kept: two entries per
+link, parent then split offset, in link order.  The moment a record's bounds
+change, each link's offset goes on its parent's dirty list; a changed record
+then wakes its parents breadth-first, and each woken parent refreshes only
+its dirty splits.  A parent that uses the record in two splits is linked, and
+woken, twice in a row; the second refresh finds nothing dirty and changes
+nothing.  (The two-leaf incumbents a record finds while it is expanded are
+marked but wake no one; parents fold them in at their next wake.)  Child
+upper bounds only fall, so a parent's upper bound is a running min.  For the
+lower bound a parent keeps each split's current lower sum, by offset, and a
+lazy min-heap of one int per split, sum * k + offset for a list of k entries:
+a refresh pushes a dirty split only when its sum changed, and pops tops whose
+sum is stale.  Because splits are marked when the child changes, not when the
+parent is woken, every refresh equals a full rescan of the parent's splits,
+whether a sum rose or, after a guess closed a child, fell; search order and
+counters do not depend on this bookkeeping.
 
 A record one level above the depth limit has only forced-leaf children, so
 its expansion is terminal: one pass over the columns finds the first column
@@ -264,9 +266,11 @@ class _Rec:
         # one-sample leaf; after a terminal expansion the column of its two
         # majority leaves, or () when the leaf is kept
         self.splits = ()
-        self.parents = {}         # parent _Rec -> split offset or list of them, insertion ordered;
-                                  # () once the record is solved and its close has
-                                  # propagated; None once the search ends
+        # the splits that have this record as a side, two entries each in
+        # link order: [parent _Rec, split offset, ...], so a parent using it
+        # in two splits appears twice, back to back.  () once it is solved
+        # and its close has reached them; None once the search ends
+        self.parents = []
         self.solved = False
         # set from a non-terminal expansion until solved:
         self.dirty = None         # offsets of splits whose children changed since the last refresh
@@ -348,23 +352,10 @@ class _Search:
         # creation; a pure support, whose leaf costs pen, is one example
         if rec.upper <= rec.lower:
             self._close(rec)
+            rec.parents = ()  # nothing links a solved record
         else:
             heapq.heappush(self.heap, (rec.lower, counters.created, rec))  # creation index breaks ties
         return rec
-
-    @staticmethod
-    def _link(child, parent, i):
-        """Record that the split at offset i of parent has child as one side."""
-        if child.solved:
-            return  # a solved record never changes again
-        links = child.parents
-        had = links.get(parent)
-        if had is None:
-            links[parent] = i
-        elif type(had) is int:
-            links[parent] = [had, i]
-        else:
-            had.append(i)
 
     # ---------------- expansion
 
@@ -376,7 +367,7 @@ class _Search:
         bits, cbits, n, pos, miss = rec.bits, rec.cbits, rec.n, rec.pos, rec.miss
         q, pen, pos_bits, inc_bits = self.q, self.pen, self.pos_bits, self.inc_bits
         missl = missr = None
-        create, link, pair = self._create, self._link, self._pair
+        create, pair = self._create, self._pair
         child_depth = rec.depth - 1 if self.bounded else None
         level = self.recs.setdefault(child_depth, {})
         find = level.get
@@ -451,7 +442,8 @@ class _Search:
                     cl = create(level, bl, cbl, child_depth, nl, posl, missl, keep)
                 else:
                     hits += 1
-                link(cl, rec, i)
+                if not cl.solved:  # a solved record never changes again
+                    cl.parents += rec, i
                 left = cl
             if nr != 1:
                 if cr is None:
@@ -460,7 +452,8 @@ class _Search:
                     cr = create(level, bits ^ bl, cbr, child_depth, nr, posr, missr, keep)
                 else:
                     hits += 1
-                link(cr, rec, i)
+                if not cr.solved:
+                    cr.parents += rec, i
                 right = cr
                 if agree is not None and nl != 1:
                     pair(cl, cr, keep, agree)
@@ -634,23 +627,21 @@ class _Search:
 
     @staticmethod
     def _mark_parents(rec):
-        for p, i in rec.parents.items():
-            if p.solved:
-                continue
-            if type(i) is int:
+        links = iter(rec.parents)
+        for p, i in zip(links, links):
+            if not p.solved:
                 p.dirty.append(i)
-            else:
-                p.dirty.extend(i)
 
     def _propagate(self, rec):
-        """Wake the parents of rec, which has changed, breadth-first.  A
-        solved record never changes again, so once it has woken its parents
-        it forgets them: its links become the empty tuple, not None, as one
+        """Wake the parents of rec, which has changed, breadth-first: the
+        parent of each link, the even entries of a record's list.  A solved
+        record never changes again, so once it has woken its parents it
+        forgets them: its links become the empty tuple, not None, as one
         wave may queue a record twice."""
         work = deque([rec])
         while work:
             r = work.popleft()
-            for p in r.parents:
+            for p in r.parents[::2]:
                 if not p.solved and self._refresh(p):
                     work.append(p)
             if r.solved:
@@ -679,9 +670,9 @@ class _Search:
     def release(self):
         """Once the search has ended, drop the cache and every record's class
         mask, parent links (left only on unsolved records) and sibling
-        pairing.  What stays is the split DAG below the root, where
-        no record points back up, so reference counting frees it.  A method, so that no loop variable outlives it
-        holding a level of the cache."""
+        pairing.  What stays is the split DAG below the root, where no
+        record points back up, so reference counting frees it.  A method,
+        so that no loop variable outlives it holding a level of the cache."""
         for level in self.recs.values():
             for rec in level.values():
                 rec.cbits = rec.parents = rec.sib = None

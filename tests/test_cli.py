@@ -168,6 +168,22 @@ def test_train_record_budget_writes_the_best_tree_so_far(tmp_path, capsys):
     assert json.loads((tmp_path / "run.tree.json").read_text()) == {"prediction": 0}
 
 
+def test_train_says_what_it_will_search_before_it_starts(tmp_path, capsys):
+    data = _write_synthetic(tmp_path / "syn.csv")
+    n_columns = sparsetree.full_binarize(sparsetree.load_csv(data)).n_columns
+    for flags, budget in (
+        ([], "depth limit none, record budget none, time budget none"),
+        (["--depth", "2", "--max-records", "30", "--time-limit-s", "5"],
+         "depth limit 2, record budget 30, time budget 5.0"),
+    ):
+        rc = cli.main(["train", data, "--lambda", "1/100", *flags, "--out", str(tmp_path / "run")])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        said = err.index(f"searching {n_columns} columns, {budget}")
+        status = next(i for i, line in enumerate(err) if line.startswith("status "))
+        assert said < status, err
+
+
 def test_train_rerun_is_byte_identical(tmp_path):
     data = _write_synthetic(tmp_path / "raw.csv")
     args = [
@@ -279,7 +295,7 @@ def test_train_refuses_a_tree_that_does_not_score_its_objective(tmp_path, capsys
                    "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: the tree scores ")
+    assert err.splitlines()[-1].startswith("error: the tree scores ")
     assert "Traceback" not in err
     assert not (tmp_path / "run.tree.json").exists()
     assert not (tmp_path / "run.report.json").exists()

@@ -707,6 +707,51 @@ def test_records_hold_compact_splits():
         assert kept > 0 or cfg.depth_limit is None, name
 
 
+def _check_parent_links(search, expanded):
+    """Every unsolved record links back to exactly the splits that have it
+    as a side, as flat (parent, offset) pairs in the parents' expansion
+    order, once per side, so a parent using it in two splits appears twice.
+    Every solved record's close has reached its parents, and it holds ()."""
+    want = {}
+    for parent in expanded:
+        for k, (_, *sides) in enumerate(_entries(parent)):
+            for child in sides:
+                if type(child) is solver._Rec:
+                    want.setdefault(child, []).extend((parent, 3 * k))
+    twice = 0
+    for rec in _records(search):
+        if rec.solved:
+            assert rec.parents == (), rec
+            continue
+        links = want.get(rec, [])
+        assert type(rec.parents) is list and rec.parents == links, rec
+        twice += len(links[::2]) - len(set(links[::2]))
+    return twice
+
+
+def test_records_link_back_to_the_splits_that_use_them():
+    # checked once the search is cut by a record cap, and again at its end
+    twice = 0
+    for name, (bin_data, cfg) in _pinned_instances().items():
+        created = solver.optimize(bin_data, cfg).counters.created
+        for cap in (created // 3, None):
+            search = solver._Search(bin_data, replace(cfg, max_records=cap))
+            expanded = []
+            expand = search._expand
+
+            def note_expand(rec):
+                expanded.append(rec)
+                expand(rec)
+
+            search._expand = note_expand
+            root_rec, stopped_by = search.run()
+            assert stopped_by == (None if cap is None else "record-limit"), name
+            assert root_rec.solved == (cap is None), name
+            twice += _check_parent_links(search, expanded)
+    # some parent uses one child in two splits
+    assert twice > 0
+
+
 def _unpruned_best(rec, memo):
     """Key and choice of rec's best tree over every recorded split: the
     extraction pass without its lower-bound prune."""
