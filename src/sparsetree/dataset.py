@@ -86,6 +86,25 @@ def make_raw(features, labels, feature_names=None) -> RawDataset:
     return RawDataset(x, y.astype(np.int8), feature_names)
 
 
+def _csv_rows(path):
+    """Yield the header of the CSV at path, then (r, cells) for each data row
+    in file order, once it has the header's cell count; see load_csv."""
+    try:
+        fh = open(path, "r", newline="", encoding="utf-8-sig")
+    except OSError as e:
+        raise DataFormatError(f"cannot open {path}: {e}") from e
+    with fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError("empty file: missing header")
+        yield header
+        for r, cells in enumerate(reader, start=1):
+            if len(cells) != len(header):
+                raise DataFormatError(f"row {r} has {len(cells)} cells, expected {len(header)}")
+            yield r, cells
+
+
 def load_csv(path) -> RawDataset:
     """Load a CSV of numeric feature columns; the last column is the 0/1 label.
 
@@ -93,44 +112,34 @@ def load_csv(path) -> RawDataset:
     positions in error messages are 1-based over data rows (the header is
     not counted); columns are 1-based.
     """
-    try:
-        fh = open(path, "r", newline="", encoding="utf-8-sig")
-    except OSError as e:
-        raise DataFormatError(f"cannot open {path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file: missing header") from None
-        if len(header) < 2:
-            raise DataFormatError("header must list at least one feature and the label")
-        names = [h.strip() for h in header[:-1]]
-        rows, labels = [], []
-        for r, rec in enumerate(reader, start=1):
-            if len(rec) != len(header):
-                raise DataFormatError(f"row {r} has {len(rec)} cells, expected {len(header)}")
-            vals = []
-            for c, cell in enumerate(rec[:-1], start=1):
-                text = cell.strip()
-                if not text:
-                    raise DataFormatError(f"missing value at row {r}, column {c}")
-                try:
-                    v = float(text)
-                except ValueError:
-                    raise DataFormatError(f"non-numeric value {text!r} at row {r}, column {c}") from None
-                if not math.isfinite(v):
-                    raise DataFormatError(f"non-finite value at row {r}, column {c}")
-                vals.append(v)
-            ltext = rec[-1].strip()
+    rows_in = _csv_rows(path)
+    header = next(rows_in)
+    if len(header) < 2:
+        raise DataFormatError("header must list at least one feature and the label")
+    names = [h.strip() for h in header[:-1]]
+    rows, labels = [], []
+    for r, rec in rows_in:
+        vals = []
+        for c, cell in enumerate(rec[:-1], start=1):
+            text = cell.strip()
+            if not text:
+                raise DataFormatError(f"missing value at row {r}, column {c}")
             try:
-                lv = float(ltext)
+                v = float(text)
             except ValueError:
-                raise DataFormatError(f"non-numeric label {ltext!r} at row {r}") from None
-            if lv not in (0.0, 1.0):
-                raise DataFormatError(f"label outside {{0,1}} at row {r}")
-            rows.append(vals)
-            labels.append(int(lv))
+                raise DataFormatError(f"non-numeric value {text!r} at row {r}, column {c}") from None
+            if not math.isfinite(v):
+                raise DataFormatError(f"non-finite value at row {r}, column {c}")
+            vals.append(v)
+        ltext = rec[-1].strip()
+        try:
+            lv = float(ltext)
+        except ValueError:
+            raise DataFormatError(f"non-numeric label {ltext!r} at row {r}") from None
+        if lv not in (0.0, 1.0):
+            raise DataFormatError(f"label outside {{0,1}} at row {r}")
+        rows.append(vals)
+        labels.append(int(lv))
     if not rows:
         raise DataFormatError("no samples")
     return make_raw(np.array(rows, dtype=np.float64), np.array(labels), names)
@@ -257,59 +266,49 @@ def read_binary_csv(path) -> BinaryDataset:
     zero, t finite and spelled as repr writes it), each (feature, threshold)
     at most once, and the file is UTF-8, with or without a leading
     byte-order mark."""
-    try:
-        fh = open(path, "r", newline="", encoding="utf-8-sig")
-    except OSError as e:
-        raise DataFormatError(f"cannot open {path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
+    rows_in = _csv_rows(path)
+    header = next(rows_in)
+    if not header:
+        raise DataFormatError("empty header line")
+    if header[-1].strip() != "label":
+        raise DataFormatError("last header cell must be 'label'")
+    meta, first = [], {}
+    for c, cell in enumerate(header[:-1], start=1):
+        text = cell.strip()
+        if "≤" not in text or not text.startswith("feature"):
+            raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>")
+        left, right = text.split("≤", 1)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file: missing header") from None
-        if not header:
-            raise DataFormatError("empty header line")
-        if header[-1].strip() != "label":
-            raise DataFormatError("last header cell must be 'label'")
-        meta, first = [], {}
-        for c, cell in enumerate(header[:-1], start=1):
-            text = cell.strip()
-            if "≤" not in text or not text.startswith("feature"):
-                raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>")
-            left, right = text.split("≤", 1)
-            try:
-                idx, thr = int(left[len("feature"):]), float(right)
-                # int() also takes 01, 1_0, +1 and non-ASCII digits, but a
-                # tree names the column feature<idx>, which the input does not
-                if idx < 0 or left != f"feature{idx}":
-                    raise ValueError("feature index not as the writer puts it")
-            except ValueError:
-                raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>") from None
-            # nan would also slip past the repeat check below, as nan != nan
-            if not math.isfinite(thr):
-                raise DataFormatError(f"header column {c} has a non-finite threshold {right!r}")
-            # float() also takes 1_0, +0.5 and 0.50, but a tree names the
-            # column by repr(threshold), a spelling the input did not use
-            if right != repr(thr):
-                raise DataFormatError(f"header column {c} writes the threshold {thr!r} as {right!r}")
-            # a tree names its columns by (feature, threshold), so a repeat
-            # would make it point at the wrong one
-            if (idx, thr) in first:
-                raise DataFormatError(
-                    f"header columns {first[(idx, thr)]} and {c} are both {indicator_header(idx, thr)}")
-            first[(idx, thr)] = c
-            meta.append((idx, thr))
-        rows, labels = [], []
-        for r, rec in enumerate(reader, start=1):
-            if len(rec) != len(header):
-                raise DataFormatError(f"row {r} has {len(rec)} cells, expected {len(header)}")
-            for c, cell in enumerate(rec[:-1], start=1):
-                if cell.strip() not in ("0", "1"):
-                    raise DataFormatError(f"non-binary cell at row {r}, column {c}")
-            if rec[-1].strip() not in ("0", "1"):
-                raise DataFormatError(f"label outside {{0,1}} at row {r}")
-            rows.append([int(v) for v in rec[:-1]])
-            labels.append(int(rec[-1]))
+            idx, thr = int(left[len("feature"):]), float(right)
+            # int() also takes 01, 1_0, +1 and non-ASCII digits, but a
+            # tree names the column feature<idx>, which the input does not
+            if idx < 0 or left != f"feature{idx}":
+                raise ValueError("feature index not as the writer puts it")
+        except ValueError:
+            raise DataFormatError(f"header column {c} is not of the form feature<idx>≤<threshold>") from None
+        # nan would also slip past the repeat check below, as nan != nan
+        if not math.isfinite(thr):
+            raise DataFormatError(f"header column {c} has a non-finite threshold {right!r}")
+        # float() also takes 1_0, +0.5 and 0.50, but a tree names the
+        # column by repr(threshold), a spelling the input did not use
+        if right != repr(thr):
+            raise DataFormatError(f"header column {c} writes the threshold {thr!r} as {right!r}")
+        # a tree names its columns by (feature, threshold), so a repeat
+        # would make it point at the wrong one
+        if (idx, thr) in first:
+            raise DataFormatError(
+                f"header columns {first[(idx, thr)]} and {c} are both {indicator_header(idx, thr)}")
+        first[(idx, thr)] = c
+        meta.append((idx, thr))
+    rows, labels = [], []
+    for r, rec in rows_in:
+        for c, cell in enumerate(rec[:-1], start=1):
+            if cell.strip() not in ("0", "1"):
+                raise DataFormatError(f"non-binary cell at row {r}, column {c}")
+        if rec[-1].strip() not in ("0", "1"):
+            raise DataFormatError(f"label outside {{0,1}} at row {r}")
+        rows.append([int(v) for v in rec[:-1]])
+        labels.append(int(rec[-1]))
     if not rows:
         raise DataFormatError("no samples")
     mat = np.array(rows, dtype=np.uint8)

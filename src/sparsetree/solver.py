@@ -4,9 +4,11 @@ A subproblem is a support, a bitmask over samples, and a remaining depth;
 unbounded-depth runs drop the depth.  All objective comparisons are exact on
 integers scaled by n*q where the penalty is p/q: units(loss, leaves) = q*loss
 + p*n*leaves.  Each record keeps a certified lower bound (one-leaf penalty
-floor, equivalence-points bound) optionally raised by the reference-model
-guess; a record is solved once its incumbent meets its lower bound, so a
-guessed bound may close a subproblem before it is provably optimal.
+floor, equivalence-points bound) raised to the reference-model guess, pen +
+q*miss for the reference's miss mistakes inside the support; a record is
+solved once its incumbent meets its lower bound, so a guess may close a
+subproblem before it is provably optimal.  A solve without a reference counts
+zero mistakes, and a guess of pen never passes the certified floor.
 
 Every support the search creates is the whole dataset cut by indicator
 columns, which are constant on each equivalence class (group of samples with
@@ -190,8 +192,9 @@ class SolverConfig:
     reference: reference-model predictions, scored on this dataset's labels
         (another dataset's is refused).  Each subproblem's lower bound is
         raised to its mistakes inside the support plus one leaf penalty, and
-        the result is "guess-certified", not "optimal".  None solves exactly,
-        and so does a reference predicting a single class (it is refused).
+        the result is "guess-certified", not "optimal".  None solves exactly:
+        it counts zero mistakes, whose bound never passes the certified one;
+        so does a reference predicting a single class (it is refused).
     time_limit_s: wall-clock seconds for the search loop; None is no limit.
         Once spent, the search stops and returns the best tree found so far
         with status "time-limit".
@@ -258,7 +261,7 @@ class _Rec:
         self.pos = pos
         self.leaf_units = leaf_units
         self.true_floor = true_floor
-        self.miss = miss          # the support's reference mistakes, or None without a guess
+        self.miss = miss          # the support's reference mistakes; 0 without a guess
         self.lower = lower
         self.upper = leaf_units
         # () until expanded, then the flat list [column, left, right, ...],
@@ -302,7 +305,7 @@ class _Search:
         ref = cfg.reference
         self.refused = ref is not None and ref.single_class
         self.guessing = ref is not None and not self.refused
-        self.inc_bits = ref.predicted ^ self.pos_bits if self.guessing else None
+        self.inc_bits = ref.predicted ^ self.pos_bits if self.guessing else 0
 
         eq = equivalence_classes(bin_data)
         # rarer-label members of each equivalence class; see _create
@@ -332,18 +335,19 @@ class _Search:
         """Make the record of the support bits at depth and file it in level,
         the cache of that depth, under its class mask cbits; the caller has
         found no record there.  n, pos and miss are the support's sample,
-        label-1 and reference-mistake counts (miss is None without a guess);
+        label-1 and reference-mistake counts (miss is 0 without a guess);
         every caller has already taken them.  scan is the column list the
         record will scan, in column order, holding at least every column not
-        constant on bits.  The lower bound is the true floor, raised to
-        pen + q * miss under a guess."""
+        constant on bits.  The lower bound is the true floor raised to the
+        guess pen + q * miss; without a guess that is pen, never above it."""
         leaf_units = self.q * min(pos, n - pos) + self.pen
         # Every support here is the dataset cut by indicator columns, and
         # columns are constant on an equivalence class, so a support holds all
         # of a class's members or none.  Its minority count is therefore the
         # popcount of the dataset's minority mask inside it.
         true_floor = self.pen + self.q * (bits & self.minority).bit_count()
-        lower = true_floor if miss is None else max(true_floor, self.pen + self.q * miss)
+        guess = self.pen + self.q * miss
+        lower = guess if guess > true_floor else true_floor
         rec = _Rec(bits, cbits, depth, n, pos, leaf_units, true_floor, miss, lower, scan)
         counters = self.counters
         counters.created += 1
@@ -366,7 +370,6 @@ class _Search:
             return
         bits, cbits, n, pos, miss = rec.bits, rec.cbits, rec.n, rec.pos, rec.miss
         q, pen, pos_bits, inc_bits = self.q, self.pen, self.pos_bits, self.inc_bits
-        missl = missr = None
         create, pair = self._create, self._pair
         child_depth = rec.depth - 1 if self.bounded else None
         level = self.recs.setdefault(child_depth, {})
@@ -399,15 +402,12 @@ class _Search:
             if cl is not None:
                 nl, posl, missl = cl.n, cl.pos, cl.miss
             elif (cr := find(cbr)) is not None:
-                nl, posl = n - cr.n, pos - cr.pos
-                if miss is not None:
-                    missl = miss - cr.miss
+                nl, posl, missl = n - cr.n, pos - cr.pos, miss - cr.miss
             else:
                 bl = bits & c
                 nl = bl.bit_count()
                 posl = (bl & pos_bits).bit_count()
-                if miss is not None:
-                    missl = (bl & inc_bits).bit_count()
+                missl = (bl & inc_bits).bit_count()
             nr = n - nl
             if agree is not None:
                 agree.append(2 * posl - nl + neg)
@@ -416,13 +416,11 @@ class _Search:
             negr = nr - posr
             vl = q * (posl if posl < negl else negl) + pen
             vr = q * (posr if posr < negr else negr) + pen
-            # cheap child floors for the prune check; records add the
-            # equivalence-points term when created
-            low_l = low_r = pen
-            if miss is not None:
-                missr = miss - missl
-                low_l += q * missl
-                low_r += q * missr
+            # cheap child floors for the prune check, the guesses; records
+            # add the equivalence-points term when created
+            missr = miss - missl
+            low_l = pen + q * missl
+            low_r = pen + q * missr
             if nl == 1:
                 low_l = vl
             if nr == 1:
@@ -506,17 +504,16 @@ class _Search:
         bits = rec.bits
         if sib is not None and sib[0] is None:
             split = sib[1]  # derived when the sibling was expanded
-        elif sib is not None:
-            other, scan, parent = sib
-            own = [(bits & e).bit_count() for _, _, e, _ in scan]
-            split = self._two_leaves(rec, scan, own)
-            other.sib = (None, self._two_leaves(
-                other, scan, [p - a for p, a in zip(parent, own)]))
-        elif rec.true_floor + self.pen >= rec.upper:
+        elif sib is None and rec.true_floor + self.pen >= rec.upper:
             split = None
         else:
-            scan = rec.scan
-            split = self._two_leaves(rec, scan, [(bits & e).bit_count() for _, _, e, _ in scan])
+            scan = rec.scan if sib is None else sib[1]
+            own = [(bits & e).bit_count() for _, _, e, _ in scan]
+            split = self._two_leaves(rec, scan, own)
+            if sib is not None:
+                other, _, parent = sib
+                other.sib = (None, self._two_leaves(
+                    other, scan, [p - a for p, a in zip(parent, own)]))
         if split is not None:
             rec.splits, rec.upper = split
         self._close(rec)
@@ -621,7 +618,7 @@ class _Search:
         record is counted."""
         rec.solved = True
         rec.bits = rec.dirty = rec.sums = rec.lows = rec.scan = None
-        if rec.miss is not None and rec.true_floor < rec.upper <= self.pen + self.q * rec.miss:
+        if rec.true_floor < rec.upper <= self.pen + self.q * rec.miss:
             self.counters.closed_by_guess += 1
         rec.lower = rec.upper
 
@@ -655,7 +652,7 @@ class _Search:
         that stopped the search, "time-limit" or "record-limit", or None."""
         t0 = time.monotonic()
         bits, depth = self.bin.full_mask, self.cfg.depth_limit
-        miss = (bits & self.inc_bits).bit_count() if self.guessing else None
+        miss = (bits & self.inc_bits).bit_count()
         root = self._create(self.recs.setdefault(depth, {}), bits, self.root_cbits, depth,
                             bits.bit_count(), (bits & self.pos_bits).bit_count(), miss, self.cols)
         time_limit_s, max_records = self.cfg.time_limit_s, self.cfg.max_records

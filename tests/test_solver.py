@@ -280,6 +280,34 @@ def test_single_class_reference_is_refused():
     assert res.objective_units == plain.objective_units
 
 
+def test_a_reference_without_mistakes_searches_as_the_exact_solve():
+    # an exact solve counts zero mistakes, so a reference that makes none
+    # guesses one leaf penalty, which never passes the certified floor: the
+    # two searches match record for record, and only the label differs
+    rng = np.random.default_rng(32)
+    cut = 0
+    for _ in range(5):
+        bin_data = sparsetree.full_binarize(random_raw(rng, int(rng.integers(40, 100)), 3, levels=1))
+        labels = bin_data.labels
+        ref = guessing.reference_from_predictions(labels, labels)
+        reg = Regularizer.from_text("1/50", bin_data.n_samples)
+        for depth, max_records in ((3, None), (None, None), (3, 60), (None, 60)):
+            exact = solver.optimize(bin_data, SolverConfig(reg, depth, max_records=max_records))
+            guessed = solver.optimize(
+                bin_data, SolverConfig(reg, depth, reference=ref, max_records=max_records))
+            assert guessed.lb_guess_active
+            assert asdict(guessed.counters) == asdict(exact.counters)
+            assert guessed.counters.closed_by_guess == 0
+            assert guessed.objective_units == exact.objective_units
+            assert repr(guessed.tree) == repr(exact.tree)
+            if exact.status == "optimal":
+                assert guessed.status == "guess-certified"
+            else:
+                assert guessed.status == exact.status == "record-limit"
+                cut += 1
+    assert cut >= 5
+
+
 # ---------------------------------------------------------------- run controls
 
 def test_zero_time_budget_reports_partial_leaf():
@@ -905,7 +933,7 @@ def test_floor_matches_a_per_group_recount():
         paid = 0
         for rec in _records(search):
             if ref is None:
-                assert rec.miss is None, name
+                assert rec.miss == 0, name
             else:
                 assert rec.miss == (support[rec] & inc).bit_count(), name
             recount = 0
@@ -965,7 +993,7 @@ def test_stored_counts_match_the_supports():
             got = support[rec]
             assert rec.n == got.bit_count(), name
             assert rec.pos == (got & bin_data.pos_mask).bit_count(), name
-            assert rec.miss == (None if inc is None else (got & inc).bit_count()), name
+            assert rec.miss == (0 if inc is None else (got & inc).bit_count()), name
         assert search.counters.cache_hits > 0, name
 
 
