@@ -107,9 +107,11 @@ def cmd_train(args) -> int:
     _log(f"searching {bin_data.n_columns} columns, depth limit {_or_none(cfg.depth_limit)}, "
          f"record budget {_or_none(cfg.max_records)}, time budget {_or_none(cfg.time_limit_s)}")
     if cfg.depth_limit is None and cfg.max_records is None and cfg.time_limit_s is None:
-        _log("with no depth limit and no budget the search may not end: --max-records or "
-             "--time-limit-s ends it with the best tree so far, --guess-thresholds searches "
-             "fewer columns")
+        advice = ("with no depth limit and no budget the search may not end: --max-records or "
+                  "--time-limit-s ends it with the best tree so far")
+        if not args.guess_thresholds:
+            advice += ", --guess-thresholds searches fewer columns"
+        _log(advice)
     t0 = time.monotonic()
     result = optimize(bin_data, cfg)
     wall = time.monotonic() - t0

@@ -25,9 +25,13 @@ classes, and a child found in the cache already holds its sample, label-1
 and reference-mistake counts, so the other side's are the support's minus
 these.  Only when neither side is found are the samples counted, on sample
 masks, and a found left side leaves the right one to be looked up only if
-the split passes the prune check.  A record keeps its support's sample mask
-only until it is solved, its column list only until it is expanded or
-solved, and its parent links only until its close has reached its parents.
+the split passes the prune check.  A record keeps its support's sample
+mask, its floor and its refresh state (below) only until it is solved, its
+column list only until it is expanded or solved, and its parent links only
+until its close has reached its parents.  So a solved record holds what a
+cache hit and extraction read, its counts, bounds and splits, and its leaf's
+units are computed from its counts where they are needed.  A record is
+solved exactly when its sample mask is gone.
 
 A non-terminal record's splits are one flat list, three entries per split:
 column, left, right.  A side is the child record, or, for a one-sample side,
@@ -246,24 +250,23 @@ _LEAF_KEY = (-1,)  # structure key of a leaf; a split's is (column, left key, ri
 
 
 class _Rec:
+    # a search holds one per subproblem: 14 slots make a 144 B object
     __slots__ = (
-        "bits", "cbits", "depth", "n", "pos", "leaf_units", "true_floor", "miss",
-        "lower", "upper", "splits", "parents", "solved",
-        "dirty", "sums", "lows", "scan", "sib",
+        "bits", "cbits", "depth", "n", "pos", "true_floor", "miss",
+        "lower", "upper", "splits", "parents", "refresh", "scan", "sib",
     )
 
-    def __init__(self, bits, cbits, depth, n, pos, leaf_units, true_floor, miss, lower, scan):
-        self.bits = bits          # the support over samples; None once solved
+    def __init__(self, bits, cbits, depth, n, pos, true_floor, miss, lower, upper, scan):
+        self.bits = bits          # the support over samples; None exactly when solved
         self.cbits = cbits        # the classes the support meets: its key in the cache of its
                                   # depth; None once the search ends
         self.depth = depth
-        self.n = n                # sample and label-1 counts: a cache hit reads them
-        self.pos = pos
-        self.leaf_units = leaf_units
-        self.true_floor = true_floor
+        self.n = n                # sample and label-1 counts: a cache hit reads them, and
+        self.pos = pos            # the leaf costs q * min(pos, n - pos) + pen
+        self.true_floor = true_floor  # the certified floor, see _create; None once solved
         self.miss = miss          # the support's reference mistakes; 0 without a guess
         self.lower = lower
-        self.upper = leaf_units
+        self.upper = upper        # the leaf's units until a split beats it
         # () until expanded, then the flat list [column, left, right, ...],
         # where a side is the child _Rec or the int units of a forced
         # one-sample leaf; after a terminal expansion the column of its two
@@ -274,11 +277,12 @@ class _Rec:
         # in two splits appears twice, back to back.  () once it is solved
         # and its close has reached them; None once the search ends
         self.parents = []
-        self.solved = False
-        # set from a non-terminal expansion until solved:
-        self.dirty = None         # offsets of splits whose children changed since the last refresh
-        self.sums = None          # each split's lower sum as of its last refresh, at its offset
-        self.lows = None          # lazy min-heap of lower sum * len(splits) + split offset; stale where sums differ
+        # (dirty, sums, lows) from a non-terminal expansion until solved, else
+        # None: the offsets of splits whose children changed since the last
+        # refresh; each split's lower sum as of its last refresh, at its
+        # offset; a lazy min-heap of lower sum * len(splits) + split offset,
+        # stale where sums differ
+        self.refresh = None
         # _Search.cols entries of every column that may split bits; None
         # once expanded or solved
         self.scan = scan
@@ -348,13 +352,13 @@ class _Search:
         true_floor = self.pen + self.q * (bits & self.minority).bit_count()
         guess = self.pen + self.q * miss
         lower = guess if guess > true_floor else true_floor
-        rec = _Rec(bits, cbits, depth, n, pos, leaf_units, true_floor, miss, lower, scan)
+        rec = _Rec(bits, cbits, depth, n, pos, true_floor, miss, lower, leaf_units, scan)
         counters = self.counters
         counters.created += 1
         level[cbits] = rec
         # a record whose leaf already meets its lower bound closes here, at
         # creation; a pure support, whose leaf costs pen, is one example
-        if rec.upper <= rec.lower:
+        if leaf_units <= lower:
             self._close(rec)
             rec.parents = ()  # nothing links a solved record
         else:
@@ -440,7 +444,7 @@ class _Search:
                     cl = create(level, bl, cbl, child_depth, nl, posl, missl, keep)
                 else:
                     hits += 1
-                if not cl.solved:  # a solved record never changes again
+                if cl.bits is not None:  # a solved record never changes again
                     cl.parents += rec, i
                 left = cl
             if nr != 1:
@@ -450,7 +454,7 @@ class _Search:
                     cr = create(level, bits ^ bl, cbr, child_depth, nr, posr, missr, keep)
                 else:
                     hits += 1
-                if not cr.solved:
+                if cr.bits is not None:
                     cr.parents += rec, i
                 right = cr
                 if agree is not None and nl != 1:
@@ -467,9 +471,7 @@ class _Search:
             self._mark_parents(rec)
         # a first refresh with every split dirty is the full scan
         k = len(splits)
-        rec.dirty = list(range(0, k, 3))
-        rec.sums = [None] * k
-        rec.lows = []
+        rec.refresh = list(range(0, k, 3)), [None] * k, []
         if self._refresh(rec):
             self._propagate(rec)
 
@@ -480,7 +482,7 @@ class _Search:
         by the floor check of _expand_terminal.  Their upper bounds are
         still their leaves' and stay so until they are expanded."""
         pen = self.pen
-        if (a.solved or b.solved or a.sib is not None or b.sib is not None
+        if (a.bits is None or b.bits is None or a.sib is not None or b.sib is not None
                 or a.true_floor + pen >= a.upper or b.true_floor + pen >= b.upper):
             return
         a.sib = (b, scan, agree)
@@ -572,10 +574,11 @@ class _Search:
         the heap, as the one int sum * k + offset for a list of k entries;
         entries whose sum has since changed are stale and are dropped when
         they reach the top."""
-        splits, sums, lows = rec.splits, rec.sums, rec.lows
+        splits = rec.splits
+        dirty, sums, lows = rec.refresh
         k = len(splits)
         upper = rec.upper
-        for i in rec.dirty:
+        for i in dirty:
             cl = splits[i + 1]
             cr = splits[i + 2]
             if type(cl) is int:
@@ -592,8 +595,10 @@ class _Search:
             if l != sums[i]:
                 sums[i] = l
                 heapq.heappush(lows, l * k + i)
-        rec.dirty.clear()
-        lower = rec.leaf_units
+        dirty.clear()
+        # from the new upper, not the leaf: a least sum at or above it leaves
+        # rec to close at its upper either way
+        lower = upper
         while lows:
             l, i = divmod(lows[0], k)
             if l == sums[i]:
@@ -614,20 +619,20 @@ class _Search:
 
     def _close(self, rec):
         """Solve rec at its upper bound, counting it when only the guess,
-        pen + q * miss, closes it.  Its sample mask goes: only an unsolved
-        record is counted."""
-        rec.solved = True
-        rec.bits = rec.dirty = rec.sums = rec.lows = rec.scan = None
+        pen + q * miss, closes it.  It drops what only the search of an
+        unsolved record reads: its sample mask, which marks it solved, its
+        refresh state, its column list and its floor."""
         if rec.true_floor < rec.upper <= self.pen + self.q * rec.miss:
             self.counters.closed_by_guess += 1
+        rec.bits = rec.refresh = rec.scan = rec.true_floor = None
         rec.lower = rec.upper
 
     @staticmethod
     def _mark_parents(rec):
         links = iter(rec.parents)
         for p, i in zip(links, links):
-            if not p.solved:
-                p.dirty.append(i)
+            if p.bits is not None:
+                p.refresh[0].append(i)
 
     def _propagate(self, rec):
         """Wake the parents of rec, which has changed, breadth-first: the
@@ -639,9 +644,9 @@ class _Search:
         while work:
             r = work.popleft()
             for p in r.parents[::2]:
-                if not p.solved and self._refresh(p):
+                if p.bits is not None and self._refresh(p):
                     work.append(p)
-            if r.solved:
+            if r.bits is None:
                 r.parents = ()
 
     # ---------------- main loop
@@ -656,7 +661,7 @@ class _Search:
         root = self._create(self.recs.setdefault(depth, {}), bits, self.root_cbits, depth,
                             bits.bit_count(), (bits & self.pos_bits).bit_count(), miss, self.cols)
         time_limit_s, max_records = self.cfg.time_limit_s, self.cfg.max_records
-        while not root.solved and self.heap:
+        while root.bits is not None and self.heap:
             if time_limit_s is not None and time.monotonic() - t0 > time_limit_s:
                 return root, "time-limit"
             if max_records is not None and self.counters.created > max_records:
@@ -678,12 +683,13 @@ class _Search:
     # ---------------- extraction
 
     def best(self, rec, memo):
-        """Key and choice of the best tree over the recorded action DAG below
-        rec: the key (units, leaves, depth, structure) is minimal per
-        subproblem, and the choice is the winning split's offset in a flat
-        list, a terminal record's column, or None for the leaf.  Children of
-        closed records may have kept improving, so this can land below the
-        record's incumbent; never above it."""
+        """The best tree over the recorded action DAG below rec, as one tuple
+        (units, leaves, depth, structure, choice), memoized per record: its
+        first four fields, the key, are minimal per subproblem, and the
+        choice is the winning split's offset in a flat list, a terminal
+        record's column, or None for the leaf.  Children of closed records
+        may have kept improving, so this can land below the record's
+        incumbent; never above it."""
         got = memo.get(rec)
         if got is not None:
             return got
@@ -691,9 +697,10 @@ class _Search:
         if type(splits) is int:
             # a terminal record's column: its two leaves cost its upper bound,
             # which beats its leaf
-            memo[rec] = got = (rec.upper, 2, 1, (splits, _LEAF_KEY, _LEAF_KEY)), splits
+            memo[rec] = got = rec.upper, 2, 1, (splits, _LEAF_KEY, _LEAF_KEY), splits
             return got
-        key, choice = (rec.leaf_units, 1, 0, _LEAF_KEY), None
+        n, pos = rec.n, rec.pos
+        key, choice = (self.q * (pos if pos < n - pos else n - pos) + self.pen, 1, 0, _LEAF_KEY), None
         prune = not self.guessing
         for i in range(0, len(splits), 3):
             cl = splits[i + 1]
@@ -703,20 +710,20 @@ class _Search:
             # units cannot win; on a tie it still may, by leaves or depth
             if prune and ((cl if lint else cl.lower) + (cr if rint else cr.lower)) > key[0]:
                 continue
-            lu, ll, ld, ls = (cl, 1, 0, _LEAF_KEY) if lint else self.best(cl, memo)[0]
-            ru, rl, rd, rs = (cr, 1, 0, _LEAF_KEY) if rint else self.best(cr, memo)[0]
+            lu, ll, ld, ls, _ = (cl, 1, 0, _LEAF_KEY, None) if lint else self.best(cl, memo)
+            ru, rl, rd, rs, _ = (cr, 1, 0, _LEAF_KEY, None) if rint else self.best(cr, memo)
             cand = (lu + ru, ll + rl, 1 + (ld if ld > rd else rd), (splits[i], ls, rs))
             if cand < key:
                 key, choice = cand, i
         assert key[0] <= rec.upper, "extraction can only match or beat the incumbent"
-        memo[rec] = got = key, choice
+        memo[rec] = got = (*key, choice)
         return got
 
     def build(self, bits, side, memo):
         """The tree of the choices best() made, top-down from the support
         bits; side is a record, or a forced leaf: its units, or None for
         a side of a terminal record's split."""
-        choice = self.best(side, memo)[1] if type(side) is _Rec else None
+        choice = self.best(side, memo)[4] if type(side) is _Rec else None
         if choice is None:
             n = bits.bit_count()
             pos = (bits & self.pos_bits).bit_count()
@@ -753,7 +760,7 @@ def optimize(bin_data: BinaryDataset, cfg: SolverConfig) -> SolveResult:
         root, stopped_by = search.run()
         search.release()
         memo = {}
-        units, leaves, depth, _ = search.best(root, memo)[0]
+        units, leaves, depth, _, _ = search.best(root, memo)
         tree = search.build(bin_data.full_mask, root, memo)
     finally:
         if collecting:

@@ -186,24 +186,28 @@ def test_train_says_what_it_will_search_before_it_starts(tmp_path, capsys):
 
 def test_train_warns_that_an_unbounded_search_without_a_budget_may_not_end(tmp_path, capsys):
     data = _write_synthetic(tmp_path / "syn.csv")
-    advice = ("with no depth limit and no budget the search may not end: --max-records or "
-              "--time-limit-s ends it with the best tree so far, --guess-thresholds searches "
-              "fewer columns")
-    for flags, warned in (
-        ([], True),
-        (["--depth", "none"], True),
-        (["--max-records", "1000000"], False),
-        (["--time-limit-s", "60"], False),
-        (["--depth", "3"], False),
+    guessed = ("with no depth limit and no budget the search may not end: --max-records or "
+               "--time-limit-s ends it with the best tree so far")
+    # a run that already guesses thresholds is not told to
+    advice = guessed + ", --guess-thresholds searches fewer columns"
+    for flags, said_line in (
+        ([], advice),
+        (["--depth", "none"], advice),
+        (["--guess-thresholds"], guessed),
+        (["--depth", "none", "--guess-thresholds", "--lb-guess"], guessed),
+        (["--max-records", "1000000"], None),
+        (["--time-limit-s", "60"], None),
+        (["--depth", "3"], None),
+        (["--depth", "3", "--guess-thresholds"], None),
     ):
         rc = cli.main(["train", data, "--lambda", "1/100", *flags, "--out", str(tmp_path / "run")])
         assert rc == 0, flags
         err = capsys.readouterr().err.splitlines()
         said = next(i for i, line in enumerate(err) if line.startswith("searching "))
-        if warned:
-            assert err[said + 1] == advice, flags
+        if said_line is not None:
+            assert err[said + 1] == said_line, flags
         else:
-            assert advice not in err, flags
+            assert not any(line.startswith(guessed) for line in err), flags
 
 
 def test_train_rerun_is_byte_identical(tmp_path):

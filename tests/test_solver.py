@@ -163,6 +163,16 @@ def _entries(rec):
     return list(zip(it, it, it))
 
 
+def _solved(rec):
+    """A record is solved exactly when it has dropped its sample mask."""
+    return rec.bits is None
+
+
+def _leaf_units(rec, reg):
+    """The units of rec's support as one majority leaf, from its counts."""
+    return reg.denom * min(rec.pos, rec.n - rec.pos) + reg.leaf_penalty_units
+
+
 def _supports(search, root_rec):
     """Each record's support over samples, walked down the recorded splits
     from the root: every record is created as one side of some split, and a
@@ -199,7 +209,7 @@ def test_cache_holds_subproblem_optima():
     support = _supports(search, root_rec)
     checked = 0
     for rec in _records(search):
-        if not rec.solved:
+        if not _solved(rec):
             continue
         # the DP's optimum over the whole dataset, counting loss only on the
         # support, is the support's own optimum: a leaf holding none of it
@@ -504,12 +514,13 @@ def _split_sums(split):
     return ul + ur, ll + lr
 
 
-def _heap_min(rec):
+def _heap_min(rec, leaf):
     """rec's lower bound as its heap gives it: the least non-stale entry,
-    or the leaf."""
+    or the leaf's units."""
     k = len(rec.splits)
-    fresh = [low for low, i in (divmod(e, k) for e in rec.lows) if rec.sums[i] == low]
-    return min([rec.leaf_units] + fresh)
+    _, sums, lows = rec.refresh
+    fresh = [low for low, i in (divmod(e, k) for e in lows) if sums[i] == low]
+    return min([leaf] + fresh)
 
 
 def _check_bounds_against_full_rescan(search):
@@ -520,15 +531,17 @@ def _check_bounds_against_full_rescan(search):
     marked on the parent without waking it, so those marks are folded in
     here as the next wake would fold them.  Such marks carry no change of
     a lower sum, so the heap must already hold the full lower bound."""
+    reg = search.cfg.regularizer
     for rec in _records(search):
-        if rec.dirty is None:  # unexpanded, terminal or solved
+        if rec.refresh is None:  # unexpanded, terminal or solved
             continue
+        leaf = _leaf_units(rec, reg)
         sums = [_split_sums(s) for s in _entries(rec)]
-        full_upper = min([rec.leaf_units] + [u for u, _ in sums])
-        full_lower = min([rec.leaf_units] + [l for _, l in sums])
-        pending = [sums[i // 3][0] for i in rec.dirty]  # dirty holds list offsets
+        full_upper = min([leaf] + [u for u, _ in sums])
+        full_lower = min([leaf] + [l for _, l in sums])
+        pending = [sums[i // 3][0] for i in rec.refresh[0]]  # dirty holds list offsets
         assert min([rec.upper] + pending) == full_upper
-        assert _heap_min(rec) == full_lower
+        assert _heap_min(rec, leaf) == full_lower
         assert rec.lower >= full_lower
 
 
@@ -546,7 +559,7 @@ def test_incremental_bounds_match_a_full_rescan():
 
         search._expand = expand_and_check
         root_rec, stopped_by = search.run()
-        assert root_rec.solved and stopped_by is None, name
+        assert _solved(root_rec) and stopped_by is None, name
         _check_bounds_against_full_rescan(search)
         assert seen["expanded"] >= 300, name
 
@@ -612,22 +625,22 @@ def test_terminal_expansion_matches_a_column_scan():
             if rec not in expanded or rec.depth != 1:
                 continue
             assert rec in how, name
-            assert rec.solved and rec.lower == rec.upper, name
+            assert _solved(rec) and rec.lower == rec.upper, name
             scan = _two_leaf_scan(bin_data, reg, support[rec])
-            if scan is not None and scan[0] < rec.leaf_units:
+            if scan is not None and scan[0] < _leaf_units(rec, reg):
                 units, j, _ = scan
                 assert rec.splits == j, name
                 assert rec.upper == units, name
                 kept += 1
             else:
                 assert rec.splits == (), name
-                assert rec.upper == rec.leaf_units, name
+                assert rec.upper == _leaf_units(rec, reg), name
                 empty += 1
         assert len(how) == kept + empty, name
         counts = {k: list(how.values()).count(k) for k in ("floor", "derived", "scanned")}
         if name.startswith("heavy"):
             assert (kept, empty) == (0, 1), name
-            assert root_rec.depth == 1 and 2 * reg.leaf_penalty_units >= root_rec.leaf_units
+            assert root_rec.depth == 1 and 2 * reg.leaf_penalty_units >= _leaf_units(root_rec, reg)
             # the floor alone rules out every split of that record
             assert counts["floor"] == 1, name
         else:
@@ -707,14 +720,14 @@ def test_records_hold_compact_splits():
         columns, pos_bits = bin_data.columns, bin_data.pos_mask
         flat = kept = 0
         for rec in _records(search):
-            if rec in expanded or rec.solved:
+            if rec in expanded or _solved(rec):
                 assert rec.scan is None, name
             splits = rec.splits
             if rec not in expanded:
                 assert splits == (), name
             elif cfg.depth_limit is not None and rec.depth == 1:
                 if type(splits) is not int:
-                    assert splits == () and rec.upper == rec.leaf_units, name
+                    assert splits == () and rec.upper == _leaf_units(rec, cfg.regularizer), name
                     continue
                 bits = support[rec]
                 units = 0
@@ -722,7 +735,7 @@ def test_records_hold_compact_splits():
                     n, pos = side.bit_count(), (side & pos_bits).bit_count()
                     assert n > 0, name
                     units += q * min(pos, n - pos) + pen
-                assert rec.upper == units < rec.leaf_units, name
+                assert rec.upper == units < _leaf_units(rec, cfg.regularizer), name
                 kept += 1
             else:
                 assert type(splits) is list and len(splits) % 3 == 0, name
@@ -748,7 +761,7 @@ def _check_parent_links(search, expanded):
                     want.setdefault(child, []).extend((parent, 3 * k))
     twice = 0
     for rec in _records(search):
-        if rec.solved:
+        if _solved(rec):
             assert rec.parents == (), rec
             continue
         links = want.get(rec, [])
@@ -774,31 +787,32 @@ def test_records_link_back_to_the_splits_that_use_them():
             search._expand = note_expand
             root_rec, stopped_by = search.run()
             assert stopped_by == (None if cap is None else "record-limit"), name
-            assert root_rec.solved == (cap is None), name
+            assert _solved(root_rec) == (cap is None), name
             twice += _check_parent_links(search, expanded)
     # some parent uses one child in two splits
     assert twice > 0
 
 
-def _unpruned_best(rec, memo):
-    """Key and choice of rec's best tree over every recorded split: the
-    extraction pass without its lower-bound prune."""
+def _unpruned_best(rec, memo, reg):
+    """(units, leaves, depth, structure, choice) of rec's best tree over
+    every recorded split: the extraction pass without its lower-bound
+    prune."""
     got = memo.get(rec)
     if got is None:
         leaf = (1, 0, solver._LEAF_KEY)
-        key, choice = (rec.leaf_units, *leaf), None
+        key, choice = (_leaf_units(rec, reg), *leaf), None
         if type(rec.splits) is int:
             # a terminal record's column: two forced leaves costing its upper bound
             cand = (rec.upper, 2, 1, (rec.splits, solver._LEAF_KEY, solver._LEAF_KEY))
             if cand < key:
                 key, choice = cand, rec.splits
         for k, (j, cl, cr) in enumerate(_entries(rec)):
-            lu, ll, ld, ls = (cl, *leaf) if type(cl) is int else _unpruned_best(cl, memo)[0]
-            ru, rl, rd, rs = (cr, *leaf) if type(cr) is int else _unpruned_best(cr, memo)[0]
+            lu, ll, ld, ls = (cl, *leaf) if type(cl) is int else _unpruned_best(cl, memo, reg)[:4]
+            ru, rl, rd, rs = (cr, *leaf) if type(cr) is int else _unpruned_best(cr, memo, reg)[:4]
             cand = (lu + ru, ll + rl, 1 + max(ld, rd), (j, ls, rs))
             if cand < key:
                 key, choice = cand, 3 * k  # the split's offset in the flat list
-        memo[rec] = got = key, choice
+        memo[rec] = got = (*key, choice)
     return got
 
 
@@ -833,7 +847,7 @@ def test_pruned_extraction_matches_a_full_pass(monkeypatch):
         root_rec, stopped_by = search.run()
         assert stopped_by == ("time-limit" if name == "time_limit" else None), name
         memo, full = {}, {}
-        assert search.best(root_rec, memo) == _unpruned_best(root_rec, full), name
+        assert search.best(root_rec, memo) == _unpruned_best(root_rec, full, cfg.regularizer), name
         # every record the pruned pass reached has the full pass's key and choice
         for rec, got in memo.items():
             assert got == full[rec], name
@@ -922,8 +936,18 @@ def test_matches_the_exhaustive_dp_at_mid_scale():
 def test_floor_matches_a_per_group_recount():
     for name, (bin_data, cfg) in _pinned_instances().items():
         search = solver._Search(bin_data, cfg)
+        # a record's close drops its floor, and a record may close inside
+        # _create, so each floor is noted just before its close
+        floors = {}
+        close = search._close
+
+        def note_close(rec):
+            floors[rec] = rec.true_floor
+            close(rec)
+
+        search._close = note_close
         root_rec, _ = search.run()
-        assert root_rec.solved, name
+        assert _solved(root_rec), name
         support = _supports(search, root_rec)
         groups = class_groups(bin_data)
         labels = bin_data.labels
@@ -941,7 +965,8 @@ def test_floor_matches_a_per_group_recount():
                 inside = [i for i in group if support[rec] >> i & 1]
                 pos = sum(int(labels[i]) for i in inside)
                 recount += min(pos, len(inside) - pos)
-            assert rec.true_floor == pen + q * recount, name
+            floor = floors[rec] if _solved(rec) else rec.true_floor
+            assert floor == pen + q * recount, name
             paid += recount > 0
         # the bound is nonzero on some record
         assert paid > 0, name
@@ -971,11 +996,38 @@ def test_cache_is_keyed_by_class_masks():
                 meets = {int(ids[i]) for i in range(bin_data.n_samples) if support[rec] >> i & 1}
                 assert cbits == sum(1 << k for k in meets), name
                 seen.add((support[rec], depth))
-                assert rec.bits == (None if rec.solved else support[rec]), name
+                # a record is solved once its bounds meet
+                assert rec.bits == (None if rec.lower == rec.upper else support[rec]), name
         assert len(seen) == len(_records(search)), name
-        assert all(rec.solved for rec in terminal), name
-        assert not any(rec.parents for rec in _records(search) if rec.solved), name
+        assert all(_solved(rec) for rec in terminal), name
+        assert not any(rec.parents for rec in _records(search) if _solved(rec)), name
         assert terminal or cfg.depth_limit is None, name
+
+
+def test_solved_records_keep_only_what_hits_and_extraction_read():
+    # a cache hit reads a solved record's counts and bounds, and extraction
+    # its counts, bounds and splits; the rest goes at its close, and each
+    # extracted subproblem is memoized as one flat tuple
+    assert len(solver._Rec.__slots__) <= 14
+    for name, (bin_data, cfg) in _pinned_instances().items():
+        reg = cfg.regularizer
+        search = solver._Search(bin_data, cfg)
+        root_rec, _ = search.run()
+        support = _supports(search, root_rec)
+        solved = 0
+        for rec in _records(search):
+            if rec.lower != rec.upper:  # bounds that have not met: unsolved
+                continue
+            solved += 1
+            assert (rec.bits, rec.refresh, rec.scan, rec.true_floor) == (None,) * 4, name
+            assert rec.parents == (), name
+            n = support[rec].bit_count()
+            pos = (support[rec] & bin_data.pos_mask).bit_count()
+            assert _leaf_units(rec, reg) == reg.denom * min(pos, n - pos) + reg.leaf_penalty_units, name
+        assert solved > 0, name
+        memo = {}
+        search.best(root_rec, memo)
+        assert memo and all(type(got) is tuple and len(got) == 5 for got in memo.values()), name
 
 
 def test_stored_counts_match_the_supports():
