@@ -33,6 +33,15 @@ def bools_to_bits(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(np.asarray(mask, dtype=bool), bitorder="little").tobytes(), "little")
 
 
+def _unpack(masks, n: int) -> np.ndarray:
+    """(len(masks), n) uint8 matrix whose row r holds bits 0 .. n-1 of
+    masks[r]; each mask is below 2**n."""
+    width = (n + 7) // 8
+    raw = b"".join(c.to_bytes(width, "little") for c in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
+
+
 # ---------------------------------------------------------------- raw data
 
 @dataclass(frozen=True)
@@ -195,11 +204,7 @@ class BinaryDataset:
 
     def rows_matrix(self) -> np.ndarray:
         """(n, m_tilde) uint8 matrix of the indicator columns, built per call."""
-        n, width = self.n_samples, (self.n_samples + 7) // 8
-        raw = b"".join(c.to_bytes(width, "little") for c in self.columns)
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(self.n_columns, width)
-        bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :n]
-        return np.ascontiguousarray(bits.T)
+        return np.ascontiguousarray(_unpack(self.columns, self.n_samples).T)
 
     def column_index(self, feature: str, threshold: float) -> int:
         """Index of the indicator column of a feature name and threshold."""
@@ -329,18 +334,38 @@ def read_binary_csv(path) -> BinaryDataset:
 class EquivalenceClasses:
     """Partition of samples by identical binarized feature vector.
 
-    ids[i] is the class of sample i, numbered 0 .. n_classes - 1; minority
-    is the bitmask of each class's rarer-label members (the label-1 ones on
-    a tie; either side has the same count).  rows[k] is the (uint8)
-    indicator row every member of class k shares, and columns holds each
-    indicator column in class space: bit k of columns[c] is rows[k, c].
+    ids[i] is the class of sample i (in dataset order), numbered 0 ..
+    n_classes - 1.
+
+    The masks are over samples in search order, the order the solver keeps
+    its supports in: class k's first member is search sample k, and the
+    samples that are no class's first member follow, in dataset order, from
+    n_classes up; search_mask maps a dataset-order mask there.  So the low
+    n_classes bits of a mask of whole classes are its class mask, and a
+    support whose classes are single samples is its class mask.  columns
+    holds each indicator column, pos_mask the label-1 samples, and minority
+    each class's rarer-label members (the label-1 ones on a tie; either
+    side has the same count).
     """
 
     ids: np.ndarray
     n_classes: int
-    minority: int
-    rows: np.ndarray
     columns: tuple[int, ...]
+    pos_mask: int
+    minority: int
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(n_classes, m) uint8 matrix whose row k is the indicator row every
+        member of class k shares, read off the columns; built per call."""
+        low = (1 << self.n_classes) - 1
+        return np.ascontiguousarray(_unpack([c & low for c in self.columns], self.n_classes).T)
+
+    def search_mask(self, bits: int) -> int:
+        """bits, a mask over samples in dataset order, in search order."""
+        n = len(self.ids)
+        order = _search_order(np.unique(self.ids, return_index=True)[1], n)
+        return bools_to_bits(bits_to_bools(bits, n)[order])
 
 
 def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
@@ -353,23 +378,35 @@ def equivalence_classes(bin_data: BinaryDataset) -> EquivalenceClasses:
     return eq
 
 
+def _search_order(first, n: int) -> np.ndarray:
+    """Each class's first member, first[k] for class k, then every other
+    sample in dataset order."""
+    later = np.ones(n, dtype=bool)
+    later[first] = False
+    return np.concatenate((first, np.flatnonzero(later)))
+
+
 def _partition(bin_data: BinaryDataset) -> EquivalenceClasses:
-    rows = bin_data.rows_matrix()
-    first, ids = [0], np.zeros(bin_data.n_samples, dtype=np.intp)  # no columns, one class
-    if bin_data.n_columns:
-        # each row packed to bytes is one opaque key; equal rows, equal keys
-        packed = np.packbits(rows, axis=1)
+    n, m = bin_data.n_samples, bin_data.n_columns
+    # one unpack gives, as rows over samples, every column, the labels and a
+    # row for the minority members, filled in below
+    by_mask = _unpack((*bin_data.columns, bin_data.pos_mask, 0), n)
+    is_pos = by_mask[m].view(bool)
+    first, ids = [0], np.zeros(n, dtype=np.intp)  # no columns, one class
+    if m:
+        # each sample's indicator row packed to bytes is one opaque key;
+        # equal rows, equal keys
+        packed = np.packbits(np.ascontiguousarray(by_mask[:m].T), axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, ids = np.unique(keys, return_index=True, return_inverse=True)
-    is_pos = bits_to_bools(bin_data.pos_mask, bin_data.n_samples)
     # label 1 is a class's rarer label when at most half its members have it
     pos_is_minority = 2 * np.bincount(ids[is_pos], minlength=len(first)) <= np.bincount(ids)
-    minority = bools_to_bits(is_pos == pos_is_minority[ids])
-    # one member's row stands for its class; pack each column over classes
-    rows = rows[first]
-    by_class = np.packbits(rows.T, axis=1, bitorder="little")
-    columns = tuple(int.from_bytes(c.tobytes(), "little") for c in by_class)
-    return EquivalenceClasses(ids, len(first), minority, rows, columns)
+    by_mask[m + 1] = is_pos == pos_is_minority[ids]
+    # and one pack puts them all in search order
+    in_order = np.take(by_mask, _search_order(first, n), axis=1)
+    packed = np.packbits(in_order, axis=1, bitorder="little")
+    *columns, pos_mask, minority = (int.from_bytes(row.tobytes(), "little") for row in packed)
+    return EquivalenceClasses(ids, len(first), tuple(columns), pos_mask, minority)
 
 
 def minority_total(eq: EquivalenceClasses) -> int:

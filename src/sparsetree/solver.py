@@ -17,21 +17,32 @@ Two consequences.  The equivalence-points bound (GOSDT), which counts per class
 the rarer label inside the support, is one popcount of the support against a
 minority mask, built once per dataset.  And the classes a support
 meets fix it, so the subproblem cache is one dict per depth, keyed by the
-class mask, with one bit per class rather than per sample: each column also
-carries its values over the classes, and a child's class mask is its parent's
-cut by the column, as its support is.  An expansion looks each child up
-before counting it: a column splits the support exactly when it splits its
-classes, and a child found in the cache already holds its sample, label-1
-and reference-mistake counts, so the other side's are the support's minus
-these.  Only when neither side is found are the samples counted, on sample
-masks, and a found left side leaves the right one to be looked up only if
-the split passes the prune check.  A record keeps its support's sample
-mask, its floor and its refresh state (below) only until it is solved, its
-column list only until it is expanded or solved, and its parent links only
-until its close has reached its parents.  So a solved record holds what a
-cache hit and extraction read, its counts, bounds and splits, and its leaf's
-units are computed from its counts where they are needed.  A record is
-solved exactly when its sample mask is gone.
+class mask, with one bit per class rather than per sample.
+
+The search numbers the samples class first (see EquivalenceClasses): class
+k's first member is sample k, and the other members of the classes follow
+from bit n_classes up.  The columns, labels, minority mask and reference
+mistakes are put in this order once, before the search; tree building reads
+the dataset's own.  In this order a support's class mask is its low
+n_classes bits, so one column list serves both: a child's class mask is its
+parent's cut by the column, as its support is.  A support with no higher
+bit, each of whose classes is a single sample, is its class mask: its record
+keeps the class-mask int in both slots, dropping the equal sample mask it is
+given, and it has no minority to count.  On continuous features, where
+nearly every row is its own class, that is most of the search.
+
+An expansion looks each child up before counting it: a column splits the
+support exactly when it splits its classes, and a child found in the cache
+already holds its sample, label-1 and reference-mistake counts, so the other
+side's are the support's minus these.  Only when neither side is found are
+the samples counted, on sample masks, and a found left side leaves the right
+one to be looked up only if the split passes the prune check.  A record
+keeps its support's sample mask, its floor and its refresh state (below)
+only until it is solved, its column list only until it is expanded or
+solved, and its parent links only until its close has reached its parents.
+So a solved record holds what a cache hit and extraction read, its counts,
+bounds and splits, and its leaf's units are computed from its counts where
+they are needed.  A record is solved exactly when its sample mask is gone.
 
 A non-terminal record's splits are one flat list, three entries per split:
 column, left, right.  A side is the child record, or, for a one-sample side,
@@ -257,7 +268,9 @@ class _Rec:
     )
 
     def __init__(self, bits, cbits, depth, n, pos, true_floor, miss, lower, upper, scan):
-        self.bits = bits          # the support over samples; None exactly when solved
+        self.bits = bits          # the support over samples in search order; None exactly
+                                  # when solved; cbits itself when each of its classes is
+                                  # one sample
         self.cbits = cbits        # the classes the support meets: its key in the cache of its
                                   # depth; None once the search ends
         self.depth = depth
@@ -300,38 +313,41 @@ class _Search:
         self.cfg = cfg
         self.pen = cfg.regularizer.leaf_penalty_units
         self.q = cfg.regularizer.denom
-        self.pos_bits = bin_data.pos_mask
         self.counters = Counters()
         self.recs: dict = {}    # depth -> {class mask: record}
         self.heap: list = []
         self.bounded = cfg.depth_limit is not None
 
+        # every mask over samples the search keeps is in search order (see
+        # EquivalenceClasses): the low n_classes bits of a support are its
+        # class mask, and a support with no higher bit is its class mask
+        eq = equivalence_classes(bin_data)
+        self.pos_bits = eq.pos_mask
+        # rarer-label members of each equivalence class; see _create
+        self.minority = eq.minority
+        # the root meets every class: its cache key with its depth, and the
+        # largest support with no sample past the class firsts
+        self.root_cbits = (1 << eq.n_classes) - 1
+
         ref = cfg.reference
         self.refused = ref is not None and ref.single_class
         self.guessing = ref is not None and not self.refused
-        self.inc_bits = ref.predicted ^ self.pos_bits if self.guessing else 0
+        self.inc_bits = eq.search_mask(ref.predicted ^ bin_data.pos_mask) if self.guessing else 0
 
-        eq = equivalence_classes(bin_data)
-        # rarer-label members of each equivalence class; see _create
-        self.minority = eq.minority
-        # the root meets every class: its cache key with its depth
-        self.root_cbits = (1 << eq.n_classes) - 1
-
-        # (index, bits, agreement mask, class bits) of each column, dropping
-        # duplicates (same or complementary partition); earlier indices win
-        # every tie anyway, later copies only cost scan time.  The agreement
-        # mask holds the samples whose label equals the column's bit (see
-        # _expand_terminal); the class bits are the column over the classes
+        # (index, bits, agreement mask) of each column, dropping duplicates
+        # (same or complementary partition); earlier indices win every tie
+        # anyway, later copies only cost scan time.  The agreement mask holds
+        # the samples whose label equals the column's bit (see
+        # _expand_terminal)
         full = bin_data.full_mask
         seen = set()
         self.cols = []
-        for j, c in enumerate(bin_data.columns):
-            cc = c & full
-            key = min(cc, cc ^ full)
+        for j, c in enumerate(eq.columns):
+            key = min(c, c ^ full)
             if key in seen:
                 continue
             seen.add(key)
-            self.cols.append((j, c, full ^ self.pos_bits ^ cc, eq.columns[j]))
+            self.cols.append((j, c, full ^ self.pos_bits ^ c))
 
     # ---------------- record lifecycle
 
@@ -343,13 +359,20 @@ class _Search:
         every caller has already taken them.  scan is the column list the
         record will scan, in column order, holding at least every column not
         constant on bits.  The lower bound is the true floor raised to the
-        guess pen + q * miss; without a guess that is pen, never above it."""
+        guess pen + q * miss; without a guess that is pen, never above it.
+        A support with no sample past the first n_classes is its class mask,
+        and the record keeps cbits in both slots."""
         leaf_units = self.q * min(pos, n - pos) + self.pen
-        # Every support here is the dataset cut by indicator columns, and
-        # columns are constant on an equivalence class, so a support holds all
-        # of a class's members or none.  Its minority count is therefore the
-        # popcount of the dataset's minority mask inside it.
-        true_floor = self.pen + self.q * (bits & self.minority).bit_count()
+        if bits <= self.root_cbits:
+            # every class of the support is one sample, none a minority
+            bits = cbits
+            true_floor = self.pen
+        else:
+            # Every support here is the dataset cut by indicator columns, and
+            # columns are constant on an equivalence class, so a support holds
+            # all of a class's members or none.  Its minority count is
+            # therefore the popcount of the dataset's minority mask inside it.
+            true_floor = self.pen + self.q * (bits & self.minority).bit_count()
         guess = self.pen + self.q * miss
         lower = guess if guess > true_floor else true_floor
         rec = _Rec(bits, cbits, depth, n, pos, true_floor, miss, lower, leaf_units, scan)
@@ -390,10 +413,11 @@ class _Search:
         agree = [] if child_depth == 1 else None
         neg = n - pos
         for col in rec.scan:
-            j, c, _, cc = col
+            j, c, _ = col
             # the support holds whole classes, so a column is constant on it
-            # exactly when it is constant on its classes
-            cbl = cbits & cc
+            # exactly when it is constant on its classes; in search order the
+            # classes of the left side are the column's low bits inside cbits
+            cbl = cbits & c
             if cbl == 0 or cbl == cbits:
                 continue
             keep.append(col)
@@ -510,7 +534,7 @@ class _Search:
             split = None
         else:
             scan = rec.scan if sib is None else sib[1]
-            own = [(bits & e).bit_count() for _, _, e, _ in scan]
+            own = [(bits & e).bit_count() for _, _, e in scan]
             split = self._two_leaves(rec, scan, own)
             if sib is not None:
                 other, _, parent = sib
@@ -555,7 +579,7 @@ class _Search:
             i = agree.index(lo)
         else:
             i = min(agree.index(hi), agree.index(lo))
-        j, c, _, _ = scan[i]
+        j, c, _ = scan[i]
         pos = rec.pos
         nl = (rec.bits & c).bit_count()
         posl = (nl + agree[i] - (n - pos)) // 2
@@ -726,7 +750,7 @@ class _Search:
         choice = self.best(side, memo)[4] if type(side) is _Rec else None
         if choice is None:
             n = bits.bit_count()
-            pos = (bits & self.pos_bits).bit_count()
+            pos = (bits & self.bin.pos_mask).bit_count()
             return Leaf(1 if pos > n - pos else 0)
         splits = side.splits
         if type(splits) is int:

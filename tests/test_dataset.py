@@ -441,10 +441,12 @@ def test_minority_total_respects_support():
     b = _binary_from_rows([[0], [0], [0], [1]], [0, 0, 1, 1])
     eq = equivalence_classes(b)
     assert minority_total(eq) == 1
+    # class {3} is sorted first, so in search order samples 3, 0, 1, 2
+    assert [eq.search_mask(1 << i) for i in range(4)] == [0b0010, 0b0100, 0b1000, 0b0001]
     # a support of whole classes keeps exactly its own rarer-label members
-    assert eq.minority == 0b0100
-    assert eq.minority & 0b0111 == 0b0100
-    assert eq.minority & 0b1000 == 0
+    assert eq.minority == eq.search_mask(0b0100)
+    assert eq.minority & eq.search_mask(0b0111) == eq.search_mask(0b0100)
+    assert eq.minority & eq.search_mask(0b1000) == 0
 
 
 def _per_group_recount(b, y, bits):
@@ -475,7 +477,7 @@ def test_minority_total_matches_per_group_recount():
         eq = equivalence_classes(b)
         assert minority_total(eq) == _per_group_recount(b, y, b.full_mask)
         s = _whole_classes(b, rng)
-        assert (eq.minority & s).bit_count() == _per_group_recount(b, y, s)
+        assert (eq.minority & eq.search_mask(s)).bit_count() == _per_group_recount(b, y, s)
 
 
 def test_minority_bits_counts_and_restricts_to_whole_classes():
@@ -490,8 +492,9 @@ def test_minority_bits_counts_and_restricts_to_whole_classes():
         # members are the dataset's, restricted to it
         for _ in range(4):
             sub = _whole_classes(b, rng)
-            assert eq.minority & sub == _minority_recount(b, sub)
-            assert (eq.minority & sub).bit_count() == _per_group_recount(b, y, sub)
+            sub_in_order = eq.search_mask(sub)
+            assert eq.minority & sub_in_order == eq.search_mask(_minority_recount(b, sub))
+            assert (eq.minority & sub_in_order).bit_count() == _per_group_recount(b, y, sub)
 
 
 def _minority_recount(b, bits):
@@ -532,16 +535,17 @@ def test_minority_bits_matches_a_per_class_recount(m):
         groups = class_groups(b)
         assert eq.n_classes == len(groups)
         assert _classes(eq) == sorted(map(sorted, groups))
-        assert eq.minority == _minority_recount(b, b.full_mask)
+        assert eq.minority == eq.search_mask(_minority_recount(b, b.full_mask))
         for bits in (0, _whole_classes(b, rng), _whole_classes(b, rng)):
-            assert eq.minority & bits == _minority_recount(b, bits)
+            assert eq.minority & eq.search_mask(bits) == eq.search_mask(_minority_recount(b, bits))
 
 
 @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 17])
 def test_class_space_columns_match_per_class_rows(m):
-    # bit k of a class-space column is the column's value on every member of
-    # class k.  Few distinct rows, each repeated; m = 0 is the one-class
-    # partition with no columns
+    # in search order class k's first member is sample k and the other
+    # samples follow in dataset order, so bit k of a column is its value on
+    # every member of class k.  Few distinct rows, each repeated; m = 0 is
+    # the one-class partition with no columns
     rng = np.random.default_rng(200 + m)
     n = 90
     for _ in range(5):
@@ -554,14 +558,18 @@ def test_class_space_columns_match_per_class_rows(m):
             b = sparsetree.binarize_with_thresholds(sparsetree.make_raw(np.zeros((n, 1)), y), [])
         eq = equivalence_classes(b)
         assert len(eq.columns) == b.n_columns == m
+        first = [int(np.flatnonzero(eq.ids == k)[0]) for k in range(eq.n_classes)]
+        order = first + [i for i in range(n) if i not in first]
+        for k, i in enumerate(order):
+            assert eq.search_mask(1 << i) == 1 << k
+        assert eq.pos_mask == eq.search_mask(b.pos_mask)
+        for c, col in enumerate(eq.columns):
+            assert col == eq.search_mask(b.columns[c])
         for k in range(eq.n_classes):
             members = np.flatnonzero(eq.ids == k).tolist()
             for c, col in enumerate(eq.columns):
                 assert {b.columns[c] >> i & 1 for i in members} == {col >> k & 1}
-        for col in eq.columns:
-            assert col >> eq.n_classes == 0
         # rows[k] is the indicator row of class k's first member
-        first = [int(np.flatnonzero(eq.ids == k)[0]) for k in range(eq.n_classes)]
         assert eq.rows.dtype == np.uint8
         assert np.array_equal(eq.rows, b.rows_matrix()[first])
 

@@ -676,16 +676,19 @@ def test_scan_lists_hold_every_column_that_splits_the_support():
         search._expand, search._create = note_expand, note_create
         root_rec, _ = search.run()
         support = _supports(search, root_rec)
-        full, pos_bits = bin_data.full_mask, bin_data.pos_mask
-        for j, c, agree, _ in search.cols:
+        eq = sparsetree.equivalence_classes(bin_data)
+        full, pos_bits = bin_data.full_mask, eq.pos_mask
+        for j, c, agree in search.cols:
+            assert c == eq.search_mask(bin_data.columns[j]), name
             assert agree == (c & pos_bits) | (full & ~c & ~pos_bits), name
 
         def splitting(rec):
-            return [j for j, c, _, _ in search.cols if 0 < (support[rec] & c).bit_count() < rec.n]
+            bits = support[rec]
+            return [j for j, _, _ in search.cols if 0 < (bits & bin_data.columns[j]).bit_count() < rec.n]
 
         dropped = 0
         for rec in _records(search):
-            scan = [j for j, _, _, _ in scans[rec]]
+            scan = [j for j, _, _ in scans[rec]]
             assert scan and scan == sorted(scan), name
             assert set(splitting(rec)) <= set(scan), name
             # a child still unsolved when created links to its creator first
@@ -988,7 +991,8 @@ def test_cache_is_keyed_by_class_masks():
         search._expand_terminal = note_terminal
         root_rec, _ = search.run()
         support = _supports(search, root_rec)
-        ids = sparsetree.equivalence_classes(bin_data).ids
+        eq = sparsetree.equivalence_classes(bin_data)
+        ids = eq.ids
         seen = set()
         for depth, level in search.recs.items():
             for cbits, rec in level.items():
@@ -996,12 +1000,97 @@ def test_cache_is_keyed_by_class_masks():
                 meets = {int(ids[i]) for i in range(bin_data.n_samples) if support[rec] >> i & 1}
                 assert cbits == sum(1 << k for k in meets), name
                 seen.add((support[rec], depth))
-                # a record is solved once its bounds meet
-                assert rec.bits == (None if rec.lower == rec.upper else support[rec]), name
+                # a record is solved once its bounds meet; until then it
+                # holds its support in search order
+                in_order = eq.search_mask(support[rec])
+                assert rec.bits == (None if rec.lower == rec.upper else in_order), name
         assert len(seen) == len(_records(search)), name
         assert all(_solved(rec) for rec in terminal), name
         assert not any(rec.parents for rec in _records(search) if _solved(rec)), name
         assert terminal or cfg.depth_limit is None, name
+
+
+def _class_samples(eq):
+    """Each class's members as one search-order mask, by class."""
+    return [eq.search_mask(sum(1 << int(i) for i in np.flatnonzero(eq.ids == k)))
+            for k in range(eq.n_classes)]
+
+
+def _check_sample_masks(search, eq):
+    """Check that every unsolved record's sample mask holds, in search
+    order, the members of the classes in its class mask, and that its low
+    n_classes bits are that class mask; return the unsolved records."""
+    samples = _class_samples(eq)
+    unsolved = [rec for rec in _records(search) if not _solved(rec)]
+    for rec in unsolved:
+        assert rec.bits == sum(samples[k] for k in range(eq.n_classes) if rec.cbits >> k & 1)
+        assert rec.bits & ((1 << eq.n_classes) - 1) == rec.cbits
+    return unsolved
+
+
+def test_a_wide_solve_of_distinct_rows_keeps_one_int_per_support():
+    # every row its own class: each support is its class mask, and the
+    # records of a search cut at its record budget, nearly all unexpanded,
+    # hold it in both slots as one int
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2000, 6)).round(2)
+    raw = sparsetree.make_raw(x, (x[:, 0] + x[:, 1] * x[:, 2] > 0).astype(int))
+    bin_data = sparsetree.full_binarize(raw)
+    assert sparsetree.equivalence_classes(bin_data).n_classes == bin_data.n_samples
+    reg = Regularizer.from_text("1/100", bin_data.n_samples)
+    search = solver._Search(bin_data, SolverConfig(reg, depth_limit=3, max_records=20000))
+    root_rec, stopped_by = search.run()
+    assert stopped_by == "record-limit"
+    assert asdict(search.counters) == {
+        "created": 21313, "expanded": 6, "closed_by_guess": 0, "cache_hits": 10626}
+    unsolved = [rec for rec in _records(search) if not _solved(rec)]
+    assert len(unsolved) > 20000
+    assert all(rec.bits is rec.cbits for rec in unsolved)
+    search.release()
+    assert search.best(root_rec, {})[0] == 41600
+
+
+def test_only_supports_holding_a_repeated_row_keep_two_ints():
+    # one row appears twice: its second copy is the one sample past the
+    # class firsts in search order, so exactly the supports holding its
+    # class keep a sample mask apart from the class mask
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(80, 3)).round(2)
+    x = np.vstack([x, x[17]])
+    y = (x[:, 0] + x[:, 1] > 0).astype(int)
+    y[-1] = 1 - y[17]
+    bin_data = sparsetree.full_binarize(sparsetree.make_raw(x, y))
+    eq = sparsetree.equivalence_classes(bin_data)
+    assert eq.n_classes == bin_data.n_samples - 1
+    repeated = int(eq.ids[17])
+    reg = Regularizer.from_text("1/100", bin_data.n_samples)
+    search = solver._Search(bin_data, SolverConfig(reg, depth_limit=3, max_records=3000))
+    assert search.run()[1] == "record-limit"
+    unsolved = _check_sample_masks(search, eq)
+    two = [rec for rec in unsolved if rec.bits is not rec.cbits]
+    assert two == [rec for rec in unsolved if rec.cbits >> repeated & 1]
+    assert 0 < len(two) < len(unsolved)
+    # a support holding the repeated class has both labels in it, and a floor
+    # above the leaf penalty
+    assert all(rec.true_floor == reg.leaf_penalty_units + reg.denom for rec in two)
+
+
+def test_supports_of_repeated_rows_keep_both_masks():
+    # every class has at least three members, so no support is its class
+    # mask: no record shares one int between its two slots
+    rng = np.random.default_rng(50)
+    base = random_raw(rng, 100, 3, levels=2)
+    bin_data = sparsetree.full_binarize(sparsetree.make_raw(
+        np.vstack([base.features] * 3), rng.integers(0, 2, size=300)))
+    eq = sparsetree.equivalence_classes(bin_data)
+    assert min(np.bincount(eq.ids)) >= 3
+    reg = Regularizer.from_text("1/200", bin_data.n_samples)
+    for cap in (500, None):
+        search = solver._Search(bin_data, SolverConfig(reg, depth_limit=4, max_records=cap))
+        search.run()
+        unsolved = _check_sample_masks(search, eq)
+        assert unsolved or cap is None
+        assert not any(rec.bits is rec.cbits for rec in unsolved)
 
 
 def test_solved_records_keep_only_what_hits_and_extraction_read():
@@ -1110,10 +1199,21 @@ def test_a_failing_search_restores_the_collector(monkeypatch):
 
 def _metamorphic_draws():
     """Seeded 120-200 row datasets, each with a 1-stage stump reference that
-    leaves the guessed search real work to do."""
+    leaves the guessed search real work to do.  The first six repeat many
+    rows; in the last two every row is its own class but for one row, in
+    the last, that appears twice."""
+    draws = []
     for seed in range(6):
         rng = np.random.default_rng(seed)
-        raw = random_raw(rng, int(rng.integers(120, 201)), int(rng.integers(3, 5)), levels=1)
+        n, m = int(rng.integers(120, 201)), int(rng.integers(3, 5))
+        draws.append((rng, random_raw(rng, n, m, levels=1)))
+    rng = np.random.default_rng(6)
+    cells = rng.choice(16 * 16, size=160, replace=False)
+    x = np.column_stack((cells // 16, cells % 16)).astype(float)
+    y = ((x[:, 0] > 7).astype(float) + (x[:, 1] < 9) + 0.6 * rng.normal(size=160) > 1.0).astype(int)
+    draws.append((rng, sparsetree.make_raw(x, y)))
+    draws.append((rng, sparsetree.make_raw(np.vstack([x, x[:1]]), np.append(y, 1 - y[0]))))
+    for rng, raw in draws:
         ref = guessing.reference_labels(boosting.fit(raw, 1, 1, 0.5), raw)
         yield rng, raw, ref
 
@@ -1128,13 +1228,20 @@ def _fingerprint(res):
 
 
 def test_row_permutation_changes_nothing():
+    # the search order of the samples follows the rows' order, and nothing
+    # the search returns may: not on a full solve, nor on one cut short
     searched = 0
     for rng, raw, ref in _metamorphic_draws():
         perm = rng.permutation(raw.n_samples)
         moved = sparsetree.make_raw(raw.features[perm], raw.labels[perm])
         b, b_moved = sparsetree.full_binarize(raw), sparsetree.full_binarize(moved)
         assert b_moved.column_meta == b.column_meta
-        assert _fingerprint(_solve(b)) == _fingerprint(_solve(b_moved))
+        full = _solve(b)
+        assert _fingerprint(full) == _fingerprint(_solve(b_moved))
+        cfg = SolverConfig(full.regularizer, depth_limit=3, max_records=full.counters.created // 2)
+        cut = solver.optimize(b, cfg)
+        assert cut.status == "record-limit"
+        assert _fingerprint(cut) == _fingerprint(solver.optimize(b_moved, cfg))
         preds = bits_to_bools(ref.predicted, raw.n_samples)
         ref_moved = guessing.reference_from_predictions(preds[perm], moved.labels)
         guessed = _solve(b, ref=ref)
