@@ -13,36 +13,36 @@ zero mistakes, and a guess of pen never passes the certified floor.
 Every support the search creates is the whole dataset cut by indicator
 columns, which are constant on each equivalence class (group of samples with
 identical column values), so it holds a class's members either all or none.
-Two consequences.  The equivalence-points bound (GOSDT), which counts per class
-the rarer label inside the support, is one popcount of the support against a
-minority mask, built once per dataset.  And the classes a support
+Two consequences.  The equivalence-points bound (GOSDT), which counts per
+class the rarer label inside the support, is one popcount of the support
+against a minority mask, built once per dataset.  And the classes a support
 meets fix it, so the subproblem cache is one dict per depth, keyed by the
 class mask, with one bit per class rather than per sample.
 
-The search numbers the samples class first (see EquivalenceClasses): class
-k's first member is sample k, and the other members of the classes follow
-from bit n_classes up.  The columns, labels, minority mask and reference
-mistakes are put in this order once, before the search; tree building reads
-the dataset's own.  In this order a support's class mask is its low
-n_classes bits, so one column list serves both: a child's class mask is its
-parent's cut by the column, as its support is.  A support with no higher
-bit, each of whose classes is a single sample, is its class mask: its record
-keeps the class-mask int in both slots, dropping the equal sample mask it is
-given, and it has no minority to count.  On continuous features, where
-nearly every row is its own class, that is most of the search.
+The search numbers the samples class first (see EquivalenceClasses): class k's
+first member is sample k, and the other members of the classes follow from bit
+n_classes up.  The columns, labels, minority mask and reference mistakes are
+put in this order once, before the search; tree building reads the dataset's
+own.  In this order a support's class mask is its low n_classes bits, so one
+column list serves both, and a record keeps only its support: a child's class
+mask is its parent's cut by the column, as its support is.  A support with no
+higher bit, each of whose classes is a single sample, is its class mask: its
+record keeps the int that keys it in the cache, and it has no minority to
+count.  On continuous features, where nearly every row is its own class, that
+is most of the search.
 
 An expansion looks each child up before counting it: a column splits the
 support exactly when it splits its classes, and a child found in the cache
 already holds its sample, label-1 and reference-mistake counts, so the other
-side's are the support's minus these.  Only when neither side is found are
-the samples counted, on sample masks, and a found left side leaves the right
-one to be looked up only if the split passes the prune check.  A record
-keeps its support's sample mask, its floor and its refresh state (below)
-only until it is solved, its column list only until it is expanded or
-solved, and its parent links only until its close has reached its parents.
-So a solved record holds what a cache hit and extraction read, its counts,
-bounds and splits, and its leaf's units are computed from its counts where
-they are needed.  A record is solved exactly when its sample mask is gone.
+side's are the support's minus these.  Only when neither side is found are the
+samples counted, on sample masks, and a found left side leaves the right one
+to be looked up only if the split passes the prune check.  A record keeps its
+support's sample mask and its refresh state (below) only until it is solved,
+its column list only until it is expanded or solved, and its parent links only
+until its close has reached its parents.  So a solved record holds what a
+cache hit and extraction read, its counts, bounds and splits, and its leaf's
+units are computed from its counts where they are needed.  A record is solved
+exactly when its sample mask is gone.
 
 A non-terminal record's splits are one flat list, three entries per split:
 column, left, right.  A side is the child record, or, for a one-sample side,
@@ -54,8 +54,8 @@ leaf, holds the empty tuple.
 
 Records point at their parents (for bounds, below) and paired siblings at
 each other, so the graph has cycles while the search runs.  When it ends,
-optimize drops the cache and every record's class mask, remaining parent
-links (an unsolved record's) and sibling pairing, before extraction.  What
+optimize drops the cache and every record's remaining parent links (an
+unsolved record's) and sibling pairing, before extraction.  What
 is left is the split DAG below the root, which reference counting frees
 when optimize returns.  The search itself makes no cyclic garbage (every
 record stays in the cache until the end, and everything else is freed by
@@ -261,22 +261,19 @@ _LEAF_KEY = (-1,)  # structure key of a leaf; a split's is (column, left key, ri
 
 
 class _Rec:
-    # a search holds one per subproblem: 14 slots make a 144 B object
+    # a search holds one per subproblem: 12 slots make a 128 B object
     __slots__ = (
-        "bits", "cbits", "depth", "n", "pos", "true_floor", "miss",
+        "bits", "depth", "n", "pos", "miss",
         "lower", "upper", "splits", "parents", "refresh", "scan", "sib",
     )
 
-    def __init__(self, bits, cbits, depth, n, pos, true_floor, miss, lower, upper, scan):
-        self.bits = bits          # the support over samples in search order; None exactly
-                                  # when solved; cbits itself when each of its classes is
-                                  # one sample
-        self.cbits = cbits        # the classes the support meets: its key in the cache of its
-                                  # depth; None once the search ends
+    def __init__(self, bits, depth, n, pos, miss, lower, upper, scan):
+        self.bits = bits          # the support over samples in search order, its low n_classes
+                                  # bits its class mask; None exactly when solved; the cache
+                                  # key itself when each of its classes is one sample
         self.depth = depth
         self.n = n                # sample and label-1 counts: a cache hit reads them, and
         self.pos = pos            # the leaf costs q * min(pos, n - pos) + pen
-        self.true_floor = true_floor  # the certified floor, see _create; None once solved
         self.miss = miss          # the support's reference mistakes; 0 without a guess
         self.lower = lower
         self.upper = upper        # the leaf's units until a split beats it
@@ -323,7 +320,7 @@ class _Search:
         # class mask, and a support with no higher bit is its class mask
         eq = equivalence_classes(bin_data)
         self.pos_bits = eq.pos_mask
-        # rarer-label members of each equivalence class; see _create
+        # rarer-label members of each equivalence class; see _floor
         self.minority = eq.minority
         # the root meets every class: its cache key with its depth, and the
         # largest support with no sample past the class firsts
@@ -351,31 +348,34 @@ class _Search:
 
     # ---------------- record lifecycle
 
+    def _floor(self, bits):
+        """The certified floor of the support bits: pen plus q times its
+        equivalence-points loss, the minority popcount inside it; none when
+        each of its classes is one sample (no bit past the class firsts)."""
+        if bits <= self.root_cbits:
+            return self.pen
+        return self.pen + self.q * (bits & self.minority).bit_count()
+
+    def _closes_at_leaf(self, rec):
+        """No split of unexpanded rec beats its leaf: each costs floor + pen or more."""
+        return self._floor(rec.bits) + self.pen >= rec.upper
+
     def _create(self, level, bits, cbits, depth, n, pos, miss, scan):
         """Make the record of the support bits at depth and file it in level,
         the cache of that depth, under its class mask cbits; the caller has
         found no record there.  n, pos and miss are the support's sample,
-        label-1 and reference-mistake counts (miss is 0 without a guess);
-        every caller has already taken them.  scan is the column list the
-        record will scan, in column order, holding at least every column not
-        constant on bits.  The lower bound is the true floor raised to the
-        guess pen + q * miss; without a guess that is pen, never above it.
-        A support with no sample past the first n_classes is its class mask,
-        and the record keeps cbits in both slots."""
+        label-1 and reference-mistake counts (miss is 0 without a guess); every
+        caller has already taken them.  scan is the column list the record will
+        scan, in column order, holding at least every column not constant on
+        bits.  The lower bound is the floor raised to the guess pen + q * miss;
+        without a guess that is pen, never above it.  A support with no sample
+        past the first n_classes is its class mask, kept as the key int cbits."""
         leaf_units = self.q * min(pos, n - pos) + self.pen
-        if bits <= self.root_cbits:
-            # every class of the support is one sample, none a minority
-            bits = cbits
-            true_floor = self.pen
-        else:
-            # Every support here is the dataset cut by indicator columns, and
-            # columns are constant on an equivalence class, so a support holds
-            # all of a class's members or none.  Its minority count is
-            # therefore the popcount of the dataset's minority mask inside it.
-            true_floor = self.pen + self.q * (bits & self.minority).bit_count()
+        bits = cbits if bits <= self.root_cbits else bits
+        floor = self._floor(bits)
         guess = self.pen + self.q * miss
-        lower = guess if guess > true_floor else true_floor
-        rec = _Rec(bits, cbits, depth, n, pos, true_floor, miss, lower, leaf_units, scan)
+        lower = guess if guess > floor else floor
+        rec = _Rec(bits, depth, n, pos, miss, lower, leaf_units, scan)
         counters = self.counters
         counters.created += 1
         level[cbits] = rec
@@ -395,7 +395,8 @@ class _Search:
         if rec.depth == 1 and self.bounded:
             self._expand_terminal(rec)
             return
-        bits, cbits, n, pos, miss = rec.bits, rec.cbits, rec.n, rec.pos, rec.miss
+        bits, n, pos, miss = rec.bits, rec.n, rec.pos, rec.miss
+        cbits = bits & self.root_cbits
         q, pen, pos_bits, inc_bits = self.q, self.pen, self.pos_bits, self.inc_bits
         create, pair = self._create, self._pair
         child_depth = rec.depth - 1 if self.bounded else None
@@ -505,9 +506,8 @@ class _Search:
         agree, when both will be scanned: unsolved, unpaired, and not closed
         by the floor check of _expand_terminal.  Their upper bounds are
         still their leaves' and stay so until they are expanded."""
-        pen = self.pen
         if (a.bits is None or b.bits is None or a.sib is not None or b.sib is not None
-                or a.true_floor + pen >= a.upper or b.true_floor + pen >= b.upper):
+                or self._closes_at_leaf(a) or self._closes_at_leaf(b)):
             return
         a.sib = (b, scan, agree)
         b.sib = (a, scan, agree)
@@ -517,9 +517,9 @@ class _Search:
 
         Its best split into two leaves is stored when it beats the leaf, and
         the record is closed at once.  Any split costs at least two leaf
-        penalties plus the equivalence-points loss, true_floor + pen, so a
-        record whose upper bound is no more than that is closed at its leaf
-        without a scan.  A record paired with its sibling (see _pair) scans
+        penalties plus the equivalence-points loss, so a record whose upper
+        bound is no more than that is closed at its leaf without a scan (see
+        _closes_at_leaf).  A record paired with its sibling (see _pair) scans
         the depth-2 parent's list, whose agreement counts the parent already
         took: the sibling's counts are the parent's minus its own, so the
         sibling's outcome is found here with no popcount per column and kept
@@ -530,7 +530,7 @@ class _Search:
         bits = rec.bits
         if sib is not None and sib[0] is None:
             split = sib[1]  # derived when the sibling was expanded
-        elif sib is None and rec.true_floor + self.pen >= rec.upper:
+        elif sib is None and self._closes_at_leaf(rec):
             split = None
         else:
             scan = rec.scan if sib is None else sib[1]
@@ -643,12 +643,12 @@ class _Search:
 
     def _close(self, rec):
         """Solve rec at its upper bound, counting it when only the guess,
-        pen + q * miss, closes it.  It drops what only the search of an
-        unsolved record reads: its sample mask, which marks it solved, its
-        refresh state, its column list and its floor."""
-        if rec.true_floor < rec.upper <= self.pen + self.q * rec.miss:
+        pen + q * miss, closes it (the floor is taken only then).  It drops what
+        only the search of an unsolved record reads: its sample mask, which
+        marks it solved, its refresh state and its column list."""
+        if rec.upper <= self.pen + self.q * rec.miss and self._floor(rec.bits) < rec.upper:
             self.counters.closed_by_guess += 1
-        rec.bits = rec.refresh = rec.scan = rec.true_floor = None
+        rec.bits = rec.refresh = rec.scan = None
         rec.lower = rec.upper
 
     @staticmethod
@@ -694,14 +694,14 @@ class _Search:
         return root, None
 
     def release(self):
-        """Once the search has ended, drop the cache and every record's class
-        mask, parent links (left only on unsolved records) and sibling
-        pairing.  What stays is the split DAG below the root, where no
-        record points back up, so reference counting frees it.  A method,
-        so that no loop variable outlives it holding a level of the cache."""
+        """Once the search has ended, drop the cache and every record's parent
+        links (left only on unsolved records) and sibling pairing.  What stays
+        is the split DAG below the root, where no record points back up, so
+        reference counting frees it.  A method, so that no loop variable
+        outlives it holding a level of the cache."""
         for level in self.recs.values():
             for rec in level.values():
-                rec.cbits = rec.parents = rec.sib = None
+                rec.parents = rec.sib = None
         self.recs = None
 
     # ---------------- extraction

@@ -29,6 +29,10 @@ TRAINS = {
     # a guessed solve: only the reference's predictions rest on boosting's
     # float arithmetic, and no float of it reaches the artifacts
     "golden.guessed4": (BINARY, ["--pre-binarized", "--lb-guess", "--depth", "4"]),
+    # the same solve cut by a record budget: a cut run whose records were
+    # closed by the guess
+    "golden.guessed4cut": (BINARY, ["--pre-binarized", "--lb-guess", "--depth", "4",
+                                    "--max-records", "1600"]),
 }
 
 

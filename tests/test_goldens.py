@@ -13,6 +13,6 @@ def test_cli_artifacts_match_the_goldens(tmp_path):
     spec.loader.exec_module(goldens)
     assert (DATA / goldens.RAW).read_text() == goldens.raw_csv_text()
     names = goldens.write_artifacts(DATA / goldens.RAW, tmp_path)
-    assert len(names) == 9
+    assert len(names) == 11
     for name in names:
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name

@@ -1,4 +1,5 @@
 import gc
+import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -610,7 +611,7 @@ def test_terminal_expansion_matches_a_column_scan():
         def classify_and_expand(rec):
             if rec.sib is not None and rec.sib[0] is None:
                 how[rec] = "derived"
-            elif rec.sib is None and rec.true_floor + pen >= rec.upper:
+            elif rec.sib is None and search._floor(rec.bits) + pen >= rec.upper:
                 how[rec] = "floor"
             else:
                 how[rec] = "scanned"
@@ -936,16 +937,45 @@ def test_matches_the_exhaustive_dp_at_mid_scale():
     assert res.depth == 4
 
 
+def test_unbounded_solves_match_the_dp_at_depth_one_over_two_lambda():
+    # a single leaf scores at most 1/2 + lambda, so an unbounded optimum has
+    # at most 1/(2 lambda) + 1 leaves and fits in depth 1/(2 lambda): the
+    # exact unbounded solve is the DP's optimum there, tie rules included.
+    # Cut at half its records, the same solve returns a tree no better than
+    # that optimum and scoring what it reports; a solve whose root's one
+    # expansion ends it cannot be cut
+    rng = np.random.default_rng(35)
+    draws = [random_binary(rng, max_n=40, max_cols=6) for _ in range(24)]
+    cut_short = 0
+    for lam in ("1/6", "1/8"):
+        for k, bin_data in enumerate(draws):
+            reg = Regularizer.from_text(lam, bin_data.n_samples)
+            depth = reg.denom // (2 * reg.numer)
+            bf = evaluation.brute_force_optimal(bin_data, reg, depth, max_depth=depth)
+            res = solver.optimize(bin_data, SolverConfig(reg))
+            assert res.status == "optimal", (lam, k)
+            assert res.objective_units == bf.objective_units, (lam, k)
+            assert repr(res.tree) == repr(bf.tree), (lam, k)
+            cut = solver.optimize(bin_data, SolverConfig(reg, max_records=res.counters.created // 2))
+            assert cut.status == ("optimal" if res.counters.expanded == 1 else "record-limit"), (lam, k)
+            cut_short += cut.status == "record-limit"
+            assert bf.objective_units <= cut.objective_units, (lam, k)
+            assert trees.objective(cut.tree, bin_data, reg) == cut.objective, (lam, k)
+            assert cut.objective_units == reg.units(cut.loss_count, cut.leaf_count), (lam, k)
+    assert cut_short >= 30
+
+
 def test_floor_matches_a_per_group_recount():
     for name, (bin_data, cfg) in _pinned_instances().items():
         search = solver._Search(bin_data, cfg)
-        # a record's close drops its floor, and a record may close inside
-        # _create, so each floor is noted just before its close
+        # a record's floor is taken from its sample mask, which its close
+        # drops, and a record may close inside _create, so each floor is
+        # noted just before its close
         floors = {}
         close = search._close
 
         def note_close(rec):
-            floors[rec] = rec.true_floor
+            floors[rec] = search._floor(rec.bits)
             close(rec)
 
         search._close = note_close
@@ -968,8 +998,9 @@ def test_floor_matches_a_per_group_recount():
                 inside = [i for i in group if support[rec] >> i & 1]
                 pos = sum(int(labels[i]) for i in inside)
                 recount += min(pos, len(inside) - pos)
-            floor = floors[rec] if _solved(rec) else rec.true_floor
+            floor = floors[rec] if _solved(rec) else search._floor(rec.bits)
             assert floor == pen + q * recount, name
+            assert rec.lower >= floor, name
             paid += recount > 0
         # the bound is nonzero on some record
         assert paid > 0, name
@@ -996,13 +1027,15 @@ def test_cache_is_keyed_by_class_masks():
         seen = set()
         for depth, level in search.recs.items():
             for cbits, rec in level.items():
-                assert (cbits, depth) == (rec.cbits, rec.depth), name
+                assert depth == rec.depth, name
                 meets = {int(ids[i]) for i in range(bin_data.n_samples) if support[rec] >> i & 1}
                 assert cbits == sum(1 << k for k in meets), name
                 seen.add((support[rec], depth))
                 # a record is solved once its bounds meet; until then it
-                # holds its support in search order
+                # holds its support in search order, whose low bits are
+                # its key
                 in_order = eq.search_mask(support[rec])
+                assert in_order & search.root_cbits == cbits, name
                 assert rec.bits == (None if rec.lower == rec.upper else in_order), name
         assert len(seen) == len(_records(search)), name
         assert all(_solved(rec) for rec in terminal), name
@@ -1016,15 +1049,22 @@ def _class_samples(eq):
             for k in range(eq.n_classes)]
 
 
+def _unsolved_keys(search):
+    """Each unsolved record with its key, its class mask, in the cache."""
+    return [(cbits, rec) for level in search.recs.values()
+            for cbits, rec in level.items() if not _solved(rec)]
+
+
 def _check_sample_masks(search, eq):
     """Check that every unsolved record's sample mask holds, in search
-    order, the members of the classes in its class mask, and that its low
-    n_classes bits are that class mask; return the unsolved records."""
+    order, the members of the classes in its key, and that its low
+    n_classes bits are that key; return the unsolved records with their
+    keys."""
     samples = _class_samples(eq)
-    unsolved = [rec for rec in _records(search) if not _solved(rec)]
-    for rec in unsolved:
-        assert rec.bits == sum(samples[k] for k in range(eq.n_classes) if rec.cbits >> k & 1)
-        assert rec.bits & ((1 << eq.n_classes) - 1) == rec.cbits
+    unsolved = _unsolved_keys(search)
+    for cbits, rec in unsolved:
+        assert rec.bits == sum(samples[k] for k in range(eq.n_classes) if cbits >> k & 1)
+        assert rec.bits & ((1 << eq.n_classes) - 1) == cbits
     return unsolved
 
 
@@ -1043,9 +1083,9 @@ def test_a_wide_solve_of_distinct_rows_keeps_one_int_per_support():
     assert stopped_by == "record-limit"
     assert asdict(search.counters) == {
         "created": 21313, "expanded": 6, "closed_by_guess": 0, "cache_hits": 10626}
-    unsolved = [rec for rec in _records(search) if not _solved(rec)]
+    unsolved = _unsolved_keys(search)
     assert len(unsolved) > 20000
-    assert all(rec.bits is rec.cbits for rec in unsolved)
+    assert all(rec.bits is cbits for cbits, rec in unsolved)
     search.release()
     assert search.best(root_rec, {})[0] == 41600
 
@@ -1067,12 +1107,12 @@ def test_only_supports_holding_a_repeated_row_keep_two_ints():
     search = solver._Search(bin_data, SolverConfig(reg, depth_limit=3, max_records=3000))
     assert search.run()[1] == "record-limit"
     unsolved = _check_sample_masks(search, eq)
-    two = [rec for rec in unsolved if rec.bits is not rec.cbits]
-    assert two == [rec for rec in unsolved if rec.cbits >> repeated & 1]
+    two = [rec for cbits, rec in unsolved if rec.bits is not cbits]
+    assert two == [rec for cbits, rec in unsolved if cbits >> repeated & 1]
     assert 0 < len(two) < len(unsolved)
     # a support holding the repeated class has both labels in it, and a floor
     # above the leaf penalty
-    assert all(rec.true_floor == reg.leaf_penalty_units + reg.denom for rec in two)
+    assert all(search._floor(rec.bits) == reg.leaf_penalty_units + reg.denom for rec in two)
 
 
 def test_supports_of_repeated_rows_keep_both_masks():
@@ -1090,14 +1130,16 @@ def test_supports_of_repeated_rows_keep_both_masks():
         search.run()
         unsolved = _check_sample_masks(search, eq)
         assert unsolved or cap is None
-        assert not any(rec.bits is rec.cbits for rec in unsolved)
+        assert not any(rec.bits is cbits for cbits, rec in unsolved)
 
 
 def test_solved_records_keep_only_what_hits_and_extraction_read():
     # a cache hit reads a solved record's counts and bounds, and extraction
     # its counts, bounds and splits; the rest goes at its close, and each
     # extracted subproblem is memoized as one flat tuple
-    assert len(solver._Rec.__slots__) <= 14
+    assert len(solver._Rec.__slots__) <= 12
+    assert sys.getsizeof(object.__new__(solver._Rec)) <= 128
+    assert not {"cbits", "true_floor"} & set(solver._Rec.__slots__)
     for name, (bin_data, cfg) in _pinned_instances().items():
         reg = cfg.regularizer
         search = solver._Search(bin_data, cfg)
@@ -1108,7 +1150,7 @@ def test_solved_records_keep_only_what_hits_and_extraction_read():
             if rec.lower != rec.upper:  # bounds that have not met: unsolved
                 continue
             solved += 1
-            assert (rec.bits, rec.refresh, rec.scan, rec.true_floor) == (None,) * 4, name
+            assert (rec.bits, rec.refresh, rec.scan) == (None,) * 3, name
             assert rec.parents == (), name
             n = support[rec].bit_count()
             pos = (support[rec] & bin_data.pos_mask).bit_count()
